@@ -7,7 +7,7 @@ to a per-domain classifier, and scores everything with per-class top-1
 accuracies and their harmonic mean.
 """
 
-from .classify import NearestEmbeddingClassifier, classify_seen, classify_unseen
+from .classify import NearestEmbeddingClassifier
 from .data import (
     GzslDataset,
     SyntheticSpec,
@@ -65,7 +65,6 @@ from .pipeline import (
     harmonic_mean,
     per_class_top1,
     predict,
-    write_report,
 )
 from .rng import SplitMix64
 
@@ -98,8 +97,6 @@ __all__ = [
     "backward",
     "calibrate",
     "calibrate_from_samples",
-    "classify_seen",
-    "classify_unseen",
     "evaluate",
     "evaluate_baseline",
     "forward",
@@ -127,5 +124,4 @@ __all__ = [
     "save_thresholds",
     "sq_dist",
     "train",
-    "write_report",
 ]

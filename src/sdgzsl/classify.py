@@ -5,15 +5,15 @@ Both the seen-domain and unseen-domain slots accept any object exposing
 of the two based on the gate decision and never mixes their index
 spaces.  The default scores a candidate class by the negative squared
 distance between the projected feature and the class embedding, so it
-needs no training beyond the shared semantic mapper.
+needs no training beyond the shared semantic mapper.  The evaluation
+core computes that default for a whole block of rows at once with the
+same ``linalg.nearest``, so it calls a classifier object only for a slot
+the caller filled.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import DomainError, ShapeError
-from .linalg import as_matrix, as_vector
+from .linalg import as_table, as_vector, nearest
 from .mlp import MlpParams, forward
 
 
@@ -22,13 +22,7 @@ class NearestEmbeddingClassifier:
 
     def __init__(self, mapper: MlpParams, embeddings):
         self.mapper = mapper
-        self.embeddings = as_matrix(embeddings, "class embeddings")
-        if self.embeddings.shape[0] == 0:
-            raise DomainError("classifier needs at least one class embedding")
-        if self.embeddings.shape[1] != mapper.out_dim:
-            raise ShapeError(
-                f"embedding dim {self.embeddings.shape[1]} != mapper output {mapper.out_dim}"
-            )
+        self.embeddings = as_table(embeddings, mapper.out_dim, "class embeddings")
 
     def score(self, feature, embedding) -> float:
         """Negative squared distance between projection and one embedding."""
@@ -38,16 +32,4 @@ class NearestEmbeddingClassifier:
 
     def classify(self, feature) -> int:
         p = forward(self.mapper, as_vector(feature, "feature"))
-        diff = self.embeddings - p
-        # argmin returns the first minimum, which is the tie-break contract
-        return int(np.argmin(np.sum(diff * diff, axis=1)))
-
-
-def classify_seen(mapper: MlpParams, x, seen_emb) -> int:
-    """Class index of the nearest seen embedding to the projection of x."""
-    return NearestEmbeddingClassifier(mapper, seen_emb).classify(x)
-
-
-def classify_unseen(mapper: MlpParams, x, unseen_emb) -> int:
-    """Class index of the nearest unseen embedding to the projection of x."""
-    return NearestEmbeddingClassifier(mapper, unseen_emb).classify(x)
+        return int(nearest(p[None, :], self.embeddings)[1][0])

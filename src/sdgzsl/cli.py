@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,6 +45,29 @@ _TRAIN_DEFAULTS = {"lr": 1e-2, "epochs": 100, "batch": 64, "seed": 0, "hidden": 
 _EVAL_DEFAULTS = {"strategy": "all", "lam": 1.0, "calibration_split": "train", "sweep": False}
 
 
+def _config_value(key: str, value, default):
+    """``value`` coerced to the type of ``default``, or None if it has another type.
+
+    An int is accepted where a float is expected; a bool is never a number;
+    ``hidden`` also takes a list of ints.
+    """
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if key == "hidden" and isinstance(value, list):
+        return value if all(is_int(v) for v in value) else None
+    if isinstance(default, (bool, str)):
+        return value if type(value) is type(default) else None
+    if isinstance(default, int):
+        return value if is_int(value) else None
+    if isinstance(value, float):
+        return value
+    try:
+        return float(value) if is_int(value) else None
+    except OverflowError:  # an int beyond the float range
+        return None
+
+
 def _merge(defaults: dict, args: argparse.Namespace, parser) -> dict:
     """flags > config file > defaults."""
     merged = dict(defaults)
@@ -53,10 +77,17 @@ def _merge(defaults: dict, args: argparse.Namespace, parser) -> dict:
             loaded = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config {config_path}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config {config_path}: expected a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             parser.error(f"--config {config_path}: unknown keys {sorted(unknown)}")
-        merged.update(loaded)
+        for key, raw in loaded.items():
+            value = _config_value(key, raw, defaults[key])
+            if value is None:
+                parser.error(f"--config {config_path}: {key}={raw!r} does not match the "
+                             f"type of its default {defaults[key]!r}")
+            merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -159,6 +190,8 @@ def cmd_eval(args, parser) -> int:
         parser.error(f"--strategy must be one of {STRATEGIES + ('all',)}, got {cfg['strategy']!r}")
     if cfg["calibration_split"] not in ("train", "test"):
         parser.error(f"--calibration-split must be 'train' or 'test', got {cfg['calibration_split']!r}")
+    if not (math.isfinite(cfg["lam"]) and cfg["lam"] >= 0):
+        parser.error(f"--lam must be a finite number >= 0, got {cfg['lam']!r}")
 
     dataset = load_dataset(args.data)
     mapper, header = load_checkpoint(args.ckpt)

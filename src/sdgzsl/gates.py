@@ -11,19 +11,25 @@ Thresholds are calibrated from seen training instances alone, as mean
 plus population standard deviation of the matching statistic, so no
 manual tuning is involved.  All three gate rules use strict ``<`` for
 SEEN; a statistic exactly on its threshold gates UNSEEN.
+
+Each rule's comparison is written once (``SEEN_RULES``) for scalars and
+arrays alike: the batched evaluation core applies it to whole vectors of
+statistics as a boolean mask, and ``gate_ol`` / ``gate_dl`` / ``gate_ws``
+apply it to one instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from .data import GzslDataset
-from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError, ShapeError
-from .linalg import as_matrix, as_vector, l2_norm, mean_and_popstd
+from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
+from .linalg import as_table, as_vector, mean_and_popstd, nearest
 from .mlp import MlpParams, forward_batch
 
 
@@ -58,6 +64,11 @@ class ThresholdSet:
     l: float
 
     def validate(self) -> "ThresholdSet":
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise CalibrationError(f"non-finite threshold fields {bad}")
+        if self.lam < 0:
+            raise CalibrationError(f"lam must be >= 0, got {self.lam!r}")
         checks = [
             ("r_ol", self.r_ol, self.m_dl + self.std_dl),
             ("r_0", self.r_0, self.m_msd + 2.0 * self.std_msd),
@@ -72,23 +83,24 @@ class ThresholdSet:
         return self
 
 
-def length_gap(projected, l: float) -> float:
-    """Absolute difference between the projection's norm and ``l``."""
+def length_gaps(proj: np.ndarray, l: float) -> np.ndarray:
+    """Absolute difference between each projected row's norm and ``l``."""
     if not l > 0:
         raise DomainError(f"unified norm must be > 0, got {l}")
-    return abs(l2_norm(projected) - l)
+    return np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
+
+
+def length_gap(projected, l: float) -> float:
+    """Absolute difference between the projection's norm and ``l``."""
+    p = as_vector(projected, "projected")
+    return float(length_gaps(p[None, :], l)[0])
 
 
 def min_semantic_distance(projected, seen_emb) -> float:
     """Minimum squared distance from the projection to any seen embedding row."""
     p = as_vector(projected, "projected")
-    emb = as_matrix(seen_emb, "seen embeddings")
-    if emb.shape[0] == 0:
-        raise DomainError("min_semantic_distance: empty embedding table")
-    if emb.shape[1] != p.size:
-        raise ShapeError(f"min_semantic_distance: dim {p.size} vs table {emb.shape}")
-    diff = emb - p
-    return float(np.min(np.sum(diff * diff, axis=1)))
+    emb = as_table(seen_emb, p.size, "min_semantic_distance")
+    return float(nearest(p[None, :], emb)[0][0])
 
 
 def gate_statistics(projected, seen_emb, l: float) -> GateStatistics:
@@ -137,19 +149,18 @@ def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
     xs = getattr(dataset, f"{split}_x")
     if xs.shape[0] == 0:
         raise CalibrationError(f"calibration split {split!r} is empty")
+    seen_emb = as_table(dataset.seen_emb, mapper.out_dim, "seen embeddings")
     proj = forward_batch(mapper, xs)
     l = dataset.unified_norm
-    d_l = np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
-    msd = np.array([min_semantic_distance(p, dataset.seen_emb) for p in proj])
-    return calibrate_from_samples(d_l, msd, lam, l)
+    return calibrate_from_samples(length_gaps(proj, l), nearest(proj, seen_emb)[0], lam, l)
 
 
-def gate_ol(stats: GateStatistics, th: ThresholdSet) -> Domain:
+def seen_ol(d_l, msd, th: ThresholdSet):
     """Length-only rule: SEEN iff d_l is strictly below the length threshold."""
-    return Domain.SEEN if stats.d_l < th.r_ol else Domain.UNSEEN
+    return d_l < th.r_ol
 
 
-def gate_dl(stats: GateStatistics, th: ThresholdSet) -> Domain:
+def seen_dl(d_l, msd, th: ThresholdSet):
     """Length rule refined by minimum distance, four exhaustive cases.
 
     A small msd rescues an instance the length rule would reject, and a
@@ -160,14 +171,35 @@ def gate_dl(stats: GateStatistics, th: ThresholdSet) -> Domain:
         d_l <  r_ol and msd >= r_0  -> UNSEEN
         d_l >= r_ol and msd >= r_1  -> UNSEEN
     """
-    if stats.d_l < th.r_ol:
-        return Domain.SEEN if stats.msd < th.r_0 else Domain.UNSEEN
-    return Domain.SEEN if stats.msd < th.r_1 else Domain.UNSEEN
+    return np.where(d_l < th.r_ol, msd < th.r_0, msd < th.r_1)
+
+
+def seen_ws(d_l, msd, th: ThresholdSet):
+    """Weighted-sum rule: SEEN iff d_l + lam * msd is strictly below r_ws."""
+    return d_l + th.lam * msd < th.r_ws
+
+
+# strategy -> rule over statistics: scalars give a bool, arrays a boolean mask
+SEEN_RULES = {"ol": seen_ol, "dl": seen_dl, "ws": seen_ws}
+
+
+def _domain(seen) -> Domain:
+    return Domain.SEEN if seen else Domain.UNSEEN
+
+
+def gate_ol(stats: GateStatistics, th: ThresholdSet) -> Domain:
+    """``seen_ol`` for one instance."""
+    return _domain(seen_ol(stats.d_l, stats.msd, th))
+
+
+def gate_dl(stats: GateStatistics, th: ThresholdSet) -> Domain:
+    """``seen_dl`` for one instance."""
+    return _domain(seen_dl(stats.d_l, stats.msd, th))
 
 
 def gate_ws(stats: GateStatistics, th: ThresholdSet) -> Domain:
-    """Weighted-sum rule: SEEN iff d_l + lam * msd is strictly below r_ws."""
-    return Domain.SEEN if stats.d_l + th.lam * stats.msd < th.r_ws else Domain.UNSEEN
+    """``seen_ws`` for one instance."""
+    return _domain(seen_ws(stats.d_l, stats.msd, th))
 
 
 GATE_FUNCTIONS = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}

@@ -11,6 +11,12 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
+# Rows handled together by the batched evaluation: it bounds the
+# (ROW_BLOCK, C, S) distance broadcast and a projected block to a few
+# hundred kB whatever the split size, while one product and one broadcast
+# per block already remove nearly all per-row overhead.
+ROW_BLOCK = 32
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting anything else."""
@@ -24,6 +30,15 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if m.ndim != 1:
         raise ShapeError(f"{name}: expected 1-D, got shape {m.shape}")
     return m
+
+def as_table(emb, dim: int, name: str = "embedding table") -> np.ndarray:
+    """Coerce to a nonempty 2-D float64 table whose rows have length ``dim``."""
+    t = as_matrix(emb, name)
+    if t.shape[0] == 0:
+        raise DomainError(f"{name}: empty embedding table")
+    if t.shape[1] != dim:
+        raise ShapeError(f"{name}: row length {t.shape[1]} != {dim}")
+    return t
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
@@ -56,6 +71,25 @@ def sq_dist(a, b) -> float:
         raise ShapeError(f"sq_dist: lengths {a.size} and {b.size} differ")
     d = a - b
     return float(d @ d)
+
+
+def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``points``: smallest squared distance to a ``table`` row, and
+    the first row index attaining it (ties go to the lowest index).
+
+    Distances come from the ``(ROW_BLOCK, table rows, dim)`` broadcast, one
+    block of points at a time, not from the ``|p|^2 - 2 p.e + |e|^2``
+    expansion, so each row's result is bit-for-bit the same whichever rows
+    share the call.
+    """
+    n = points.shape[0]
+    dist, index = np.empty(n), np.empty(n, dtype=np.intp)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        diff = points[rows, None, :] - table[None, :, :]
+        d = np.sum(diff * diff, axis=2)
+        dist[rows], index[rows] = d.min(axis=1), d.argmin(axis=1)
+    return dist, index
 
 
 def mean_and_popstd(xs) -> tuple[float, float]:

@@ -4,21 +4,36 @@ Evaluation reports macro (per-class) top-1 accuracy on the held-out seen
 split and on the unseen split, their harmonic mean, and a 2x2 gate
 confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
+
+One batched core serves every entry point.  It takes a split
+``linalg.ROW_BLOCK`` rows at a time and, per block, projects each row once
+(``forward_batch``), computes ``d_l`` and ``msd`` as vectors, finds the
+nearest seen and unseen embedding of every row in one broadcast, applies
+the gate rule as a boolean mask and picks
+``np.where(seen, nearest seen, nearest unseen)``.  Per-class accuracy is
+counted with ``np.bincount``.  ``evaluate_baseline`` is the same core
+with the rule ``msd <= nearest unseen distance``, and ``predict`` is the
+core on a one-row batch.
+
+Two per-instance contracts remain for caller-supplied parts, which the
+core maps over rows only when they are passed: ``gate_fn`` is called as
+``gate_fn(GateStatistics, ThresholdSet) -> Domain`` once per row, and a
+classifier slot as ``classify(feature_row) -> class index`` once per row
+gated into its domain.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .classify import NearestEmbeddingClassifier
 from .data import GzslDataset
 from .errors import ConfigError, DomainError, EvaluationError, MetricError
-from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, gate_statistics
-from .mlp import MlpParams, forward
+from .gates import SEEN_RULES, Domain, GateStatistics, ThresholdSet, length_gaps
+from .linalg import ROW_BLOCK, as_table, as_vector, nearest
+from .mlp import MlpParams, forward_batch
 
 STRATEGIES = ("ol", "dl", "ws")
 BASELINE_TAG = "nogate"
@@ -71,19 +86,72 @@ def harmonic_mean(acc_s: float, acc_u: float) -> float:
     return 2.0 * acc_s * acc_u / (acc_s + acc_u)
 
 
+def _class_accuracy(true_class: np.ndarray, correct: np.ndarray, classes) -> dict[int, float]:
+    """Correct fraction per class, counted with ``np.bincount``."""
+    classes = list(classes)
+    n = max(classes, default=-1) + 1
+    totals = np.bincount(true_class, minlength=n)
+    hits = np.bincount(true_class[correct], minlength=n)
+    out = {}
+    for c in classes:
+        if not totals[c]:
+            raise MetricError(f"class {c} has no test instances")
+        out[c] = float(hits[c] / totals[c])
+    return out
+
+
 def per_class_top1(predictions, classes) -> dict[int, float]:
     """Per-class correct fraction over predictions sharing one true domain.
 
     A prediction counts as correct only if it was gated into the right
     domain and assigned the right class there.
     """
-    out = {}
-    for c in classes:
-        hits = [p for p in predictions if p.true_class == c]
-        if not hits:
-            raise MetricError(f"class {c} has no test instances")
-        out[c] = sum(1 for p in hits if p.correct) / len(hits)
-    return out
+    true_class = np.array([p.true_class for p in predictions], dtype=np.int64)
+    correct = np.array([p.correct for p in predictions], dtype=bool)
+    return _class_accuracy(true_class, correct, classes)
+
+
+def _gate_rule(strategy: str, thresholds: ThresholdSet, gate_fn):
+    """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one block."""
+    if gate_fn is not None:
+        def mapped(d_l, msd, _):
+            return np.array([gate_fn(GateStatistics(float(a), float(b)), thresholds) == Domain.SEEN
+                             for a, b in zip(d_l, msd)], dtype=bool)
+        return mapped
+    try:
+        seen = SEEN_RULES[strategy]
+    except KeyError:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}, expected one of {sorted(SEEN_RULES)}"
+        ) from None
+    return lambda d_l, msd, _: seen(d_l, msd, thresholds)
+
+
+def _baseline_rule(d_l, msd, min_unseen):
+    # the seen table comes first in the union, so it wins an exact tie
+    return msd <= min_unseen
+
+
+def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
+           seen_classifier, unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
+    """Gate and classify every row of ``xs``: (gated-seen mask, class index
+    inside the gated domain)."""
+    seen_emb = as_table(seen_emb, mapper.out_dim, "seen embeddings")
+    unseen_emb = as_table(unseen_emb, mapper.out_dim, "unseen embeddings")
+    gated_seen = np.empty(xs.shape[0], dtype=bool)
+    predicted = np.empty(xs.shape[0], dtype=np.int64)
+    for start in range(0, xs.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        proj = forward_batch(mapper, xs[rows])
+        msd, arg_seen = nearest(proj, seen_emb)
+        min_unseen, arg_unseen = nearest(proj, unseen_emb)
+        gated_seen[rows] = seen = rule(length_gaps(proj, l), msd, min_unseen)
+        predicted[rows] = np.where(seen, arg_seen, arg_unseen)
+    for mask, clf in ((gated_seen, seen_classifier), (~gated_seen, unseen_classifier)):
+        if clf is not None:
+            idx = np.flatnonzero(mask)
+            predicted[idx] = [int(clf.classify(xs[i])) for i in idx]
+    return gated_seen, predicted
 
 
 def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, x,
@@ -96,81 +164,67 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, x,
     ``(GateStatistics, ThresholdSet) -> Domain``; classifier slots accept
     any object with ``classify(x) -> int``.
     """
-    if gate_fn is None:
-        try:
-            gate_fn = GATE_FUNCTIONS[strategy]
-        except KeyError:
-            raise ConfigError(
-                f"unknown strategy {strategy!r}, expected one of {sorted(GATE_FUNCTIONS)}"
-            ) from None
-    projected = forward(mapper, x)
-    stats = gate_statistics(projected, seen_emb, thresholds.l)
-    decision = gate_fn(stats, thresholds)
-    if decision == Domain.SEEN:
-        clf = seen_classifier or NearestEmbeddingClassifier(mapper, seen_emb)
-    else:
-        clf = unseen_classifier or NearestEmbeddingClassifier(mapper, unseen_emb)
+    rule = _gate_rule(strategy, thresholds, gate_fn)
+    row = as_vector(x, "feature")[None, :]
+    seen, predicted = _route(mapper, rule, thresholds.l, row, seen_emb, unseen_emb,
+                             seen_classifier, unseen_classifier)
     return Prediction(
-        gate=decision,
-        predicted_class=int(clf.classify(x)),
+        gate=Domain.SEEN if seen[0] else Domain.UNSEEN,
+        predicted_class=int(predicted[0]),
         true_domain=true_domain,
         true_class=true_class,
     )
 
 
-def _score_predictions(strategy: str, seen_preds, unseen_preds,
-                       n_seen_classes: int, n_unseen_classes: int,
-                       runtime: float) -> EvaluationReport:
-    per_seen = per_class_top1(seen_preds, range(n_seen_classes))
-    per_unseen = per_class_top1(unseen_preds, range(n_unseen_classes))
-    acc_s = float(np.mean(list(per_seen.values())))
-    acc_u = float(np.mean(list(per_unseen.values())))
+def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
+              seen_classifier=None, unseen_classifier=None) -> EvaluationReport:
+    """Route both test splits through the core and score them."""
+    if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
+        raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
+    t0 = time.perf_counter()
+    splits = (
+        (Domain.SEEN, dataset.seen_test_x, dataset.seen_test_y, dataset.n_seen_classes),
+        (Domain.UNSEEN, dataset.unseen_test_x, dataset.unseen_test_y, dataset.n_unseen_classes),
+    )
+    acc, per_class = {}, {}
     confusion = {(t, g): 0 for t in Domain for g in Domain}
-    for p in seen_preds + unseen_preds:
-        confusion[(p.true_domain, p.gate)] += 1
-    report = EvaluationReport(
-        strategy=strategy,
+    for true, xs, ys, n_classes in splits:
+        gated_seen, predicted = _route(mapper, rule, l, xs, dataset.seen_emb, dataset.unseen_emb,
+                                       seen_classifier, unseen_classifier)
+        right_domain = gated_seen if true == Domain.SEEN else ~gated_seen
+        ys = np.asarray(ys, dtype=np.int64)
+        per = _class_accuracy(ys, right_domain & (predicted == ys), range(n_classes))
+        acc[true] = float(np.mean(list(per.values())))
+        per_class.update({(true.value, c): a for c, a in per.items()})
+        n_seen = int(np.count_nonzero(gated_seen))
+        confusion[(true, Domain.SEEN)] = n_seen
+        confusion[(true, Domain.UNSEEN)] = xs.shape[0] - n_seen
+
+    acc_s, acc_u = acc[Domain.SEEN], acc[Domain.UNSEEN]
+    h = harmonic_mean(acc_s, acc_u)
+    if h > max(acc_s, acc_u) + 1e-12 or h > 2.0 * min(acc_s, acc_u) + 1e-12:
+        raise MetricError(f"h={h!r} breaks its bounds for acc_s={acc_s!r}, acc_u={acc_u!r}")
+    n_rows = dataset.seen_test_x.shape[0] + dataset.unseen_test_x.shape[0]
+    if sum(confusion.values()) != n_rows:
+        raise MetricError(f"gate confusion counts {sum(confusion.values())} of {n_rows} rows")
+    return EvaluationReport(
+        strategy=tag,
         acc_s=acc_s,
         acc_u=acc_u,
-        h=harmonic_mean(acc_s, acc_u),
-        per_class_acc={
-            **{("seen", c): a for c, a in per_seen.items()},
-            **{("unseen", c): a for c, a in per_unseen.items()},
-        },
+        h=h,
+        per_class_acc=per_class,
         gate_confusion=confusion,
-        runtime=runtime,
+        runtime=time.perf_counter() - t0,
     )
-    assert report.h <= max(acc_s, acc_u) + 1e-12
-    assert report.h <= 2.0 * min(acc_s, acc_u) + 1e-12
-    assert sum(confusion.values()) == len(seen_preds) + len(unseen_preds)
-    return report
 
 
 def evaluate(mapper: MlpParams, thresholds: ThresholdSet, strategy: str,
              dataset: GzslDataset, seen_classifier=None, unseen_classifier=None,
              gate_fn=None) -> EvaluationReport:
     """Run the gate + route flow over both test splits and report metrics."""
-    if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
-        raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
-    t0 = time.perf_counter()
-    seen_clf = seen_classifier or NearestEmbeddingClassifier(mapper, dataset.seen_emb)
-    unseen_clf = unseen_classifier or NearestEmbeddingClassifier(mapper, dataset.unseen_emb)
-
-    def run_split(xs, ys, true_domain):
-        return [
-            predict(mapper, thresholds, strategy, x, dataset.seen_emb, dataset.unseen_emb,
-                    seen_classifier=seen_clf, unseen_classifier=unseen_clf, gate_fn=gate_fn,
-                    true_domain=true_domain, true_class=int(y))
-            for x, y in zip(xs, ys)
-        ]
-
-    seen_preds = run_split(dataset.seen_test_x, dataset.seen_test_y, Domain.SEEN)
-    unseen_preds = run_split(dataset.unseen_test_x, dataset.unseen_test_y, Domain.UNSEEN)
-    return _score_predictions(
-        strategy, seen_preds, unseen_preds,
-        dataset.n_seen_classes, dataset.n_unseen_classes,
-        time.perf_counter() - t0,
-    )
+    rule = _gate_rule(strategy, thresholds, gate_fn)
+    return _evaluate(strategy, mapper, rule, thresholds.l, dataset,
+                     seen_classifier, unseen_classifier)
 
 
 def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationReport:
@@ -180,30 +234,7 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
     stays comparable with the gated strategies.  Between equal seen and
     unseen distances the seen table wins (it comes first in the union).
     """
-    if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
-        raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
-    t0 = time.perf_counter()
-
-    def run_split(xs, ys, true_domain):
-        preds = []
-        for x, y in zip(xs, ys):
-            p = forward(mapper, x)
-            d_seen = np.sum((dataset.seen_emb - p) ** 2, axis=1)
-            d_unseen = np.sum((dataset.unseen_emb - p) ** 2, axis=1)
-            if d_seen.min() <= d_unseen.min():
-                gate, cls = Domain.SEEN, int(np.argmin(d_seen))
-            else:
-                gate, cls = Domain.UNSEEN, int(np.argmin(d_unseen))
-            preds.append(Prediction(gate, cls, true_domain, int(y)))
-        return preds
-
-    seen_preds = run_split(dataset.seen_test_x, dataset.seen_test_y, Domain.SEEN)
-    unseen_preds = run_split(dataset.unseen_test_x, dataset.unseen_test_y, Domain.UNSEEN)
-    return _score_predictions(
-        BASELINE_TAG, seen_preds, unseen_preds,
-        dataset.n_seen_classes, dataset.n_unseen_classes,
-        time.perf_counter() - t0,
-    )
+    return _evaluate(BASELINE_TAG, mapper, _baseline_rule, dataset.unified_norm, dataset)
 
 
 def render_report_text(report: EvaluationReport) -> str:
@@ -255,9 +286,3 @@ def render_report_kv(report: EvaluationReport, provenance: dict | None = None) -
     if provenance:
         pairs += [(f"cfg_{k}", provenance[k]) for k in sorted(provenance)]
     return "".join(f"{k}={v}\n" for k, v in pairs)
-
-
-def write_report(report: EvaluationReport, txt_path, kv_path,
-                 provenance: dict | None = None) -> None:
-    Path(txt_path).write_text(render_report_text(report))
-    Path(kv_path).write_text(render_report_kv(report, provenance))

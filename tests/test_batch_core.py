@@ -1,0 +1,215 @@
+"""The batched evaluation core against a plain per-row oracle.
+
+The oracle gates each row with ``gate_statistics`` and the scalar rules
+(``gate_ol`` / ``gate_dl`` / ``gate_ws``, or a caller's ``gate_fn``),
+classifies it with a nearest-embedding loop written here, and counts the
+gate confusion and per-class hits one row at a time.  Projection is the
+one step it shares with the core: a product's last bits depend on how
+many rows it multiplies at once, so the oracle projects the same
+``ROW_BLOCK``-row blocks and every count must then match exactly.
+"""
+
+import numpy as np
+import pytest
+
+from sdgzsl import (
+    BASELINE_TAG,
+    STRATEGIES,
+    Domain,
+    GzslDataset,
+    MlpParams,
+    SplitMix64,
+    SyntheticSpec,
+    TrainConfig,
+    calibrate,
+    evaluate,
+    evaluate_baseline,
+    forward_batch,
+    gate_dl,
+    gate_ol,
+    gate_statistics,
+    gate_ws,
+    generate_synthetic,
+    min_semantic_distance,
+    train,
+)
+from sdgzsl import gates
+from sdgzsl.linalg import ROW_BLOCK
+from sdgzsl.mlp import init_params
+
+SCALAR_RULES = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}
+
+
+def project_in_blocks(mapper, xs):
+    return np.concatenate([forward_batch(mapper, xs[i : i + ROW_BLOCK])
+                           for i in range(0, xs.shape[0], ROW_BLOCK)])
+
+
+def plain_nearest(p, table):
+    """(first index of the smallest squared distance, that distance)."""
+    best, best_d = 0, float("inf")
+    for i, row in enumerate(table):
+        diff = p - row
+        d = float(np.sum(diff * diff))
+        if d < best_d:
+            best, best_d = i, d
+    return best, best_d
+
+
+def oracle(mapper, ds, strategy, th=None, gate_fn=None, seen_clf=None, unseen_clf=None):
+    """Gate confusion and per-class correct counts, one row at a time."""
+    confusion = {(t, g): 0 for t in Domain for g in Domain}
+    correct = {}
+    splits = ((Domain.SEEN, ds.seen_test_x, ds.seen_test_y, ds.n_seen_classes),
+              (Domain.UNSEEN, ds.unseen_test_x, ds.unseen_test_y, ds.n_unseen_classes))
+    for true, xs, ys, n in splits:
+        correct.update({(true.value, c): 0 for c in range(n)})
+        for x, p, y in zip(xs, project_in_blocks(mapper, xs), ys):
+            seen_idx, seen_d = plain_nearest(p, ds.seen_emb)
+            unseen_idx, unseen_d = plain_nearest(p, ds.unseen_emb)
+            if strategy == BASELINE_TAG:
+                gate = Domain.SEEN if seen_d <= unseen_d else Domain.UNSEEN
+            else:
+                rule = gate_fn or SCALAR_RULES[strategy]
+                gate = rule(gate_statistics(p, ds.seen_emb, th.l), th)
+            if gate == Domain.SEEN:
+                cls = seen_clf.classify(x) if seen_clf else seen_idx
+            else:
+                cls = unseen_clf.classify(x) if unseen_clf else unseen_idx
+            confusion[(true, gate)] += 1
+            if gate == true and cls == int(y):
+                correct[(true.value, int(y))] += 1
+    return confusion, correct
+
+
+def report_counts(report, ds):
+    sizes = {("seen", c): n for c, n in enumerate(np.bincount(ds.seen_test_y,
+                                                              minlength=ds.n_seen_classes))}
+    sizes.update({("unseen", c): n for c, n in enumerate(np.bincount(
+        ds.unseen_test_y, minlength=ds.n_unseen_classes))})
+    return report.gate_confusion, {k: round(a * sizes[k]) for k, a in report.per_class_acc.items()}
+
+
+def assert_core_matches_oracle(mapper, ds, th, **slots):
+    for tag in STRATEGIES:
+        assert report_counts(evaluate(mapper, th, tag, ds, **slots), ds) == oracle(
+            mapper, ds, tag, th, seen_clf=slots.get("seen_classifier"),
+            unseen_clf=slots.get("unseen_classifier"), gate_fn=slots.get("gate_fn")), tag
+    if not slots:
+        assert report_counts(evaluate_baseline(mapper, ds), ds) == oracle(mapper, ds, BASELINE_TAG)
+
+
+# (seen classes, unseen classes, per-class test rows): 45 and 30 rows are not
+# multiples of the block, 15 and 10 rows are smaller than one block, and the
+# last two have a one-class unseen domain (9 and 40 unseen rows)
+SHAPES = [(3, 2, 15), (3, 2, 5), (5, 1, 9), (4, 1, 40)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_trained_mapper_matches_the_per_row_oracle(seed, shape):
+    seen, unseen, per_test = shape
+    ds = generate_synthetic(SyntheticSpec(seen, unseen, 6, 4, 8, per_test, 0.3, seed=seed))
+    mapper, _ = train(ds, TrainConfig(epochs=4, seed=seed))
+    assert_core_matches_oracle(mapper, ds, calibrate(mapper, ds))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_untrained_mapper_matches_the_per_row_oracle(seed):
+    ds = generate_synthetic(SyntheticSpec(4, 3, 6, 4, 8, 11, 0.3, seed=seed))
+    mapper = init_params(6, [5], 4, SplitMix64(seed))
+    assert_core_matches_oracle(mapper, ds, calibrate(mapper, ds, lam=0.5))
+
+
+class StubClassifier:
+    """Answers a class read off the feature row itself, and records every row
+    it was asked about."""
+
+    def __init__(self, n_classes):
+        self.n_classes, self.rows = n_classes, []
+
+    def classify(self, x):
+        self.rows.append(np.array(x))
+        return int(np.argmax(x)) % self.n_classes
+
+
+def test_custom_gate_fn_and_stub_classifiers_match_the_oracle():
+    ds = generate_synthetic(SyntheticSpec(4, 2, 6, 4, 8, 13, 0.3, seed=5))
+    mapper, _ = train(ds, TrainConfig(epochs=4, seed=5))
+    th = calibrate(mapper, ds)
+
+    def by_msd_only(stats, thresholds):
+        return Domain.SEEN if stats.msd < thresholds.m_msd else Domain.UNSEEN
+
+    assert_core_matches_oracle(mapper, ds, th, gate_fn=by_msd_only,
+                               seen_classifier=StubClassifier(ds.n_seen_classes),
+                               unseen_classifier=StubClassifier(ds.n_unseen_classes))
+    assert_core_matches_oracle(mapper, ds, th,
+                               unseen_classifier=StubClassifier(ds.n_unseen_classes))
+
+
+def test_a_stub_classifier_sees_exactly_the_rows_gated_into_its_domain():
+    ds = generate_synthetic(SyntheticSpec(4, 2, 6, 4, 8, 13, 0.3, seed=6))
+    mapper, _ = train(ds, TrainConfig(epochs=4, seed=6))
+    th = calibrate(mapper, ds)
+    seen_stub, unseen_stub = StubClassifier(1), StubClassifier(1)
+    report = evaluate(mapper, th, "dl", ds, seen_classifier=seen_stub,
+                      unseen_classifier=unseen_stub)
+    c = report.gate_confusion
+    assert len(seen_stub.rows) == c[(Domain.SEEN, Domain.SEEN)] + c[(Domain.UNSEEN, Domain.SEEN)]
+    assert len(unseen_stub.rows) == (c[(Domain.SEEN, Domain.UNSEEN)]
+                                     + c[(Domain.UNSEEN, Domain.UNSEEN)])
+    assert all(r.shape == (ds.feature_dim,) for r in seen_stub.rows + unseen_stub.rows)
+
+
+def tie_dataset():
+    """An identity mapper projects exactly; every test row sits at an exact tie.
+
+    Seen rows lie halfway between seen embeddings 0 and 1; unseen rows at
+    the origin, at distance 1 from every embedding of both tables.
+    """
+    seen_emb = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    unseen_emb = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    half = np.array([0.5, 0.5, 0.0])
+    seen_test = np.array([half] * 4)
+    return GzslDataset(
+        seen_train_x=np.vstack([seen_emb, seen_emb]), seen_train_y=np.array([0, 1, 0, 1]),
+        seen_test_x=seen_test, seen_test_y=np.array([0, 1, 0, 1]),
+        unseen_test_x=np.zeros((3, 3)), unseen_test_y=np.array([0, 1, 1]),
+        seen_emb=seen_emb, unseen_emb=unseen_emb, unified_norm=1.0,
+    ).validate()
+
+
+def test_exact_ties_go_to_the_lowest_index():
+    ds = tie_dataset()
+    mapper = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"]).validate()
+    th = calibrate(mapper, ds)
+    assert_core_matches_oracle(mapper, ds, th)
+    always_seen = evaluate(mapper, th, "ol", ds, gate_fn=lambda s, t: Domain.SEEN)
+    assert always_seen.per_class_acc[("seen", 0)] == 1.0
+    assert always_seen.per_class_acc[("seen", 1)] == 0.0
+    always_unseen = evaluate(mapper, th, "ol", ds, gate_fn=lambda s, t: Domain.UNSEEN)
+    assert always_unseen.per_class_acc[("unseen", 0)] == 1.0
+    assert always_unseen.per_class_acc[("unseen", 1)] == 0.0
+    # the origin is as far from the seen table as from the unseen one
+    baseline = evaluate_baseline(mapper, ds)
+    assert baseline.gate_confusion[(Domain.UNSEEN, Domain.SEEN)] == 3
+
+
+@pytest.mark.parametrize("split", ["seen_train", "seen_test"])
+def test_calibration_msd_equals_min_semantic_distance_bit_for_bit(monkeypatch, split):
+    ds = generate_synthetic(SyntheticSpec(5, 2, 6, 4, 23, 7, 0.3, seed=8))
+    mapper, _ = train(ds, TrainConfig(epochs=3, seed=8))
+    seen_samples = {}
+    original = gates.calibrate_from_samples
+
+    def capture(d_l, msd, lam, l):
+        seen_samples["msd"] = np.array(msd)
+        return original(d_l, msd, lam, l)
+
+    monkeypatch.setattr(gates, "calibrate_from_samples", capture)
+    calibrate(mapper, ds, split=split)
+    proj = forward_batch(mapper, getattr(ds, f"{split}_x"))
+    per_row = np.array([min_semantic_distance(p, ds.seen_emb) for p in proj])
+    assert per_row.shape[0] > ROW_BLOCK
+    assert np.array_equal(seen_samples["msd"], per_row)

@@ -6,8 +6,6 @@ from sdgzsl import (
     NearestEmbeddingClassifier,
     ShapeError,
     SplitMix64,
-    classify_seen,
-    classify_unseen,
 )
 from sdgzsl.mlp import MlpParams, forward
 from sdgzsl.mlp import init_params
@@ -21,13 +19,13 @@ class TestNearestEmbedding:
     def test_exact_hit(self, np_rng):
         emb = np_rng.normal(size=(5, 4))
         mapper = identity_mapper(4)
-        assert classify_seen(mapper, emb[3], emb) == 3
+        assert NearestEmbeddingClassifier(mapper, emb).classify(emb[3]) == 3
 
     def test_tie_breaks_to_lowest_index(self):
         mapper = identity_mapper(2)
         table = np.array([[5.0, 5.0], [1.0, 0.0], [0.0, 1.0]])
         # [0, 0] is exactly equidistant from rows 1 and 2
-        assert classify_seen(mapper, np.zeros(2), table) == 1
+        assert NearestEmbeddingClassifier(mapper, table).classify(np.zeros(2)) == 1
 
     def test_matches_brute_force_oracle(self, np_rng):
         mapper = init_params(6, [5], 4, SplitMix64(31))
@@ -40,13 +38,13 @@ class TestNearestEmbedding:
                 d = float(((p - row) ** 2).sum())
                 if d < best_d:
                     best, best_d = idx, d
-            assert classify_seen(mapper, x, emb) == best
+            assert NearestEmbeddingClassifier(mapper, emb).classify(x) == best
 
     def test_single_class_domain(self, np_rng):
         mapper = identity_mapper(3)
         emb = np_rng.normal(size=(1, 3))
         for _ in range(10):
-            assert classify_unseen(mapper, np_rng.normal(size=3), emb) == 0
+            assert NearestEmbeddingClassifier(mapper, emb).classify(np_rng.normal(size=3)) == 0
 
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):

@@ -49,6 +49,21 @@ class TestGen:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run_cli("gen", "--bogus", 3, "--out", tmp_path / "x") == 2
 
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"seen": "ten"}, {"seen": True}, {"seed": 7.5}, {"sigma": "0.1"},
+                    {"norm": 10**400}):
+            cfg.write_text(json.dumps(bad))
+            assert run_cli("gen", "--config", cfg, "--out", tmp_path / "x") == 2
+            assert "does not match the type" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_int_accepted_where_float_expected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0, "norm": 2}))
+        assert run_cli("gen", "--config", cfg, "--out", tmp_path / "x") == 0
+        assert load_dataset(tmp_path / "x").unified_norm == 2.0
+
 
 class TestTrain:
     def test_default_flags_on_noiseless_data(self, tmp_path):
@@ -91,6 +106,24 @@ class TestTrain:
         cfg.write_text(json.dumps({"epoch": 3}))
         assert run_cli("train", "--data", data, "--out", tmp_path / "r", "--config", cfg) == 2
 
+    def test_config_value_of_wrong_type_is_usage_error(self, workspace, tmp_path):
+        data, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"epochs": True}, {"batch": "64"}, {"hidden": [8, 2.5]}, {"hidden": 8},
+                    {"lr": None}):
+            cfg.write_text(json.dumps(bad))
+            assert run_cli("train", "--data", data, "--out", tmp_path / "r",
+                           "--config", cfg) == 2
+        assert not (tmp_path / "r").exists()
+
+    def test_config_hidden_takes_a_list_of_ints(self, workspace, tmp_path):
+        data, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": [5], "epochs": 1}))
+        assert run_cli("train", "--data", data, "--out", tmp_path / "r", "--config", cfg) == 0
+        params, _ = load_checkpoint(tmp_path / "r" / "model.ckpt")
+        assert params.layer_sizes() == [32, 5, 16]
+
 
 class TestEval:
     def test_strategy_all_writes_everything(self, workspace, tmp_path):
@@ -113,6 +146,32 @@ class TestEval:
         assert (out / "report_dl.kv").is_file()
         assert not (out / "report_ol.kv").exists()
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "-1", "inf"])
+    def test_non_finite_or_negative_lambda_is_usage_error(self, workspace, tmp_path, capsys, lam):
+        data, run = workspace
+        assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                       "--out", tmp_path / "e", "--lam", lam) == 2
+        assert "--lam must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_config_value_of_wrong_type_is_usage_error(self, workspace, tmp_path):
+        data, run = workspace
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"lam": "1.0"}, {"sweep": 1}, {"strategy": 3}, {"lam": False}):
+            cfg.write_text(json.dumps(bad))
+            assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                           "--out", tmp_path / "e", "--config", cfg) == 2
+        assert not (tmp_path / "e").exists()
+
+    def test_config_int_lambda_is_written_as_a_float(self, workspace, tmp_path):
+        data, run = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 0, "strategy": "ws"}))
+        out = tmp_path / "e"
+        assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                       "--out", out, "--config", cfg) == 0
+        assert "lambda=0.0\n" in (out / "thresholds.kv").read_text()
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         data, _ = workspace

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,22 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_from_samples([], [], lam=1.0, l=1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -1e-300])
+    def test_non_finite_or_negative_lambda_rejected(self, lam):
+        with pytest.raises(CalibrationError):
+            calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=lam, l=1.0)
+
+    def test_zero_lambda_is_valid(self):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=0.0, l=1.0)
+        assert th.lam == 0.0 and th.r_ws == th.r_ol
+
+    @pytest.mark.parametrize("field", ["r_ol", "m_msd", "l"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        with pytest.raises(CalibrationError, match="non-finite"):
+            dataclasses.replace(th, **{field: value}).validate()
+
     def test_broken_identity_rejected(self):
         with pytest.raises(CalibrationError):
             ThresholdSet(r_ol=1.0, r_0=0.0, r_1=0.0, r_ws=0.0, lam=1.0,
@@ -230,6 +247,13 @@ class TestThresholdFile:
         path = save_thresholds(th, tmp_path / "th.kv")
         loaded = load_thresholds(path)
         assert loaded == th
+
+    def test_nan_lambda_in_file_rejected(self, tmp_path):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        path = save_thresholds(th, tmp_path / "th.kv")
+        path.write_text(path.read_text().replace("lambda=1.0", "lambda=nan"))
+        with pytest.raises(CalibrationError, match="non-finite"):
+            load_thresholds(path)
 
     def test_missing_key_rejected(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
