@@ -21,6 +21,7 @@ vocabularies can never collide.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,10 +77,20 @@ class SyntheticSpec:
             problems.append(f"per_class_train must be >= 1, got {self.per_class_train}")
         if self.per_class_test < 1:
             problems.append(f"per_class_test must be >= 1, got {self.per_class_test}")
-        if not self.cluster_spread >= 0.0:
-            problems.append(f"cluster_spread must be >= 0, got {self.cluster_spread}")
-        if not self.unified_norm > 0.0:
-            problems.append(f"unified_norm must be > 0, got {self.unified_norm}")
+        if not (math.isfinite(self.cluster_spread) and self.cluster_spread >= 0.0):
+            problems.append(f"cluster_spread must be finite and >= 0, got {self.cluster_spread}")
+        if not (math.isfinite(self.unified_norm) and self.unified_norm > 0.0):
+            problems.append(f"unified_norm must be finite and > 0, got {self.unified_norm}")
+        if not problems:
+            # every generated array must be addressable: its float64 byte size fits np.intp
+            d, s = self.feature_dim, self.semantic_dim
+            rows = (self.n_seen_classes * (self.per_class_train + self.per_class_test)
+                    + self.n_unseen_classes * self.per_class_test)
+            for what, count in (("feature", rows * d),
+                                ("embedding", (self.n_seen_classes + self.n_unseen_classes) * s),
+                                ("feature map", d * s)):
+                if count * 8 > np.iinfo(np.intp).max:
+                    problems.append(f"{what} element count {count} is too large to allocate")
         if problems:
             raise ValidationError("invalid SyntheticSpec: " + "; ".join(problems))
 
@@ -230,10 +241,13 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     def draw_split(centers: np.ndarray, per_class: int) -> tuple[np.ndarray, np.ndarray]:
         n_classes = centers.shape[0]
         x = np.empty((n_classes * per_class, spec.feature_dim))
+        # one draw per class (its rows are consecutive in the stream), scaled and
+        # shifted in place: the same values as center + spread * noise, no temporaries
         for c in range(n_classes):
-            for i in range(per_class):
-                noise = noise_rng.gauss_array((spec.feature_dim,))
-                x[c * per_class + i] = centers[c] + spec.cluster_spread * noise
+            rows = x[c * per_class : (c + 1) * per_class]
+            rows[...] = noise_rng.gauss_array((per_class, spec.feature_dim))
+            rows *= spec.cluster_spread
+            rows += centers[c]
         y = np.repeat(np.arange(n_classes), per_class)
         # features live on the f32 grid so disk round-trips are exact
         return x.astype(np.float32).astype(np.float64), y

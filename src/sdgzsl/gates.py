@@ -156,7 +156,14 @@ def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
 
 
 def seen_ol(d_l, msd, th: ThresholdSet):
-    """Length-only rule: SEEN iff d_l is strictly below the length threshold."""
+    """Length-only rule: SEEN iff d_l is strictly below the length threshold.
+
+    Zero-variance calibration: a constant sample gives std 0, so every
+    threshold equals its mean (``r_ol == m_dl``, ``r_0 == r_1 == m_msd``,
+    ``r_ws == m_ws``), and because the comparison is strict an instance
+    exactly at the mean gates UNSEEN under ``ol``, ``dl`` and ``ws``.
+    This is kept on purpose: a non-strict rule would move reports.
+    """
     return d_l < th.r_ol
 
 

@@ -17,6 +17,9 @@ Draw conventions, fixed forever:
   irrelevant at these ranges and keeps the recipe one line).
 * ``shuffle`` is a backward Fisher-Yates using ``below``.
 * ``split()`` seeds a child stream with one u64 from the parent.
+
+Array draws come from uint64 blocks and equal the scalar sequence bit
+for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# values (uniform_array) or Box-Muller pairs (gauss_array) per uint64 block;
+# bounds the temporaries of an array draw whatever its size
+_BLOCK = 4096
 
 
 class SplitMix64:
@@ -63,17 +69,61 @@ class SplitMix64:
         self._spare_gauss = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
+    def _u64_block(self, k: int) -> np.ndarray:
+        """The next ``k`` outputs of ``next_u64`` as a uint64 array.
+
+        The state after ``j`` steps is ``state + j * GOLDEN`` and the mix is
+        pure, so a block is one wrapping uint64 product plus three vector
+        mix steps; ``_state`` advances by ``k * GOLDEN`` mod 2**64.
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + _GOLDEN * k) & _MASK64
+        return z
+
     def gauss_array(self, shape) -> np.ndarray:
+        """``gauss()`` repeated over ``shape``, row-major, spare included.
+
+        ``log``, ``cos`` and ``sin`` stay the ``math`` ones, applied per
+        value: numpy's versions may differ from them in the last bit.
+        ``sqrt`` and the products are correctly rounded either way.
+        """
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.gauss()
+        pos = 0
+        if out.size and self._spare_gauss is not None:
+            out[0] = self._spare_gauss
+            self._spare_gauss = None
+            pos = 1
+        while pos < out.size:
+            pairs = min(_BLOCK, (out.size - pos + 1) // 2)
+            z = self._u64_block(2 * pairs) >> np.uint64(11)
+            u1 = ((z[0::2] + np.uint64(1)) * 2.0**-53).tolist()
+            angle = ((2.0 * math.pi) * (z[1::2] * 2.0**-53)).tolist()
+            log_u1 = np.fromiter(map(math.log, u1), np.float64, pairs)
+            r = np.sqrt(-2.0 * log_u1)
+            pair_values = np.empty(2 * pairs)
+            pair_values[0::2] = r * np.fromiter(map(math.cos, angle), np.float64, pairs)
+            pair_values[1::2] = r * np.fromiter(map(math.sin, angle), np.float64, pairs)
+            take = min(2 * pairs, out.size - pos)
+            out[pos : pos + take] = pair_values[:take]
+            if take < 2 * pairs:  # odd tail: cache the sine variate
+                self._spare_gauss = float(pair_values[-1])
+            pos += take
         return out.reshape(shape)
 
     def uniform_array(self, low: float, high: float, shape) -> np.ndarray:
+        """``low + (high - low) * uniform()`` repeated over ``shape``, row-major."""
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
         span = high - low
-        for i in range(out.size):
-            out[i] = low + span * self.uniform()
+        for start in range(0, out.size, _BLOCK):
+            k = min(_BLOCK, out.size - start)
+            out[start : start + k] = low + span * ((self._u64_block(k) >> np.uint64(11)) * 2.0**-53)
         return out.reshape(shape)
 
     def below(self, n: int) -> int:
@@ -81,9 +131,14 @@ class SplitMix64:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        """Fisher-Yates permutation of range(n), as int64.
+
+        The ``below(i + 1)`` draws for ``i = n-1 .. 1`` do not depend on
+        the swaps, so they come from one block; the swaps stay sequential.
+        """
+        idx = list(range(n))
+        if n > 1:
+            js = self._u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+            for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+                idx[i], idx[j] = idx[j], idx[i]
+        return np.array(idx, dtype=np.int64)

@@ -58,6 +58,26 @@ class TestGen:
             assert "does not match the type" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, text", [
+        ("seen", "100000000000000000000000"),
+        ("sigma", "1e400"),
+        ("sigma", "NaN"),
+        ("norm", "1e400"),
+        ("dim", "4611686018427387904"),
+    ])
+    def test_oversized_or_non_finite_value_is_usage_error(self, tmp_path, capsys, key, text):
+        # from --config (1e400 parses as inf) and from the matching flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {text}}}')
+        flag = "--" + key.replace("_", "-")
+        for argv in (("--config", cfg), (flag, text)):
+            assert run_cli("gen", *argv, "--out", tmp_path / "x") == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "invalid SyntheticSpec" in errors[0]
+        assert not (tmp_path / "x").exists()
+
     def test_config_int_accepted_where_float_expected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sigma": 0, "norm": 2}))

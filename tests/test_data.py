@@ -102,6 +102,30 @@ class TestGenerateSynthetic:
         for fragment in ("n_seen_classes", "n_unseen_classes", "cluster_spread"):
             assert fragment in msg
 
+    @pytest.mark.parametrize("field, value", [
+        ("cluster_spread", float("inf")), ("cluster_spread", float("nan")),
+        ("unified_norm", float("inf")), ("unified_norm", float("nan")),
+    ])
+    def test_non_finite_spread_or_norm_is_rejected(self, field, value):
+        spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
+        setattr(spec, field, value)
+        with pytest.raises(ValidationError, match=field):
+            spec.validate()
+
+    @pytest.mark.parametrize("counts, what", [
+        (dict(n_seen_classes=10**23), "feature element count"),
+        (dict(per_class_test=2**40, feature_dim=2**30), "feature element count"),
+        (dict(n_unseen_classes=2**40, semantic_dim=2**30), "embedding element count"),
+        (dict(feature_dim=2**31, semantic_dim=2**31), "feature map element count"),
+    ])
+    def test_counts_beyond_np_intp_are_rejected(self, counts, what):
+        # validate() only: a spec that got through would try to allocate
+        spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
+        for key, value in counts.items():
+            setattr(spec, key, value)
+        with pytest.raises(ValidationError, match=what):
+            spec.validate()
+
     def test_sigma_zero_nearest_center_self_consistency(self):
         # brute-force nearest neighbor over all class centers recovers the label
         spec = SyntheticSpec(6, 3, 16, 8, 4, 2, 0.0, seed=13)

@@ -25,6 +25,7 @@ from sdgzsl import (
     save_thresholds,
     train,
 )
+from sdgzsl.gates import SEEN_RULES
 from sdgzsl.mlp import forward_batch, init_params
 
 
@@ -111,6 +112,28 @@ class TestCalibration:
         th_train = calibrate(params, bench_dataset, split="seen_train")
         th_test = calibrate(params, bench_dataset, split="seen_test")
         assert th_train.m_dl != th_test.m_dl
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_zero_variance_sample_gates_an_instance_at_the_mean_unseen(self, as_array):
+        # strict < : with std 0 every threshold equals its mean, and an
+        # instance exactly at the mean gates UNSEEN under every rule
+        d_l, msd = [0.25] * 6, [0.5] * 6
+        if as_array:
+            d_l, msd = np.array(d_l), np.array(msd)
+        th = calibrate_from_samples(d_l, msd, lam=1.0, l=1.0)
+        assert th.std_dl == th.std_msd == th.std_ws == 0.0
+        assert th.r_ol == th.m_dl == 0.25
+        assert th.r_0 == th.r_1 == th.m_msd == 0.5
+        assert th.r_ws == th.m_ws == 0.75
+        at_mean = GateStatistics(d_l=0.25, msd=0.5)
+        for gate in (gate_ol, gate_dl, gate_ws):
+            assert gate(at_mean, th) is Domain.UNSEEN
+        assert gate_ol(GateStatistics(d_l=math.nextafter(0.25, 0.0), msd=0.5), th) is Domain.SEEN
+        d_ls = np.array([0.25, 0.25, 0.125])
+        msds = np.array([0.5, 0.25, 0.5])
+        expect = {"ol": [False, False, True], "dl": [False, True, False], "ws": [False, True, True]}
+        for tag, rule in SEEN_RULES.items():
+            assert np.asarray(rule(d_ls, msds, th)).tolist() == expect[tag], tag
 
     def test_empty_samples_rejected(self):
         with pytest.raises(CalibrationError):
