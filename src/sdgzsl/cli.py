@@ -303,11 +303,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except GzslError as exc:
+    except (GzslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a spec that passes validation can still outgrow memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -6,7 +6,8 @@ instance onto its class embedding with mean squared error:
     loss = (1/N) * sum_i || f(x_i) - z_{y_i} ||^2
 
 Plain SGD, deterministic given the config seed: weight init and epoch
-shuffles both come from one SplitMix64 stream.
+shuffles both come from one SplitMix64 stream. Steps work in place but keep
+the plain formulas' operation order (``max(x @ w.T + b, 0)``, ``w -= lr * dw``).
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ class MlpParams:
         return self
 
     def freeze(self) -> "MlpParams":
-        for w, b in zip(self.weights, self.biases):
-            w.setflags(write=False)
-            b.setflags(write=False)
+        for a in self.weights + self.biases:
+            a.setflags(write=False)
         return self
 
 
@@ -97,8 +97,7 @@ def init_params(in_dim: int, hidden_sizes: list[int], out_dim: int, rng: SplitMi
     """Glorot-uniform init, ReLU on hidden layers, linear output."""
     sizes = [in_dim] + list(hidden_sizes) + [out_dim]
     weights, biases, acts = [], [], []
-    for k in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[k], sizes[k + 1]
+    for k, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform_array(-bound, bound, (fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
@@ -106,8 +105,16 @@ def init_params(in_dim: int, hidden_sizes: list[int], out_dim: int, rng: SplitMi
     return MlpParams(weights, biases, acts).validate()
 
 
-def _apply_act(pre: np.ndarray, act: str) -> np.ndarray:
-    return np.maximum(pre, 0.0) if act == "relu" else pre
+def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Input and every layer's activation, ``[x, h1, ..., out]``; each ``h`` is a fresh array."""
+    acts = [x]
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        h = matmul(acts[-1], w.T)
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return acts
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -115,10 +122,7 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
-    h = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = _apply_act(matmul(h, w.T) + b, act)
-    return h
+    return _layers(params, x)[-1]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -129,16 +133,25 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, x[None, :])[0]
 
 
-def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
-    """Mean over instances of the squared projection error."""
+def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Feature and target rows as float64 matrices that fit the network."""
     xs = np.asarray(xs, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
     if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:
-        raise ShapeError(f"mse_loss: rows of {xs.shape} and {zs.shape} must match")
-    if zs.shape[1] != params.out_dim:
-        raise ShapeError(f"mse_loss: target dim {zs.shape[1]} != output dim {params.out_dim}")
-    diff = forward_batch(params, xs) - zs
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+        raise ShapeError(f"{fn}: rows of {xs.shape} and {zs.shape} must match")
+    if xs.shape[1] != params.in_dim or zs.shape[1] != params.out_dim:
+        raise ShapeError(f"{fn}: batch dims {xs.shape[1]}->{zs.shape[1]} incompatible with "
+                         f"network {params.in_dim}->{params.out_dim}")
+    return xs, zs
+
+
+def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
+    """Mean over instances of the squared projection error."""
+    xs, zs = _batch_pair("mse_loss", params, xs, zs)
+    diff = forward_batch(params, xs)
+    diff -= zs
+    diff *= diff
+    return float(np.mean(np.sum(diff, axis=1)))
 
 
 def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
@@ -146,34 +159,20 @@ def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
 
     Returns (weight grads, bias grads) shaped like the parameters.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    zs = np.asarray(zs, dtype=np.float64)
-    if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:
-        raise ShapeError(f"backward: rows of {xs.shape} and {zs.shape} must match")
-    if xs.shape[1] != params.in_dim or zs.shape[1] != params.out_dim:
-        raise ShapeError(
-            f"backward: batch dims {xs.shape[1]}->{zs.shape[1]} incompatible with "
-            f"network {params.in_dim}->{params.out_dim}"
-        )
-    n = xs.shape[0]
-    pres, acts = [], [xs]
-    h = xs
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = matmul(h, w.T) + b
-        h = _apply_act(pre, act)
-        pres.append(pre)
-        acts.append(h)
-
-    d_out = 2.0 * (acts[-1] - zs) / n
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
+    xs, zs = _batch_pair("backward", params, xs, zs)
+    acts = _layers(params, xs)
+    d_out = acts[-1] - zs
+    d_out *= 2.0
+    d_out /= xs.shape[0]
+    grad_w, grad_b = [], []  # filled from the last layer down
     for k in range(len(params.weights) - 1, -1, -1):
-        d_pre = d_out if params.activations[k] == "linear" else d_out * (pres[k] > 0.0)
-        grad_w[k] = matmul(d_pre.T, acts[k])
-        grad_b[k] = d_pre.sum(axis=0)
+        if params.activations[k] == "relu":
+            d_out *= acts[k + 1] > 0.0  # the pre-activation > 0 mask, NaN included
+        grad_w.append(matmul(d_out.T, acts[k]))
+        grad_b.append(d_out.sum(axis=0))
         if k > 0:
-            d_out = matmul(d_pre, params.weights[k])
-    return grad_w, grad_b
+            d_out = matmul(d_out, params.weights[k])
+    return grad_w[::-1], grad_b[::-1]
 
 
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
@@ -201,9 +200,9 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                 for start in range(0, n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
                     gw, gb = backward(params, xs[idx], zs[idx])
-                    for w, b, dw, db in zip(params.weights, params.biases, gw, gb):
-                        w -= cfg.learning_rate * dw
-                        b -= cfg.learning_rate * db
+                    for p, g in zip(params.weights + params.biases, gw + gb):
+                        g *= cfg.learning_rate
+                        p -= g
                 loss = mse_loss(params, xs, zs)
         except DomainError:
             # overflow inside a product surfaces as a substrate finiteness error

@@ -78,6 +78,17 @@ class TestGen:
             assert len(errors) == 1 and "invalid SyntheticSpec" in errors[0]
         assert not (tmp_path / "x").exists()
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 116. TiB")
+
+        monkeypatch.setattr("sdgzsl.cli.generate_synthetic", no_memory)
+        assert run_cli("gen", "--seen", 2, "--unseen", 1, "--dim", 10**12, "--sem", 16,
+                       "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 116. TiB\n"
+        assert not (tmp_path / "x").exists()
+
     def test_config_int_accepted_where_float_expected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sigma": 0, "norm": 2}))

@@ -23,6 +23,69 @@ from sdgzsl import (
 )
 from sdgzsl.mlp import init_params
 
+SMALL_SPEC = SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3)  # 40 training rows
+
+
+def reference_train(dataset, cfg):
+    """Plain-formula SGD with ``train``'s draws, one fresh array per operation.
+
+    Returns (weights, biases, loss history, epoch of divergence or None).
+    A product or an epoch loss that is not finite counts as divergence, as
+    in the library.
+    """
+    xs = dataset.seen_train_x
+    zs = dataset.seen_emb[dataset.seen_train_y]
+    d, s = dataset.feature_dim, dataset.semantic_dim
+    hidden = [max(d, s)] if cfg.hidden_sizes is None else list(cfg.hidden_sizes)
+    rng = SplitMix64(cfg.seed)
+    init = init_params(d, hidden, s, rng)
+    ws = [w.copy() for w in init.weights]
+    bs = [b.copy() for b in init.biases]
+    finite = True
+
+    def prod(a, b):
+        nonlocal finite
+        out = a @ b
+        finite = finite and bool(np.all(np.isfinite(out)))
+        return out
+
+    def layers(x):
+        pres, hs = [], [x]
+        for w, b, act in zip(ws, bs, init.activations):
+            pre = prod(hs[-1], w.T) + b
+            pres.append(pre)
+            hs.append(np.maximum(pre, 0.0) if act == "relu" else pre)
+        return pres, hs
+
+    n, history = xs.shape[0], []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                pres, hs = layers(xs[idx])
+                d_out = 2.0 * (hs[-1] - zs[idx]) / len(idx)
+                gw, gb = [None] * len(ws), [None] * len(ws)
+                for k in range(len(ws) - 1, -1, -1):
+                    d_pre = d_out if init.activations[k] == "linear" else d_out * (pres[k] > 0.0)
+                    gw[k] = prod(d_pre.T, hs[k])
+                    gb[k] = d_pre.sum(axis=0)
+                    if k > 0:
+                        d_out = prod(d_pre, ws[k])
+                for k in range(len(ws)):
+                    ws[k] -= cfg.learning_rate * gw[k]
+                    bs[k] -= cfg.learning_rate * gb[k]
+            diff = layers(xs)[1][-1] - zs
+            loss = float(np.mean(np.sum(diff * diff, axis=1)))
+        if not (finite and np.isfinite(loss)):
+            return ws, bs, history, epoch
+        history.append(loss)
+    return ws, bs, history, None
+
+
+def bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
 
 def linear_net(w, b):
     return MlpParams([np.array(w, dtype=float)], [np.array(b, dtype=float)], ["linear"]).validate()
@@ -172,3 +235,55 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DatasetLoadError, match="blob bytes"):
             load_checkpoint(path)
+
+
+class TestTrainMatchesReferenceSgd:
+    @pytest.fixture(scope="class")
+    def small_dataset(self):
+        return generate_synthetic(SMALL_SPEC)
+
+    @pytest.mark.parametrize("hidden", [None, [7, 5], []])
+    @pytest.mark.parametrize("batch_size", [1, 7, 1000])  # 7 leaves a tail batch of 5
+    def test_params_and_history_are_bit_identical(self, small_dataset, hidden, batch_size):
+        cfg = TrainConfig(learning_rate=0.05, epochs=4, batch_size=batch_size, seed=9,
+                          hidden_sizes=hidden)
+        ws, bs, ref_history, diverged = reference_train(small_dataset, cfg)
+        assert diverged is None
+        params, history = train(small_dataset, cfg)
+        assert bits(params.weights) == bits(ws)
+        assert bits(params.biases) == bits(bs)
+        assert bits(history) == bits(ref_history)
+
+    def test_divergence_is_raised_at_the_reference_epoch(self, noiseless_dataset):
+        cfg = TrainConfig(learning_rate=10, epochs=30)
+        _, _, _, epoch = reference_train(noiseless_dataset, cfg)
+        assert epoch is not None
+        with pytest.raises(DivergenceError, match=f"at epoch {epoch} "):
+            train(noiseless_dataset, cfg)
+
+
+class TestInputsAreNotModified:
+    """The in-place steps must only touch arrays the step itself created."""
+
+    @pytest.mark.parametrize("acts", [["relu", "linear"], ["relu", "relu"]])
+    def test_forward_loss_and_backward_leave_inputs_alone(self, np_rng, acts):
+        params = init_params(5, [6], 3, SplitMix64(8))
+        params.activations = acts
+        xs, zs = np_rng.normal(size=(9, 5)), np_rng.normal(size=(9, 3))
+        before = bits([xs, zs] + params.weights + params.biases)
+        forward_batch(params, xs)[...] = 7.0
+        mse_loss(params, xs, zs)
+        gw, gb = backward(params, xs, zs)
+        assert bits([xs, zs] + params.weights + params.biases) == before
+        for g in gw + gb:
+            g[...] = 123.0
+        assert bits([xs, zs] + params.weights + params.biases) == before
+
+    def test_train_leaves_the_dataset_alone(self):
+        ds = generate_synthetic(SMALL_SPEC)
+        fields = [ds.seen_train_x, ds.seen_train_y, ds.seen_test_x, ds.seen_test_y,
+                  ds.unseen_test_x, ds.unseen_test_y, ds.seen_emb, ds.unseen_emb]
+        before = bits(fields)
+        train(ds, TrainConfig(epochs=3, batch_size=7, hidden_sizes=[4]))
+        train(ds, TrainConfig(epochs=3, batch_size=1000, hidden_sizes=[]))
+        assert bits(fields) == before
