@@ -332,6 +332,11 @@ def save_dataset(ds: GzslDataset, path) -> Path:
     return out
 
 
+# meta.json count keys and their smallest valid value
+_META_COUNTS = {"d": 1, "S": 1, "C_s": 1, "C_u": 1,
+                "n_seen_train": 0, "n_seen_test": 0, "n_unseen_test": 0}
+
+
 def load_dataset(path) -> GzslDataset:
     """Read and fully validate a dataset directory.
 
@@ -346,9 +351,18 @@ def load_dataset(path) -> GzslDataset:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetLoadError(f"{meta_path}: invalid JSON ({exc})") from exc
-    for key in ("d", "S", "C_s", "C_u", "n_seen_train", "n_seen_test", "n_unseen_test", "l"):
+    if not isinstance(meta, dict):
+        raise DatasetLoadError(f"{meta_path}: expected a JSON object")
+    for key in (*_META_COUNTS, "l"):
         if key not in meta:
             raise DatasetLoadError(f"{meta_path}: missing key {key!r}")
+    for key, low in _META_COUNTS.items():
+        v = meta[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            raise DatasetLoadError(f"{meta_path}: {key!r} must be an integer >= {low}, got {v!r}")
+    l = meta["l"]
+    if isinstance(l, bool) or not isinstance(l, (int, float)) or not (math.isfinite(l) and l > 0):
+        raise DatasetLoadError(f"{meta_path}: 'l' must be a finite number > 0, got {l!r}")
     if meta.get("endianness", "little") != "little":
         raise DatasetLoadError(f"{meta_path}: unsupported endianness {meta['endianness']!r}")
 

@@ -11,11 +11,14 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Rows handled together by the batched evaluation: it bounds the
-# (ROW_BLOCK, C, S) distance broadcast and a projected block to a few
-# hundred kB whatever the split size, while one product and one broadcast
-# per block already remove nearly all per-row overhead.
+# Rows projected by one evaluation product.  A product's last bits depend
+# on how many rows it multiplies at once, so every evaluation projection
+# is a ROW_BLOCK-row product whatever the split size.
 ROW_BLOCK = 32
+
+# Rows screened together by ``nearest``: one BLAS product and a few
+# (SCREEN_BLOCK, table rows) arrays of a few hundred kB per block.
+SCREEN_BLOCK = 256
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -77,17 +80,56 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per row of ``points``: smallest squared distance to a ``table`` row, and
     the first row index attaining it (ties go to the lowest index).
 
-    Distances come from the ``(ROW_BLOCK, table rows, dim)`` broadcast, one
-    block of points at a time, not from the ``|p|^2 - 2 p.e + |e|^2``
-    expansion, so each row's result is bit-for-bit the same whichever rows
-    share the call.
+    Every returned distance is the plain sum ``np.add.reduce((p - e)**2)``
+    over the last axis, so a row's result is bit-for-bit the same whichever
+    rows share the call.  Only candidate table rows are summed that way.
+    A screen, ``SCREEN_BLOCK`` points at a time, computes every
+    ``a = |p|^2 - 2 p.e + |e|^2`` with one product and keeps table row ``j``
+    when ``a_j - m_j <= min_k (a_k + m_k)``, with the margin
+    ``m = g (|p| + |e|)^2 + 4 (S+4) 2^-1074`` and ``g = 4 (S+4) eps``.  A
+    point whose bound ``min_k (a_k + m_k)`` is not finite keeps every row.
+
+    Why the plain minimum survives the screen: the plain sum adds
+    nonnegative terms, so it lies within about ``(S+2) u D`` of the exact
+    distance ``D <= (|p| + |e|)^2``; the screen's three inner products err
+    by at most about ``S u`` times ``|p|^2``, ``2 |p| |e|`` and ``|e|^2``, so
+    ``a`` lies within about ``(S+2) u (|p| + |e|)^2`` of ``D`` too (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).
+    Underflow adds at most half a subnormal ulp per product, which the
+    absolute term covers.  So ``m`` bounds ``|a - b|`` four times over for
+    the plain sum ``b``: every row attaining ``min b`` passes, and every
+    dropped row has ``b > min b``.  NaN or inf entries make the bound NaN
+    or inf, and the fallback to every row keeps the plain sum's NaN and inf
+    results.
     """
-    n = points.shape[0]
+    n, dim = points.shape[0], table.shape[1]
     dist, index = np.empty(n), np.empty(n, dtype=np.intp)
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        diff = points[rows, None, :] - table[None, :, :]
-        d = np.sum(diff * diff, axis=2)
+    g = 4.0 * (dim + 4) * np.finfo(np.float64).eps
+    floor = 4.0 * (dim + 4) * 2.0 ** -1074
+    with np.errstate(all="ignore"):
+        e2 = np.add.reduce(table * table, axis=1)
+        e_norm = np.sqrt(e2)
+    for start in range(0, n, SCREEN_BLOCK):
+        rows = slice(start, start + SCREEN_BLOCK)
+        p = points[rows]
+        # the screen's own overflow and inf - inf only widen the fallback
+        with np.errstate(all="ignore"):
+            p2 = np.add.reduce(p * p, axis=1)[:, None]
+            a = p @ table.T
+            a *= -2.0
+            a += p2
+            a += e2
+            m = np.sqrt(p2) + e_norm
+            m *= m
+            m *= g
+            m += floor
+            bound = np.minimum.reduce(a + m, axis=1)
+            a -= m
+        keep = a <= bound[:, None]
+        keep[~np.isfinite(bound)] = True
+        r, k = np.divmod(np.flatnonzero(keep), keep.shape[1])  # faster than 2-D nonzero
+        d = np.full(keep.shape, np.inf)
+        d[r, k] = np.add.reduce((p[r] - table[k]) ** 2, axis=1)
         dist[rows], index[rows] = d.min(axis=1), d.argmin(axis=1)
     return dist, index
 

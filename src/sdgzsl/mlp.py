@@ -238,6 +238,11 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
     return out
 
 
+def _is_shape(pair) -> bool:
+    return (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in pair))
+
+
 def load_checkpoint(path) -> tuple[MlpParams, dict]:
     """Exact round-trip of :func:`save_checkpoint`; returns (params, header)."""
     p = Path(path)
@@ -252,10 +257,21 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetLoadError(f"{p}: invalid checkpoint header ({exc})") from exc
     body = blob[nl + 1 :]
+    if not isinstance(header, dict):
+        raise DatasetLoadError(f"{p}: checkpoint header is not a JSON object")
     layers = header.get("layers")
     acts = header.get("activations")
-    if not layers or not acts or len(layers) != len(acts):
-        raise DatasetLoadError(f"{p}: malformed checkpoint header")
+    if not (isinstance(layers, list) and layers and all(_is_shape(s) for s in layers)):
+        raise DatasetLoadError(f"{p}: checkpoint 'layers' must be a nonempty list of "
+                               f"[out, in] integer pairs >= 1, got {layers!r}")
+    if not (isinstance(acts, list) and all(isinstance(a, str) for a in acts)
+            and len(acts) == len(layers)):
+        raise DatasetLoadError(f"{p}: checkpoint 'activations' must be a list of "
+                               f"{len(layers)} strings, got {acts!r}")
+    seed = header.get("seed")
+    # the seed is copied into report provenance, where a string could forge lines
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise DatasetLoadError(f"{p}: checkpoint 'seed' must be an integer or null, got {seed!r}")
     expected = sum(o * i + o for o, i in layers) * 8
     if len(body) != expected:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")

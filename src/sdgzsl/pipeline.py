@@ -6,14 +6,16 @@ confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
 
 One batched core serves every entry point.  It takes a split
-``linalg.ROW_BLOCK`` rows at a time and, per block, projects each row once
-(``forward_batch``), computes ``d_l`` and ``msd`` as vectors, finds the
-nearest seen and unseen embedding of every row in one broadcast, applies
-the gate rule as a boolean mask and picks
-``np.where(seen, nearest seen, nearest unseen)``.  Per-class accuracy is
-counted with ``np.bincount``.  ``evaluate_baseline`` is the same core
-with the rule ``msd <= nearest unseen distance``, and ``predict`` is the
-core on a one-row batch.
+``linalg.SCREEN_BLOCK`` rows at a time and, per chunk, projects each row
+once (``forward_batch`` on ``linalg.ROW_BLOCK``-row blocks, so projection
+bits do not depend on the chunk size), computes ``d_l`` and ``msd`` as
+vectors, finds the nearest seen and unseen embedding of every row with
+one ``linalg.nearest`` call per table (a BLAS distance screen, then the
+exact sum for the surviving candidates), applies the gate rule as a
+boolean mask and picks ``np.where(seen, nearest seen, nearest unseen)``.
+Per-class accuracy is counted with ``np.bincount``.  ``evaluate_baseline``
+is the same core with the rule ``msd <= nearest unseen distance``, and
+``predict`` is the core on a one-row batch.
 
 Two per-instance contracts remain for caller-supplied parts, which the
 core maps over rows only when they are passed: ``gate_fn`` is called as
@@ -32,7 +34,7 @@ import numpy as np
 from .data import GzslDataset
 from .errors import ConfigError, DomainError, EvaluationError, MetricError
 from .gates import SEEN_RULES, Domain, GateStatistics, ThresholdSet, length_gaps
-from .linalg import ROW_BLOCK, as_table, as_vector, nearest
+from .linalg import ROW_BLOCK, SCREEN_BLOCK, as_table, as_vector, nearest
 from .mlp import MlpParams, forward_batch
 
 STRATEGIES = ("ol", "dl", "ws")
@@ -140,9 +142,11 @@ def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
     unseen_emb = as_table(unseen_emb, mapper.out_dim, "unseen embeddings")
     gated_seen = np.empty(xs.shape[0], dtype=bool)
     predicted = np.empty(xs.shape[0], dtype=np.int64)
-    for start in range(0, xs.shape[0], ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        proj = forward_batch(mapper, xs[rows])
+    for start in range(0, xs.shape[0], SCREEN_BLOCK):
+        rows = slice(start, start + SCREEN_BLOCK)
+        chunk = xs[rows]
+        proj = np.concatenate([forward_batch(mapper, chunk[i : i + ROW_BLOCK])
+                               for i in range(0, chunk.shape[0], ROW_BLOCK)])
         msd, arg_seen = nearest(proj, seen_emb)
         min_unseen, arg_unseen = nearest(proj, unseen_emb)
         gated_seen[rows] = seen = rule(length_gaps(proj, l), msd, min_unseen)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -203,6 +204,28 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
                        "--out", out, "--config", cfg) == 0
         assert "lambda=0.0\n" in (out / "thresholds.kv").read_text()
+
+    def test_meta_value_of_wrong_type_is_one_error_line(self, workspace, tmp_path, capsys):
+        data, run = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["l"] = "abc"
+        (bad / "meta.json").write_text(json.dumps(meta))
+        assert run_cli("eval", "--data", bad, "--ckpt", run / "model.ckpt",
+                       "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'l'" in err[0]
+
+    def test_checkpoint_header_of_wrong_shape_is_one_error_line(self, workspace, tmp_path,
+                                                               capsys):
+        data, run = workspace
+        blob = (run / "model.ckpt").read_bytes()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b'{"layers": [[2]], "activations": ["linear"]}' + blob[blob.find(b"\n"):])
+        assert run_cli("eval", "--data", data, "--ckpt", ckpt, "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'layers'" in err[0]
 
     def test_missing_checkpoint_is_runtime_error(self, workspace, tmp_path):
         data, _ = workspace

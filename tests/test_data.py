@@ -216,6 +216,38 @@ class TestDatasetIO:
         with pytest.raises(DatasetLoadError, match="does not match header"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("key, value", [
+        ("l", "abc"), ("l", True), ("l", None), ("l", 0), ("l", -1.0), ("l", float("nan")),
+        ("l", float("inf")), ("l", [1.0]),
+        ("n_seen_train", "500"), ("n_seen_test", 3.0), ("n_unseen_test", -1),
+        ("n_seen_train", True), ("d", 0), ("S", "16"), ("C_s", 0), ("C_u", False),
+        ("C_u", 3.5), ("d", None),
+    ])
+    def test_meta_value_of_wrong_type_or_range_names_the_key(self, tmp_path, key, value):
+        ds = generate_synthetic(SMALL_SPEC)
+        root = save_dataset(ds, tmp_path / "d")
+        meta = json.loads((root / "meta.json").read_text())
+        meta[key] = value
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetLoadError, match=f"'{key}' must be"):
+            load_dataset(root)
+
+    def test_meta_that_is_not_an_object_is_rejected(self, tmp_path):
+        root = save_dataset(generate_synthetic(SMALL_SPEC), tmp_path / "d")
+        (root / "meta.json").write_text(json.dumps(["d", "S", "C_s", "C_u", "l"]))
+        with pytest.raises(DatasetLoadError, match="JSON object"):
+            load_dataset(root)
+
+    def test_integer_unified_norm_loads_as_a_float(self, tmp_path):
+        ds = generate_synthetic(SMALL_SPEC)
+        root = save_dataset(ds, tmp_path / "d")
+        meta = json.loads((root / "meta.json").read_text())
+        assert meta["l"] == 1.0
+        meta["l"] = 1
+        (root / "meta.json").write_text(json.dumps(meta))
+        loaded = load_dataset(root)
+        assert type(loaded.unified_norm) is float and loaded.unified_norm == 1.0
+
     def test_zero_embedding_row_rejected(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
         root = save_dataset(ds, tmp_path / "d")

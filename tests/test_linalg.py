@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sdgzsl import DomainError, ShapeError, l2_norm, matmul, mean_and_popstd, sq_dist
+from sdgzsl.linalg import SCREEN_BLOCK, nearest
 
 
 def naive_matmul(a, b):
@@ -113,3 +115,94 @@ class TestMeanAndPopStd:
             m, s = mean_and_popstd(xs)
             assert m == pytest.approx(m_ref, abs=1e-12)
             assert s == pytest.approx(s_ref, abs=1e-12)
+
+
+def broadcast_nearest(points, table):
+    """The plain ``(32, C, S)`` broadcast that ``nearest`` must reproduce."""
+    n = points.shape[0]
+    dist, index = np.empty(n), np.empty(n, dtype=np.intp)
+    for start in range(0, n, 32):
+        rows = slice(start, start + 32)
+        diff = points[rows, None, :] - table[None, :, :]
+        d = np.sum(diff * diff, axis=2)
+        dist[rows], index[rows] = d.min(axis=1), d.argmin(axis=1)
+    return dist, index
+
+
+def assert_same_bits(points, table):
+    with np.errstate(all="ignore"):
+        want_d, want_i = broadcast_nearest(points, table)
+        got_d, got_i = nearest(points, table)
+    assert got_d.dtype == np.float64 and got_i.dtype == np.intp
+    # int64 views compare NaN payloads and the sign of zero too
+    assert np.array_equal(got_d.view(np.int64), want_d.view(np.int64))
+    assert np.array_equal(got_i, want_i)
+
+
+def nearest_case(rng, n, c, s, scale):
+    """Points with exact hits, duplicate table rows and 1-ulp near-ties."""
+    table = rng.normal(size=(c, s))
+    if c > 2:
+        table[c - 1] = table[0]  # a duplicate: the tie goes to row 0
+    points = rng.normal(size=(n, s))
+    if n:
+        hits = rng.integers(0, n, size=max(1, n // 4))
+        points[hits] = table[rng.integers(0, c, size=hits.size)]
+    if n > 1 and c > 1:
+        # midpoints of two rows, nudged by one ulp either way
+        ties = rng.integers(0, n, size=max(1, n // 8))
+        mid = 0.5 * (table[0] + table[1])
+        for t in ties:
+            points[t] = np.nextafter(mid, mid + rng.choice([-1.0, 0.0, 1.0]))
+    return points * scale, table * scale
+
+
+SCREEN_ROWS = (0, 1, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1, 600)
+
+
+class TestNearest:
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e155])
+    @pytest.mark.parametrize("n", SCREEN_ROWS)
+    def test_matches_the_broadcast_bit_for_bit(self, n, scale):
+        rng = np.random.default_rng(n + 7)
+        for c, s in ((1, 1), (1, 9), (7, 1), (3, 2), (12, 17), (40, 33)):
+            assert_same_bits(*nearest_case(rng, n, c, s, scale))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e155])
+    def test_non_finite_table_entry_matches_the_broadcast(self, bad, scale):
+        rng = np.random.default_rng(11)
+        points, table = nearest_case(rng, SCREEN_BLOCK + 1, 6, 5, scale)
+        table[2, 3] = bad
+        assert_same_bits(points, table)
+        table[:, 0] = bad
+        assert_same_bits(points, table)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_matches_the_broadcast(self, bad):
+        rng = np.random.default_rng(12)
+        points, table = nearest_case(rng, 40, 6, 5, 1.0)
+        points[3, 1] = bad
+        points[7] = bad
+        assert_same_bits(points, table)
+        table[4, 1] = np.inf  # inf - inf in the plain sum
+        assert_same_bits(points, table)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e150])
+    def test_finite_inputs_emit_no_runtime_warning(self, scale):
+        rng = np.random.default_rng(13)
+        points, table = nearest_case(rng, 600, 12, 17, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            nearest(points, table)
+
+    def test_screen_overflow_emits_no_runtime_warning(self):
+        # |p|^2 and |e|^2 overflow at this scale, the plain sums do not
+        rng = np.random.default_rng(14)
+        table = 1e154 * (1.0 + 0.01 * rng.normal(size=(5, 4)))
+        points = table[[2, 0, 4]] + 1e151 * rng.normal(size=(3, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dist, index = nearest(points, table)
+        assert np.all(np.isfinite(dist)) and index.tolist() == [2, 0, 4]
+        assert_same_bits(points, table)

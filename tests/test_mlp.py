@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import max_gradient_relative_error, sample_gradcheck_case
@@ -234,6 +236,34 @@ class TestCheckpoint:
         path = save_checkpoint(params, tmp_path / "m.ckpt")
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DatasetLoadError, match="blob bytes"):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("header", [
+        [], [[4, 3]], "layers", 7,
+        {"activations": ["linear"]},
+        {"layers": [[2]], "activations": ["linear"]},
+        {"layers": [[2, 3, 1]], "activations": ["linear"]},
+        {"layers": [[2, 0]], "activations": ["linear"]},
+        {"layers": [[2, True]], "activations": ["linear"]},
+        {"layers": [[2, 3.0]], "activations": ["linear"]},
+        {"layers": [["2", 3]], "activations": ["linear"]},
+        {"layers": "2x3", "activations": ["linear"]},
+        {"layers": [], "activations": []},
+        {"layers": [[2, 3]]},
+        {"layers": [[2, 3]], "activations": "linear"},
+        {"layers": [[2, 3]], "activations": [1]},
+        {"layers": [[2, 3]], "activations": ["linear", "linear"]},
+        {"layers": [[2, 3]], "activations": ["linear"], "seed": "7\nacc_s=1.0"},
+        {"layers": [[2, 3]], "activations": ["linear"], "seed": 1.5},
+        {"layers": [[2, 3]], "activations": ["linear"], "seed": True},
+    ])
+    def test_malformed_header_is_a_load_error(self, tmp_path, header):
+        params = init_params(3, [], 2, SplitMix64(4))
+        path = save_checkpoint(params, tmp_path / "m.ckpt")
+        blob = path.read_bytes()
+        path.write_bytes(json.dumps(header).encode() + blob[blob.find(b"\n"):])
+        with pytest.raises(DatasetLoadError, match="checkpoint"):
             load_checkpoint(path)
 
 
