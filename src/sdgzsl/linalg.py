@@ -85,9 +85,8 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rows share the call.  Only candidate table rows are summed that way.
     A screen, ``SCREEN_BLOCK`` points at a time, computes every
     ``a = |p|^2 - 2 p.e + |e|^2`` with one product and keeps table row ``j``
-    when ``a_j - m_j <= min_k (a_k + m_k)``, with the margin
-    ``m = g (|p| + |e|)^2 + 4 (S+4) 2^-1074`` and ``g = 4 (S+4) eps``.  A
-    point whose bound ``min_k (a_k + m_k)`` is not finite keeps every row.
+    unless ``a_j - m_j > min_k (a_k + m_k)``, with the margin
+    ``m = g (|p| + |e|)^2 + 4 (S+4) 2^-1074`` and ``g = 4 (S+4) eps``.
 
     Why the plain minimum survives the screen: the plain sum adds
     nonnegative terms, so it lies within about ``(S+2) u D`` of the exact
@@ -98,13 +97,16 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Underflow adds at most half a subnormal ulp per product, which the
     absolute term covers.  So ``m`` bounds ``|a - b|`` four times over for
     the plain sum ``b``: every row attaining ``min b`` passes, and every
-    dropped row has ``b > min b``.  NaN or inf entries make the bound NaN
-    or inf, and the fallback to every row keeps the plain sum's NaN and inf
-    results.
+    dropped row has ``b > min b``.  A row is dropped only when
+    ``a_j - m_j > min_k (a_k + m_k)`` holds, so a NaN on either side keeps
+    it: a row whose norm or inner product overflows (its ``m`` is inf, so
+    ``a - m`` is NaN or -inf) is summed even when the inputs are finite, and
+    a point whose bound is NaN or inf, as NaN or inf entries make it, keeps
+    every row, which reproduces the plain sum's NaN and inf results.
     """
     n, dim = points.shape[0], table.shape[1]
     dist, index = np.empty(n), np.empty(n, dtype=np.intp)
-    g = 4.0 * (dim + 4) * np.finfo(np.float64).eps
+    g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
     floor = 4.0 * (dim + 4) * 2.0 ** -1074
     with np.errstate(all="ignore"):
         e2 = np.add.reduce(table * table, axis=1)
@@ -112,7 +114,7 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for start in range(0, n, SCREEN_BLOCK):
         rows = slice(start, start + SCREEN_BLOCK)
         p = points[rows]
-        # the screen's own overflow and inf - inf only widen the fallback
+        # the screen's own overflow and inf - inf only keep more rows
         with np.errstate(all="ignore"):
             p2 = np.add.reduce(p * p, axis=1)[:, None]
             a = p @ table.T
@@ -125,8 +127,7 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
             m += floor
             bound = np.minimum.reduce(a + m, axis=1)
             a -= m
-        keep = a <= bound[:, None]
-        keep[~np.isfinite(bound)] = True
+            keep = ~(a > bound[:, None])  # NaN on either side keeps the row
         r, k = np.divmod(np.flatnonzero(keep), keep.shape[1])  # faster than 2-D nonzero
         d = np.full(keep.shape, np.inf)
         d[r, k] = np.add.reduce((p[r] - table[k]) ** 2, axis=1)

