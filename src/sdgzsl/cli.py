@@ -24,7 +24,16 @@ import sys
 import time
 from pathlib import Path
 
-from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset, summarize
+from .data import (
+    EMBEDDING_FILES,
+    FEATURE_FILES,
+    LABEL_FILES,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    summarize,
+)
 from .errors import ConfigError, GzslError, ValidationError
 from .gates import calibrate, save_thresholds
 from .mlp import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -111,10 +120,17 @@ def _sha256_file(path: Path) -> str:
 
 
 def _dataset_fingerprint(data_dir: Path) -> str:
+    """sha256 over the name and sha256 of each file ``save_dataset`` writes.
+
+    Other files in the directory, such as reports an ``eval --out`` there
+    wrote, stay out of it, so a rerun's provenance does not change.
+    """
+    names = ["meta.json", *FEATURE_FILES.values(), *LABEL_FILES.values(),
+             *EMBEDDING_FILES.values()]
     digest = hashlib.sha256()
-    for f in sorted(p for p in data_dir.iterdir() if p.is_file()):
-        digest.update(f.name.encode())
-        digest.update(_sha256_file(f).encode())
+    for name in sorted(names):
+        digest.update(name.encode())
+        digest.update(_sha256_file(data_dir / name).encode())
     return digest.hexdigest()
 
 

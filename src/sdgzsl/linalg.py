@@ -83,54 +83,74 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Every returned distance is the plain sum ``np.add.reduce((p - e)**2)``
     over the last axis, so a row's result is bit-for-bit the same whichever
     rows share the call.  Only candidate table rows are summed that way.
-    A screen, ``SCREEN_BLOCK`` points at a time, computes every
-    ``a = |p|^2 - 2 p.e + |e|^2`` with one product and keeps table row ``j``
-    unless ``a_j - m_j > min_k (a_k + m_k)``, with the margin
-    ``m = g (|p| + |e|)^2 + 4 (S+4) 2^-1074`` and ``g = 4 (S+4) eps``.
+    A screen, ``SCREEN_BLOCK`` points at a time, computes
+    ``q_j = p.(-2 e_j) + |e_j|^2`` for every table row with one product
+    (``-2 table.T`` and ``|e|^2`` are formed once per call) and keeps row
+    ``j`` unless ``q_j > min_k q_k + m``.  The margin is one number per
+    point, ``m = g (|p| + E)^2 + 3 (S+2) 2^-1074`` with ``E = max_j |e_j|``
+    and ``g = 4 (S+4) eps``.
 
-    Why the plain minimum survives the screen: the plain sum adds
-    nonnegative terms, so it lies within about ``(S+2) u D`` of the exact
-    distance ``D <= (|p| + |e|)^2``; the screen's three inner products err
-    by at most about ``S u`` times ``|p|^2``, ``2 |p| |e|`` and ``|e|^2``, so
-    ``a`` lies within about ``(S+2) u (|p| + |e|)^2`` of ``D`` too (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).
-    Underflow adds at most half a subnormal ulp per product, which the
-    absolute term covers.  So ``m`` bounds ``|a - b|`` four times over for
-    the plain sum ``b``: every row attaining ``min b`` passes, and every
-    dropped row has ``b > min b``.  A row is dropped only when
-    ``a_j - m_j > min_k (a_k + m_k)`` holds, so a NaN on either side keeps
-    it: a row whose norm or inner product overflows (its ``m`` is inf, so
-    ``a - m`` is NaN or -inf) is summed even when the inputs are finite, and
-    a point whose bound is NaN or inf, as NaN or inf entries make it, keeps
-    every row, which reproduces the plain sum's NaN and inf results.
+    Why the plain minimum survives the screen.  The exact squared distance
+    is ``D_j = |p|^2 + q_j``, and ``|p|^2`` is the same for every row of a
+    point, so ``D_j - D_k = q_j - q_k``: leaving it out changes no
+    comparison and only saves its rounding error.  The plain sum ``b_j``
+    adds ``S`` nonnegative rounded squares, so it lies within
+    ``gamma_{S+2} D_j`` of ``D_j``, and ``D_j <= (|p| + E)^2``.  The product
+    and ``|e|^2`` err by at most ``gamma_S`` times ``2 |p| |e_j|`` and
+    ``|e_j|^2``, so with the last addition the computed ``q_j`` lies within
+    ``gamma_{S+1} (|p| + E)^2`` of the exact one (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 3.1).  Below the
+    underflow threshold a product or square errs by up to half a subnormal
+    ulp ``2^-1074`` and sums are exact: ``S`` ulps for a ``q``, ``S/2`` for
+    a ``b``.  If row ``j`` attains ``min b`` and row ``k`` attains
+    ``min q``, then ``q_j - q_k`` is ``b_j - b_k <= 0`` plus the errors of
+    ``b_j``, ``b_k``, ``q_j`` and ``q_k``: at most
+    ``4 gamma_{S+2} (|p| + E)^2``, under half the first term of ``m``, plus
+    ``3 S`` ulps, under its second; the spare room absorbs the rounding of
+    ``m`` itself.  So every row attaining ``min b`` passes, and every
+    dropped row has ``b > min b``.  The ulp term is nearly sharp: points
+    and rows on a ``2^-537`` grid reach a ``q`` gap of ``2 S`` ulps between
+    rows whose plain sums tie.
+
+    Every point keeps at least one row, since the row attaining ``min q``
+    passes (``m > 0``).  So when a block keeps as many rows as it has
+    points, each point keeps just that row and its plain sum is the answer,
+    with no scatter into a (points, rows) array.  A row is dropped only
+    when ``q_j > min q + m`` holds, so a NaN keeps it: a point whose margin
+    or ``min q`` is NaN or inf, as NaN or inf entries or an overflowing
+    norm or product make it, keeps every row, which reproduces the plain
+    sum's NaN and inf results.
     """
     n, dim = points.shape[0], table.shape[1]
     dist, index = np.empty(n), np.empty(n, dtype=np.intp)
     g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
-    floor = 4.0 * (dim + 4) * 2.0 ** -1074
+    floor = 3.0 * (dim + 2) * 2.0 ** -1074
+    # the screen's own overflow and inf - inf only keep more rows
     with np.errstate(all="ignore"):
         e2 = np.add.reduce(table * table, axis=1)
-        e_norm = np.sqrt(e2)
+        e_max = np.sqrt(e2.max())  # NaN if any row is NaN
+        w = table.T * -2.0
     for start in range(0, n, SCREEN_BLOCK):
         rows = slice(start, start + SCREEN_BLOCK)
         p = points[rows]
-        # the screen's own overflow and inf - inf only keep more rows
         with np.errstate(all="ignore"):
-            p2 = np.add.reduce(p * p, axis=1)[:, None]
-            a = p @ table.T
-            a *= -2.0
-            a += p2
-            a += e2
-            m = np.sqrt(p2) + e_norm
+            q = p @ w
+            q += e2
+            k = q.argmin(axis=1)  # a NaN row yields the NaN, as min would
+            m = np.sqrt(np.einsum("ij,ij->i", p, p))
+            m += e_max
             m *= m
             m *= g
             m += floor
-            bound = np.minimum.reduce(a + m, axis=1)
-            a -= m
-            keep = ~(a > bound[:, None])  # NaN on either side keeps the row
-        r, k = np.divmod(np.flatnonzero(keep), keep.shape[1])  # faster than 2-D nonzero
-        d = np.full(keep.shape, np.inf)
-        d[r, k] = np.add.reduce((p[r] - table[k]) ** 2, axis=1)
+            m += q[np.arange(k.size), k]
+            drop = q > m[:, None]  # NaN on either side keeps the row
+        if np.count_nonzero(drop) == drop.size - k.size:
+            # one row per point, so it is the one attaining min q
+            dist[rows], index[rows] = np.add.reduce((p - table[k]) ** 2, axis=1), k
+            continue
+        r, c = np.divmod(np.flatnonzero(~drop), drop.shape[1])  # faster than 2-D nonzero
+        d = np.full(drop.shape, np.inf)
+        d[r, c] = np.add.reduce((p[r] - table[c]) ** 2, axis=1)
         dist[rows], index[rows] = d.min(axis=1), d.argmin(axis=1)
     return dist, index
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import GzslDataset
 from .errors import DatasetLoadError, DivergenceError, DomainError, ShapeError, ValidationError
-from .linalg import matmul
+from .linalg import ROW_BLOCK, check_finite, matmul
 from .rng import SplitMix64
 
 _ACTIVATIONS = ("relu", "linear")
@@ -117,12 +117,41 @@ def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Project a batch of feature rows into the semantic space."""
+def _as_batch(params: MlpParams, x) -> np.ndarray:
+    """Feature rows as a float64 matrix that fits the network's input."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
-    return _layers(params, x)[-1]
+    return x
+
+
+def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Project a batch of feature rows into the semantic space."""
+    return _layers(params, _as_batch(params, x))[-1]
+
+
+def _forward_blocks(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """``forward_batch`` on each ``ROW_BLOCK``-row block of ``x``, concatenated.
+
+    The whole blocks go through one ``(blocks, ROW_BLOCK, d)`` stack per
+    layer: ``np.matmul`` runs the same ``ROW_BLOCK``-row product on every
+    block that ``forward_batch`` would, so the bits match, without a Python
+    call per block.  The short tail goes through ``forward_batch`` itself.
+    """
+    x = _as_batch(params, x)
+    full = x.shape[0] - x.shape[0] % ROW_BLOCK
+    if not full:  # as for one-row callers: no per-layer calls on an empty stack
+        return forward_batch(params, x)
+    h = x[:full].reshape(-1, ROW_BLOCK, x.shape[1])
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        h = check_finite(np.matmul(h, w.T), "matmul result")
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+    h = h.reshape(full, params.out_dim)
+    if full == x.shape[0]:
+        return h
+    return np.concatenate([h, forward_batch(params, x[full:])])
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:

@@ -6,9 +6,13 @@ confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
 
 One batched core serves every entry point.  It takes a split in
-fixed-size chunks and, per chunk, projects each row once
-(``forward_batch`` on ``linalg.ROW_BLOCK``-row blocks, so projection bits
-do not depend on the chunk size), computes ``d_l`` and ``msd`` as
+fixed-size chunks and, per chunk, projects each row once in
+``linalg.ROW_BLOCK``-row products, so projection bits do not depend on the
+chunk size: the chunk's whole blocks form one ``(blocks, ROW_BLOCK, d)``
+stack and each layer is one ``np.matmul`` over it, which runs the same
+32-row product on every block that ``forward_batch`` would, and a tail of
+fewer than ``ROW_BLOCK`` rows goes through ``forward_batch``
+(``mlp._forward_blocks``).  It then computes ``d_l`` and ``msd`` as
 vectors, finds the nearest seen and unseen embedding of every row with
 one ``linalg.nearest`` call per table (a BLAS distance screen, then the
 exact sum for the surviving candidates), applies the gate rule as a
@@ -34,8 +38,8 @@ import numpy as np
 from .data import GzslDataset
 from .errors import ConfigError, DomainError, EvaluationError, MetricError
 from .gates import SEEN_RULES, Domain, GateStatistics, ThresholdSet, length_gaps
-from .linalg import ROW_BLOCK, as_table, as_vector, nearest
-from .mlp import MlpParams, forward_batch
+from .linalg import as_table, as_vector, nearest
+from .mlp import MlpParams, _forward_blocks
 
 STRATEGIES = ("ol", "dl", "ws")
 BASELINE_TAG = "nogate"
@@ -150,9 +154,7 @@ def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
     predicted = np.empty(xs.shape[0], dtype=np.int64)
     for start in range(0, xs.shape[0], _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        chunk = xs[rows]
-        proj = np.concatenate([forward_batch(mapper, chunk[i : i + ROW_BLOCK])
-                               for i in range(0, chunk.shape[0], ROW_BLOCK)])
+        proj = _forward_blocks(mapper, xs[rows])
         msd, arg_seen = nearest(proj, seen_emb)
         min_unseen, arg_unseen = nearest(proj, unseen_emb)
         gated_seen[rows] = seen = rule(length_gaps(proj, l), msd, min_unseen)

@@ -179,6 +179,20 @@ class TestEval:
         assert not (out / "report_ol.kv").exists()
         assert not (out / "sweep.csv").exists()
 
+    def test_reports_do_not_depend_on_where_they_are_written(self, workspace, tmp_path):
+        # the dataset fingerprint covers the dataset's own files, so reports
+        # an earlier eval wrote into the data dir leave the provenance alone
+        data, run = workspace
+        shared = tmp_path / "data"
+        shutil.copytree(data, shared)
+        reports = []
+        for out in (shared, shared, tmp_path / "elsewhere"):
+            assert run_cli("eval", "--data", shared, "--ckpt", run / "model.ckpt",
+                           "--out", out, "--strategy", "all") == 0
+            reports.append({p.name: p.read_bytes() for p in out.glob("report_*.kv")})
+        assert len(reports[0]) == len(STRATEGIES) + 1
+        assert reports[0] == reports[1] == reports[2]
+
     @pytest.mark.parametrize("lam", ["nan", "-1", "inf"])
     def test_non_finite_or_negative_lambda_is_usage_error(self, workspace, tmp_path, capsys, lam):
         data, run = workspace

@@ -227,3 +227,45 @@ class TestNearest:
             dist, index = nearest(points, table)
         assert np.all(np.isfinite(dist)) and index.tolist() == [2, 0, 4]
         assert_same_bits(points, table)
+
+    def test_row_norms_from_1e_minus_3_to_1e3(self):
+        # E = max |e| = 1e3 sets every point's margin, so points among the
+        # small rows keep several candidates while the others keep one
+        rng = np.random.default_rng(16)
+        c, s = 40, 9
+        table = rng.normal(size=(c, s))
+        table *= (np.logspace(-3, 3, c) / np.linalg.norm(table, axis=1))[:, None]
+        near = table[rng.integers(0, c, size=500)]
+        points = near * (1.0 + 1e-3 * rng.normal(size=near.shape))
+        points[:100] = 1e-3 * rng.normal(size=(100, s))
+        points[100] = 0.0
+        points[101:120] = table[:19]
+        assert_same_bits(points, table)
+
+    def test_a_block_with_one_two_candidate_point(self):
+        # row 5 duplicates row 2: the point on row 2 keeps both rows, so its
+        # block takes the scatter path; every other point keeps one row, so
+        # the next block takes the one-candidate path
+        rng = np.random.default_rng(18)
+        table = rng.normal(size=(6, 4))
+        table[5] = table[2]
+        points = table[[0, 1, 3, 4]][rng.integers(0, 4, size=2 * SCREEN_BLOCK)]
+        points += 1e-3 * rng.normal(size=points.shape)
+        points[7] = table[2]
+        dist, index = nearest(points, table)
+        assert index[7] == 2 and dist[7] == 0.0
+        assert_same_bits(points, table)
+
+    def test_the_ulp_floor_covers_rounding_below_the_underflow_threshold(self):
+        # On a 2^-537 grid every product and square rounds to a whole number
+        # of 2^-1074 ulps and every sum is exact.  In each coordinate
+        # q_0 - q_1 exceeds b_0 - b_1 by two ulps, so over S coordinates
+        # q_0 - q_1 = 2S - 1 ulps while the plain sums read b_0 = 0 and
+        # b_1 = 1 ulp: a margin under 2S - 1 ulps would drop the nearest row.
+        s, t = 64, 2.0 ** -537
+        points = np.full((1, s), -2.5 * t)
+        table = np.array([np.full(s, -1.875 * t), np.full(s, -2.3125 * t)])
+        table[1, 0] = -1.75 * t
+        dist, index = nearest(points, table)
+        assert index.tolist() == [0] and dist.tolist() == [0.0]
+        assert_same_bits(points, table)

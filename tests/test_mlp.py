@@ -7,6 +7,7 @@ from conftest import max_gradient_relative_error, sample_gradcheck_case
 from sdgzsl import (
     DatasetLoadError,
     DivergenceError,
+    DomainError,
     MlpParams,
     ShapeError,
     SplitMix64,
@@ -23,7 +24,8 @@ from sdgzsl import (
     sq_dist,
     train,
 )
-from sdgzsl.mlp import init_params
+from sdgzsl.linalg import ROW_BLOCK
+from sdgzsl.mlp import _forward_blocks, init_params
 
 SMALL_SPEC = SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3)  # 40 training rows
 
@@ -135,6 +137,44 @@ class TestForward:
         batched = forward_batch(params, xs)
         single = np.stack([forward(params, x) for x in xs])
         assert batched == pytest.approx(single, abs=1e-12)
+
+
+class TestForwardBlocks:
+    """The stacked projection against ``forward_batch`` on each ``ROW_BLOCK``-row block."""
+
+    @staticmethod
+    def per_block(params, xs):
+        return np.concatenate([forward_batch(params, xs[i : i + ROW_BLOCK])
+                               for i in range(0, xs.shape[0], ROW_BLOCK)])
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 255, 256, 257])
+    @pytest.mark.parametrize("d, hidden, s", [(33, None, 9), (33, [], 9), (33, [7, 5], 9),
+                                              (256, None, 64)])
+    def test_equals_the_per_block_products_bit_for_bit(self, n, d, hidden, s):
+        rng = np.random.default_rng(n * 1000 + d)
+        # None is train's default: one hidden layer of max(d, s)
+        params = init_params(d, [max(d, s)] if hidden is None else hidden, s, SplitMix64(n + d))
+        xs = rng.normal(size=(n, d))
+        before = xs.tobytes()
+        got = _forward_blocks(params, xs)
+        want = self.per_block(params, xs)
+        assert got.shape == want.shape == (n, s)
+        # int64 views compare the sign of zero too
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert xs.tobytes() == before
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 257])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_non_finite_weight_raises_domain_error(self, np_rng, n, layer):
+        params = init_params(6, [5], 4, SplitMix64(2))
+        params.weights[layer][0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="matmul result"):
+            _forward_blocks(params, np_rng.normal(size=(n, 6)))
+
+    def test_dimension_mismatch(self):
+        params = init_params(6, [5], 4, SplitMix64(2))
+        with pytest.raises(ShapeError):
+            _forward_blocks(params, np.ones((40, 7)))
 
 
 class TestMseLoss:
