@@ -10,18 +10,14 @@ The thresholds are simply mean + population std of the seen statistics.
 import numpy as np
 
 from sdgzsl import (
-    GateStatistics,
     SyntheticSpec,
     TrainConfig,
     calibrate,
-    gate_dl,
-    gate_ol,
-    gate_ws,
+    gate_statistics,
     generate_synthetic,
-    length_gap,
-    min_semantic_distance,
     train,
 )
+from sdgzsl.gates import GATE_FUNCTIONS
 from sdgzsl.mlp import forward_batch
 
 ds = generate_synthetic(SyntheticSpec(10, 3, 32, 16, 50, 20, 0.05, seed=7))
@@ -29,10 +25,8 @@ params, _ = train(ds, TrainConfig())
 
 
 def stats_for(xs):
-    proj = forward_batch(params, xs)
-    d_l = np.abs(np.sqrt((proj**2).sum(axis=1)) - ds.unified_norm)
-    msd = np.array([min_semantic_distance(p, ds.seen_emb) for p in proj])
-    return d_l, msd
+    """(d_l, msd) of every row of ``xs``, as two vectors."""
+    return gate_statistics(forward_batch(params, xs), ds.seen_emb, ds.unified_norm)
 
 
 seen_dl, seen_msd = stats_for(ds.seen_test_x)
@@ -52,21 +46,19 @@ print(f"r_1  = {th.m_msd:.4f} + {th.std_msd:.4f} = {th.r_1:.4f}")
 print(f"r_ws = {th.m_ws:.4f} + {th.std_ws:.4f} = {th.r_ws:.4f}   (lambda = {th.lam})")
 
 print("\n== the three rules on a few instances ==")
+names = [f"seen/{y}" for y in ds.seen_test_y[:4]] + [f"unseen/{y}" for y in ds.unseen_test_y[:4]]
+d_l = np.concatenate([seen_dl[:4], unseen_dl[:4]])
+msd = np.concatenate([seen_msd[:4], unseen_msd[:4]])
+# one mask per rule over all eight rows, shown as the gated domain
+gated = {tag: np.where(rule(d_l, msd, th), "seen", "unseen")
+         for tag, rule in GATE_FUNCTIONS.items()}
 print(f"{'instance':<14} {'d_l':>7} {'msd':>7}   ol      dl      ws")
-rows = [("seen/" + str(int(y)), d, m)
-        for y, d, m in zip(ds.seen_test_y[:4], seen_dl[:4], seen_msd[:4])]
-rows += [("unseen/" + str(int(y)), d, m)
-         for y, d, m in zip(ds.unseen_test_y[:4], unseen_dl[:4], unseen_msd[:4])]
-for name, d, m in rows:
-    s = GateStatistics(float(d), float(m))
-    print(f"{name:<14} {d:>7.4f} {m:>7.4f}   "
-          f"{gate_ol(s, th).value:<7} {gate_dl(s, th).value:<7} {gate_ws(s, th).value}")
+for name, d, m, ol, dl, ws in zip(names, d_l, msd, gated["ol"], gated["dl"], gated["ws"]):
+    print(f"{name:<14} {d:>7.4f} {m:>7.4f}   {ol:<7} {dl:<7} {ws}")
 
 print("\n== gate quality per strategy (balanced accuracy on the test splits) ==")
-for name, fn in (("ol", gate_ol), ("dl", gate_dl), ("ws", gate_ws)):
-    seen_ok = np.mean([fn(GateStatistics(float(d), float(m)), th).value == "seen"
-                       for d, m in zip(seen_dl, seen_msd)])
-    unseen_ok = np.mean([fn(GateStatistics(float(d), float(m)), th).value == "unseen"
-                         for d, m in zip(unseen_dl, unseen_msd)])
-    print(f"{name}: seen recall {seen_ok:.3f}, unseen recall {unseen_ok:.3f}, "
+for tag, rule in GATE_FUNCTIONS.items():
+    seen_ok = rule(seen_dl, seen_msd, th).mean()
+    unseen_ok = 1.0 - rule(unseen_dl, unseen_msd, th).mean()
+    print(f"{tag}: seen recall {seen_ok:.3f}, unseen recall {unseen_ok:.3f}, "
           f"balanced {(seen_ok + unseen_ok) / 2:.3f}")

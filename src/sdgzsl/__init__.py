@@ -1,10 +1,10 @@
 """Semantic-space seen/unseen gating for generalized zero-shot learning.
 
-The library projects feature vectors into a class-embedding space with a
-small MLP, decides per instance whether it comes from the seen or unseen
-domain using norm/distance statistics calibrated on seen data, routes it
-to a per-domain classifier, and scores everything with per-class top-1
-accuracies and their harmonic mean.
+The library projects batches of feature vectors into a class-embedding
+space with a small MLP, decides for each row whether it comes from the
+seen or unseen domain using norm/distance statistics calibrated on seen
+data, routes it to a per-domain classifier, and scores everything with
+per-class top-1 accuracies and their harmonic mean.
 """
 
 from .classify import NearestEmbeddingClassifier
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gates import (
     Domain,
-    GateStatistics,
     ThresholdSet,
     calibrate,
     calibrate_from_samples,
@@ -38,12 +37,11 @@ from .gates import (
     gate_ol,
     gate_statistics,
     gate_ws,
-    length_gap,
     load_thresholds,
     min_semantic_distance,
     save_thresholds,
 )
-from .linalg import l2_norm, matmul, mean_and_popstd, sq_dist
+from .linalg import matmul, mean_and_popstd
 from .mlp import (
     MlpParams,
     TrainConfig,
@@ -59,7 +57,6 @@ from .pipeline import (
     BASELINE_TAG,
     STRATEGIES,
     EvaluationReport,
-    Prediction,
     evaluate,
     evaluate_baseline,
     harmonic_mean,
@@ -80,13 +77,11 @@ __all__ = [
     "DomainError",
     "EvaluationError",
     "EvaluationReport",
-    "GateStatistics",
     "GzslDataset",
     "GzslError",
     "MetricError",
     "MlpParams",
     "NearestEmbeddingClassifier",
-    "Prediction",
     "STRATEGIES",
     "ShapeError",
     "SplitMix64",
@@ -107,8 +102,6 @@ __all__ = [
     "gate_ws",
     "generate_synthetic",
     "harmonic_mean",
-    "l2_norm",
-    "length_gap",
     "load_checkpoint",
     "load_dataset",
     "load_thresholds",
@@ -122,6 +115,5 @@ __all__ = [
     "save_checkpoint",
     "save_dataset",
     "save_thresholds",
-    "sq_dist",
     "train",
 ]

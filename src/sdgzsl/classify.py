@@ -1,20 +1,23 @@
 """Per-domain classifier slots with a nearest-embedding default.
 
 Both the seen-domain and unseen-domain slots accept any object exposing
-``classify(feature_vector) -> class index``; the pipeline routes to one
-of the two based on the gate decision and never mixes their index
-spaces.  The default scores a candidate class by the negative squared
-distance between the projected feature and the class embedding, so it
-needs no training beyond the shared semantic mapper.  The evaluation
-core computes that default for a whole block of rows at once with the
-same ``linalg.nearest``, so it calls a classifier object only for a slot
-the caller filled.
+``classify(feature_rows) -> class indices``: a 2-D batch of feature rows
+in, one integer index per row out, inside the slot's own domain.  The
+pipeline calls a slot once per split with the rows gated into its domain
+and never mixes the two index spaces.  The default picks, for each row,
+the class embedding nearest (in squared distance) to the row's
+projection, so it needs no training beyond the shared semantic mapper.
+The evaluation core computes that default itself with the same
+``linalg.nearest``, so it calls a classifier object only for a slot the
+caller filled.
 """
 
 from __future__ import annotations
 
-from .linalg import as_table, as_vector, nearest
-from .mlp import MlpParams, forward
+import numpy as np
+
+from .linalg import as_matrix, as_table, nearest
+from .mlp import MlpParams, _forward_blocks
 
 
 class NearestEmbeddingClassifier:
@@ -24,12 +27,7 @@ class NearestEmbeddingClassifier:
         self.mapper = mapper
         self.embeddings = as_table(embeddings, mapper.out_dim, "class embeddings")
 
-    def score(self, feature, embedding) -> float:
-        """Negative squared distance between projection and one embedding."""
-        p = forward(self.mapper, as_vector(feature, "feature"))
-        diff = p - as_vector(embedding, "embedding")
-        return float(-(diff @ diff))
-
-    def classify(self, feature) -> int:
-        p = forward(self.mapper, as_vector(feature, "feature"))
-        return int(nearest(p[None, :], self.embeddings)[1][0])
+    def classify(self, rows) -> np.ndarray:
+        """Index of the nearest class embedding for each feature row."""
+        proj = _forward_blocks(self.mapper, as_matrix(rows, "feature rows"))
+        return nearest(proj, self.embeddings)[1]

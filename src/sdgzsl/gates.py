@@ -1,21 +1,23 @@
-"""Seen/unseen gating in semantic space: statistics, calibration, strategies.
+"""Seen/unseen gating in semantic space: statistics, calibration, rules.
 
-Two per-instance statistics drive every strategy:
+Two statistics of each projected row drive every rule:
 
 * ``d_l`` - absolute gap between the projected vector's norm and the
   unified embedding norm ``l``.
 * ``msd`` - minimum squared distance from the projection to any
   seen-class embedding.
 
-Thresholds are calibrated from seen training instances alone, as mean
-plus population standard deviation of the matching statistic, so no
-manual tuning is involved.  All three gate rules use strict ``<`` for
-SEEN; a statistic exactly on its threshold gates UNSEEN.
+``gate_statistics(proj, seen_emb, l)`` computes both as vectors over a
+batch of projected rows.  Thresholds are calibrated from seen training
+instances alone, as mean plus population standard deviation of the
+matching statistic, so no manual tuning is involved.
 
-Each rule's comparison is written once (``SEEN_RULES``) for scalars and
-arrays alike: the batched evaluation core applies it to whole vectors of
-statistics as a boolean mask, and ``gate_ol`` / ``gate_dl`` / ``gate_ws``
-apply it to one instance.
+Each rule (``gate_ol`` / ``gate_dl`` / ``gate_ws``, by strategy tag in
+``GATE_FUNCTIONS``) is ``(d_l, msd, thresholds) -> seen``, one comparison
+written once for scalars and arrays alike: vectors of statistics give a
+boolean mask.  That is also the contract of a caller's ``gate_fn``.  All
+three rules use strict ``<`` for SEEN; a statistic exactly on its
+threshold gates UNSEEN.
 """
 
 from __future__ import annotations
@@ -29,21 +31,13 @@ import numpy as np
 
 from .data import GzslDataset
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
-from .linalg import as_table, as_vector, mean_and_popstd, nearest
+from .linalg import as_matrix, as_table, as_vector, mean_and_popstd, nearest
 from .mlp import MlpParams, forward_batch
 
 
 class Domain(Enum):
     SEEN = "seen"
     UNSEEN = "unseen"
-
-
-@dataclass(frozen=True)
-class GateStatistics:
-    """Per-instance discriminator inputs, both nonnegative."""
-
-    d_l: float
-    msd: float
 
 
 @dataclass(frozen=True)
@@ -90,24 +84,16 @@ def length_gaps(proj: np.ndarray, l: float) -> np.ndarray:
     return np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
 
 
-def length_gap(projected, l: float) -> float:
-    """Absolute difference between the projection's norm and ``l``."""
-    p = as_vector(projected, "projected")
-    return float(length_gaps(p[None, :], l)[0])
+def min_semantic_distance(proj, seen_emb) -> np.ndarray:
+    """Minimum squared distance from each projected row to any seen embedding row."""
+    p = as_matrix(proj, "projected rows")
+    return nearest(p, as_table(seen_emb, p.shape[1], "seen embeddings"))[0]
 
 
-def min_semantic_distance(projected, seen_emb) -> float:
-    """Minimum squared distance from the projection to any seen embedding row."""
-    p = as_vector(projected, "projected")
-    emb = as_table(seen_emb, p.size, "min_semantic_distance")
-    return float(nearest(p[None, :], emb)[0][0])
-
-
-def gate_statistics(projected, seen_emb, l: float) -> GateStatistics:
-    return GateStatistics(
-        d_l=length_gap(projected, l),
-        msd=min_semantic_distance(projected, seen_emb),
-    )
+def gate_statistics(proj, seen_emb, l: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(d_l, msd)`` of each projected row, as two vectors."""
+    p = as_matrix(proj, "projected rows")
+    return length_gaps(p, l), min_semantic_distance(p, seen_emb)
 
 
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:
@@ -149,13 +135,12 @@ def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
     xs = getattr(dataset, f"{split}_x")
     if xs.shape[0] == 0:
         raise CalibrationError(f"calibration split {split!r} is empty")
-    seen_emb = as_table(dataset.seen_emb, mapper.out_dim, "seen embeddings")
-    proj = forward_batch(mapper, xs)
     l = dataset.unified_norm
-    return calibrate_from_samples(length_gaps(proj, l), nearest(proj, seen_emb)[0], lam, l)
+    d_l, msd = gate_statistics(forward_batch(mapper, xs), dataset.seen_emb, l)
+    return calibrate_from_samples(d_l, msd, lam, l)
 
 
-def seen_ol(d_l, msd, th: ThresholdSet):
+def gate_ol(d_l, msd, th: ThresholdSet):
     """Length-only rule: SEEN iff d_l is strictly below the length threshold.
 
     Zero-variance calibration: a constant sample gives std 0, so every
@@ -167,7 +152,7 @@ def seen_ol(d_l, msd, th: ThresholdSet):
     return d_l < th.r_ol
 
 
-def seen_dl(d_l, msd, th: ThresholdSet):
+def gate_dl(d_l, msd, th: ThresholdSet):
     """Length rule refined by minimum distance, four exhaustive cases.
 
     A small msd rescues an instance the length rule would reject, and a
@@ -181,34 +166,12 @@ def seen_dl(d_l, msd, th: ThresholdSet):
     return np.where(d_l < th.r_ol, msd < th.r_0, msd < th.r_1)
 
 
-def seen_ws(d_l, msd, th: ThresholdSet):
+def gate_ws(d_l, msd, th: ThresholdSet):
     """Weighted-sum rule: SEEN iff d_l + lam * msd is strictly below r_ws."""
     return d_l + th.lam * msd < th.r_ws
 
 
 # strategy -> rule over statistics: scalars give a bool, arrays a boolean mask
-SEEN_RULES = {"ol": seen_ol, "dl": seen_dl, "ws": seen_ws}
-
-
-def _domain(seen) -> Domain:
-    return Domain.SEEN if seen else Domain.UNSEEN
-
-
-def gate_ol(stats: GateStatistics, th: ThresholdSet) -> Domain:
-    """``seen_ol`` for one instance."""
-    return _domain(seen_ol(stats.d_l, stats.msd, th))
-
-
-def gate_dl(stats: GateStatistics, th: ThresholdSet) -> Domain:
-    """``seen_dl`` for one instance."""
-    return _domain(seen_dl(stats.d_l, stats.msd, th))
-
-
-def gate_ws(stats: GateStatistics, th: ThresholdSet) -> Domain:
-    """``seen_ws`` for one instance."""
-    return _domain(seen_ws(stats.d_l, stats.msd, th))
-
-
 GATE_FUNCTIONS = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}
 
 _THRESHOLD_FIELDS = (

@@ -58,24 +58,6 @@ def matmul(a, b) -> np.ndarray:
     return check_finite(a @ b, "matmul result")
 
 
-def l2_norm(v) -> float:
-    """Euclidean norm of a nonempty vector."""
-    v = as_vector(v, "l2_norm input")
-    if v.size == 0:
-        raise ShapeError("l2_norm: empty vector")
-    return float(np.sqrt(v @ v))
-
-
-def sq_dist(a, b) -> float:
-    """Squared Euclidean distance; exactly 0 for elementwise-equal inputs."""
-    a = as_vector(a, "sq_dist lhs")
-    b = as_vector(b, "sq_dist rhs")
-    if a.shape != b.shape:
-        raise ShapeError(f"sq_dist: lengths {a.size} and {b.size} differ")
-    d = a - b
-    return float(d @ d)
-
-
 def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``points``: smallest squared distance to a ``table`` row, and
     the first row index attaining it (ties go to the lowest index).

@@ -17,15 +17,21 @@ vectors, finds the nearest seen and unseen embedding of every row with
 one ``linalg.nearest`` call per table (a BLAS distance screen, then the
 exact sum for the surviving candidates), applies the gate rule as a
 boolean mask and picks ``np.where(seen, nearest seen, nearest unseen)``.
-Per-class accuracy is counted with ``np.bincount``.  ``evaluate_baseline``
-is the same core with the rule ``msd <= nearest unseen distance``, and
-``predict`` is the core on a one-row batch.
+Per-class accuracy is counted with ``np.bincount`` (``per_class_top1``).
+``evaluate_baseline`` is the same core with the rule
+``msd <= nearest unseen distance``, and ``predict`` returns the core's
+two arrays for any batch of rows.
 
-Two per-instance contracts remain for caller-supplied parts, which the
-core maps over rows only when they are passed: ``gate_fn`` is called as
-``gate_fn(GateStatistics, ThresholdSet) -> Domain`` once per row, and a
-classifier slot as ``classify(feature_row) -> class index`` once per row
-gated into its domain.
+Both plug-in slots take batches.  ``gate_fn`` has the signature of the
+named rules, ``gate_fn(d_l, msd, ThresholdSet) -> seen mask``, and is
+called once per chunk with that chunk's statistic vectors.  A classifier
+slot is any object with ``classify(rows) -> class indices``; it is called
+once per split with the feature rows gated into its domain (not at all
+when there are none), and its indices replace the nearest-embedding ones
+there.  Both results are checked at that boundary: a gate result must be
+a boolean vector with one entry per row, and a classifier result an
+integer vector with one index per row inside its domain's class range,
+else ``ShapeError`` or ``DomainError``.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GzslDataset
-from .errors import ConfigError, DomainError, EvaluationError, MetricError
-from .gates import SEEN_RULES, Domain, GateStatistics, ThresholdSet, length_gaps
-from .linalg import as_table, as_vector, nearest
+from .errors import ConfigError, DomainError, EvaluationError, MetricError, ShapeError
+from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, length_gaps
+from .linalg import as_matrix, as_table, nearest
 from .mlp import MlpParams, _forward_blocks
 
 STRATEGIES = ("ol", "dl", "ws")
@@ -49,19 +55,6 @@ BASELINE_TAG = "nogate"
 # at once raised eval_heavy's peak RSS by about 3 MB, and 512-row passes
 # ran no faster than 256-row ones.
 _CHUNK_ROWS = 256
-
-
-@dataclass
-class Prediction:
-    gate: Domain
-    predicted_class: int
-    true_domain: Domain | None = None
-    true_class: int | None = None
-
-    @property
-    def correct(self) -> bool:
-        """Right domain and right class within it."""
-        return self.gate == self.true_domain and self.predicted_class == self.true_class
 
 
 @dataclass
@@ -98,8 +91,17 @@ def harmonic_mean(acc_s: float, acc_u: float) -> float:
     return 2.0 * acc_s * acc_u / (acc_s + acc_u)
 
 
-def _class_accuracy(true_class: np.ndarray, correct: np.ndarray, classes) -> dict[int, float]:
-    """Correct fraction per class, counted with ``np.bincount``."""
+def per_class_top1(true_class, correct, classes) -> dict[int, float]:
+    """Correct fraction per class, counted with ``np.bincount``.
+
+    ``correct[i]`` says whether row ``i``, of class ``true_class[i]``, was
+    gated into its true domain and assigned its class there.
+    """
+    true_class = np.asarray(true_class, dtype=np.int64)
+    correct = np.asarray(correct, dtype=bool)
+    if true_class.ndim != 1 or correct.shape != true_class.shape:
+        raise ShapeError(f"per_class_top1: shapes {true_class.shape} and {correct.shape} "
+                         "must be one equal-length vector each")
     classes = list(classes)
     n = max(classes, default=-1) + 1
     totals = np.bincount(true_class, minlength=n)
@@ -112,31 +114,16 @@ def _class_accuracy(true_class: np.ndarray, correct: np.ndarray, classes) -> dic
     return out
 
 
-def per_class_top1(predictions, classes) -> dict[int, float]:
-    """Per-class correct fraction over predictions sharing one true domain.
-
-    A prediction counts as correct only if it was gated into the right
-    domain and assigned the right class there.
-    """
-    true_class = np.array([p.true_class for p in predictions], dtype=np.int64)
-    correct = np.array([p.correct for p in predictions], dtype=bool)
-    return _class_accuracy(true_class, correct, classes)
-
-
 def _gate_rule(strategy: str, thresholds: ThresholdSet, gate_fn):
-    """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one block."""
-    if gate_fn is not None:
-        def mapped(d_l, msd, _):
-            return np.array([gate_fn(GateStatistics(float(a), float(b)), thresholds) == Domain.SEEN
-                             for a, b in zip(d_l, msd)], dtype=bool)
-        return mapped
-    try:
-        seen = SEEN_RULES[strategy]
-    except KeyError:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}, expected one of {sorted(SEEN_RULES)}"
-        ) from None
-    return lambda d_l, msd, _: seen(d_l, msd, thresholds)
+    """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one chunk."""
+    if gate_fn is None:
+        try:
+            gate_fn = GATE_FUNCTIONS[strategy]
+        except KeyError:
+            raise ConfigError(
+                f"unknown strategy {strategy!r}, expected one of {sorted(GATE_FUNCTIONS)}"
+            ) from None
+    return lambda d_l, msd, _: gate_fn(d_l, msd, thresholds)
 
 
 def _baseline_rule(d_l, msd, min_unseen):
@@ -144,10 +131,34 @@ def _baseline_rule(d_l, msd, min_unseen):
     return msd <= min_unseen
 
 
+def _seen_mask(seen, n: int) -> np.ndarray:
+    """A gate result, required to be a boolean vector of ``n`` entries."""
+    seen = np.asarray(seen)
+    if seen.dtype != bool:
+        raise DomainError(f"gate returned dtype {seen.dtype}, expected a boolean mask")
+    if seen.shape != (n,):
+        raise ShapeError(f"gate returned shape {seen.shape} for {n} rows")
+    return seen
+
+
+def _class_indices(classes, n: int, n_classes: int, slot: str) -> np.ndarray:
+    """A classifier result, required to be ``n`` integer indices in ``[0, n_classes)``."""
+    classes = np.asarray(classes)
+    if not np.issubdtype(classes.dtype, np.integer):
+        raise DomainError(f"{slot} classifier returned dtype {classes.dtype}, "
+                          "expected integer class indices")
+    if classes.shape != (n,):
+        raise ShapeError(f"{slot} classifier returned shape {classes.shape} for {n} rows")
+    if classes.min() < 0 or classes.max() >= n_classes:
+        raise DomainError(f"{slot} classifier returned class indices outside [0, {n_classes})")
+    return classes
+
+
 def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
            seen_classifier, unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
     """Gate and classify every row of ``xs``: (gated-seen mask, class index
     inside the gated domain)."""
+    xs = as_matrix(xs, "feature rows")
     seen_emb = as_table(seen_emb, mapper.out_dim, "seen embeddings")
     unseen_emb = as_table(unseen_emb, mapper.out_dim, "unseen embeddings")
     gated_seen = np.empty(xs.shape[0], dtype=bool)
@@ -157,35 +168,30 @@ def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
         proj = _forward_blocks(mapper, xs[rows])
         msd, arg_seen = nearest(proj, seen_emb)
         min_unseen, arg_unseen = nearest(proj, unseen_emb)
-        gated_seen[rows] = seen = rule(length_gaps(proj, l), msd, min_unseen)
+        gated_seen[rows] = seen = _seen_mask(rule(length_gaps(proj, l), msd, min_unseen),
+                                             proj.shape[0])
         predicted[rows] = np.where(seen, arg_seen, arg_unseen)
-    for mask, clf in ((gated_seen, seen_classifier), (~gated_seen, unseen_classifier)):
-        if clf is not None:
-            idx = np.flatnonzero(mask)
-            predicted[idx] = [int(clf.classify(xs[i])) for i in idx]
+    for slot, mask, clf, table in (("seen", gated_seen, seen_classifier, seen_emb),
+                                   ("unseen", ~gated_seen, unseen_classifier, unseen_emb)):
+        n = np.count_nonzero(mask)
+        if clf is not None and n:
+            predicted[mask] = _class_indices(clf.classify(xs[mask]), n, table.shape[0], slot)
     return gated_seen, predicted
 
 
-def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, x,
+def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
             seen_emb, unseen_emb, seen_classifier=None, unseen_classifier=None,
-            gate_fn=None, true_domain: Domain | None = None,
-            true_class: int | None = None) -> Prediction:
-    """Gate one instance and classify it inside the gated domain.
+            gate_fn=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gate each row of ``xs`` and classify it inside its gated domain.
 
-    ``gate_fn`` overrides the named strategy with any callable
-    ``(GateStatistics, ThresholdSet) -> Domain``; classifier slots accept
-    any object with ``classify(x) -> int``.
+    Returns ``(seen, classes)``: the gated-seen mask and each row's class
+    index inside its gated domain.  ``gate_fn`` overrides the named
+    strategy with any ``(d_l, msd, ThresholdSet) -> seen mask``; classifier
+    slots accept any object with ``classify(rows) -> class indices``.
     """
     rule = _gate_rule(strategy, thresholds, gate_fn)
-    row = as_vector(x, "feature")[None, :]
-    seen, predicted = _route(mapper, rule, thresholds.l, row, seen_emb, unseen_emb,
-                             seen_classifier, unseen_classifier)
-    return Prediction(
-        gate=Domain.SEEN if seen[0] else Domain.UNSEEN,
-        predicted_class=int(predicted[0]),
-        true_domain=true_domain,
-        true_class=true_class,
-    )
+    return _route(mapper, rule, thresholds.l, xs, seen_emb, unseen_emb,
+                  seen_classifier, unseen_classifier)
 
 
 def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
@@ -205,7 +211,7 @@ def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
                                        seen_classifier, unseen_classifier)
         right_domain = gated_seen if true == Domain.SEEN else ~gated_seen
         ys = np.asarray(ys, dtype=np.int64)
-        per = _class_accuracy(ys, right_domain & (predicted == ys), range(n_classes))
+        per = per_class_top1(ys, right_domain & (predicted == ys), range(n_classes))
         acc[true] = float(np.mean(list(per.values())))
         per_class.update({(true.value, c): a for c, a in per.items()})
         n_seen = int(np.count_nonzero(gated_seen))

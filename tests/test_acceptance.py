@@ -13,9 +13,6 @@ import pytest
 from conftest import BENCH_SPEC, max_gradient_relative_error, sample_gradcheck_case
 
 from sdgzsl import (
-    Domain,
-    GateStatistics,
-    Prediction,
     SplitMix64,
     TrainConfig,
     calibrate,
@@ -85,20 +82,19 @@ def test_criterion_3_four_case_partition():
     with criterion(3, "the four length+distance cases partition the statistic plane", 1.0):
         th = calibrate_from_samples([0.1, 0.5, 0.9], [0.3, 0.6, 1.2], lam=1.0, l=1.0)
         rng = np.random.default_rng(3)
-        boundary_dl = [0.0, th.r_ol]
-        boundary_msd = [0.0, th.r_1, th.r_0]
-        for i in range(10_000):
-            d_l = float(rng.choice(boundary_dl)) if i % 5 == 0 else float(rng.uniform(0, 2))
-            msd = float(rng.choice(boundary_msd)) if i % 7 == 0 else float(rng.uniform(0, 3))
-            cases = [
-                d_l < th.r_ol and msd < th.r_0,
-                d_l >= th.r_ol and msd < th.r_1,
-                d_l < th.r_ol and msd >= th.r_0,
-                d_l >= th.r_ol and msd >= th.r_1,
-            ]
-            assert sum(cases) == 1
-            decision = gate_dl(GateStatistics(d_l, msd), th)
-            assert decision == (Domain.SEEN if cases[0] or cases[1] else Domain.UNSEEN)
+        i = np.arange(10_000)
+        d_l = np.where(i % 5 == 0, rng.choice([0.0, th.r_ol], size=i.size),
+                       rng.uniform(0, 2, size=i.size))
+        msd = np.where(i % 7 == 0, rng.choice([0.0, th.r_1, th.r_0], size=i.size),
+                       rng.uniform(0, 3, size=i.size))
+        cases = np.stack([
+            (d_l < th.r_ol) & (msd < th.r_0),
+            (d_l >= th.r_ol) & (msd < th.r_1),
+            (d_l < th.r_ol) & (msd >= th.r_0),
+            (d_l >= th.r_ol) & (msd >= th.r_1),
+        ])
+        assert (cases.sum(axis=0) == 1).all()
+        assert np.array_equal(gate_dl(d_l, msd, th), cases[0] | cases[1])
 
 
 def test_criterion_4_metric_identities():
@@ -112,25 +108,24 @@ def test_criterion_4_metric_identities():
             assert harmonic_mean(a, b) <= max(a, b) + 1e-12
 
         for _ in range(50):
+            # rows of the seen domain: true class, gated seen, predicted class;
+            # every class occurs at least once
             n_classes = int(rng.integers(2, 5))
-            preds = []
-            for _ in range(int(rng.integers(n_classes * 2, 30))):
-                true_class = int(rng.integers(n_classes))
-                gate = Domain.SEEN if rng.uniform() < 0.7 else Domain.UNSEEN
-                pred_class = int(rng.integers(n_classes))
-                preds.append(Prediction(gate, pred_class, Domain.SEEN, true_class))
-            # ensure every class occurs at least once
-            for c in range(n_classes):
-                preds.append(Prediction(Domain.SEEN, c, Domain.SEEN, c))
+            n = int(rng.integers(n_classes * 2, 30))
+            true_class = np.concatenate([rng.integers(n_classes, size=n), np.arange(n_classes)])
+            gated_seen = np.concatenate([rng.uniform(size=n) < 0.7, np.ones(n_classes, bool)])
+            predicted = np.concatenate([rng.integers(n_classes, size=n), np.arange(n_classes)])
             # hand-counting oracle
             totals = {c: 0 for c in range(n_classes)}
             hits = {c: 0 for c in range(n_classes)}
-            for p in preds:
-                totals[p.true_class] += 1
-                if p.gate == Domain.SEEN and p.predicted_class == p.true_class:
-                    hits[p.true_class] += 1
+            for t, g, p in zip(true_class.tolist(), gated_seen.tolist(), predicted.tolist()):
+                totals[t] += 1
+                if g and p == t:
+                    hits[t] += 1
             expected = {c: hits[c] / totals[c] for c in range(n_classes)}
-            assert per_class_top1(preds, range(n_classes)) == pytest.approx(expected, rel=1e-12)
+            correct = gated_seen & (predicted == true_class)
+            assert per_class_top1(true_class, correct, range(n_classes)) == pytest.approx(
+                expected, rel=1e-12)
 
 
 def test_criterion_5_forced_seen_gate_zeroes_h(bench_dataset):
@@ -139,7 +134,7 @@ def test_criterion_5_forced_seen_gate_zeroes_h(bench_dataset):
                              SplitMix64(5))
         th = calibrate(mapper, bench_dataset)
         report = evaluate(mapper, th, "ol", bench_dataset,
-                          gate_fn=lambda stats, thresholds: Domain.SEEN)
+                          gate_fn=lambda d_l, msd, thresholds: np.ones(d_l.shape, dtype=bool))
         assert report.acc_u == 0.0
         assert report.h == 0.0
 

@@ -1,9 +1,9 @@
 """The batched evaluation core against a plain per-row oracle.
 
-The oracle gates each row with ``gate_statistics`` and the scalar rules
-(``gate_ol`` / ``gate_dl`` / ``gate_ws``, or a caller's ``gate_fn``),
-classifies it with a nearest-embedding loop written here, and counts the
-gate confusion and per-class hits one row at a time.  Projection is the
+The oracle takes one row at a time: its length gap and a nearest-embedding
+loop are written here, it gates the row by applying ``GATE_FUNCTIONS`` (or
+a caller's ``gate_fn``) to two floats, asks a stub classifier about that
+one row, and counts the gate confusion and per-class hits.  Projection is the
 one step it shares with the core: a product's last bits depend on how
 many rows it multiplies at once, so the oracle projects the same
 ``ROW_BLOCK``-row blocks and every count must then match exactly.
@@ -25,24 +25,24 @@ from sdgzsl import (
     evaluate,
     evaluate_baseline,
     forward_batch,
-    gate_dl,
-    gate_ol,
-    gate_statistics,
-    gate_ws,
     generate_synthetic,
     min_semantic_distance,
+    predict,
     train,
 )
 from sdgzsl import gates
+from sdgzsl.gates import GATE_FUNCTIONS
 from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.mlp import init_params
-
-SCALAR_RULES = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}
 
 
 def project_in_blocks(mapper, xs):
     return np.concatenate([forward_batch(mapper, xs[i : i + ROW_BLOCK])
                            for i in range(0, xs.shape[0], ROW_BLOCK)])
+
+
+def length_gap(p, l):
+    return abs(float(np.sqrt(np.sum(p * p))) - l)
 
 
 def plain_nearest(p, table):
@@ -68,14 +68,13 @@ def oracle(mapper, ds, strategy, th=None, gate_fn=None, seen_clf=None, unseen_cl
             seen_idx, seen_d = plain_nearest(p, ds.seen_emb)
             unseen_idx, unseen_d = plain_nearest(p, ds.unseen_emb)
             if strategy == BASELINE_TAG:
-                gate = Domain.SEEN if seen_d <= unseen_d else Domain.UNSEEN
+                seen = seen_d <= unseen_d
             else:
-                rule = gate_fn or SCALAR_RULES[strategy]
-                gate = rule(gate_statistics(p, ds.seen_emb, th.l), th)
-            if gate == Domain.SEEN:
-                cls = seen_clf.classify(x) if seen_clf else seen_idx
-            else:
-                cls = unseen_clf.classify(x) if unseen_clf else unseen_idx
+                rule = gate_fn or GATE_FUNCTIONS[strategy]
+                seen = bool(rule(length_gap(p, th.l), seen_d, th))
+            gate = Domain.SEEN if seen else Domain.UNSEEN
+            clf, idx = (seen_clf, seen_idx) if seen else (unseen_clf, unseen_idx)
+            cls = clf.answer(x) if clf else idx
             confusion[(true, gate)] += 1
             if gate == true and cls == int(y):
                 correct[(true.value, int(y))] += 1
@@ -122,15 +121,19 @@ def test_untrained_mapper_matches_the_per_row_oracle(seed):
 
 
 class StubClassifier:
-    """Answers a class read off the feature row itself, and records every row
-    it was asked about."""
+    """Answers a class read off each feature row itself, and records every
+    batch it was asked about."""
 
     def __init__(self, n_classes):
-        self.n_classes, self.rows = n_classes, []
+        self.n_classes, self.batches = n_classes, []
 
-    def classify(self, x):
-        self.rows.append(np.array(x))
+    def answer(self, x):
+        """The class of one row, for the oracle."""
         return int(np.argmax(x)) % self.n_classes
+
+    def classify(self, rows):
+        self.batches.append(np.array(rows))
+        return np.argmax(rows, axis=1) % self.n_classes
 
 
 def test_custom_gate_fn_and_stub_classifiers_match_the_oracle():
@@ -138,8 +141,8 @@ def test_custom_gate_fn_and_stub_classifiers_match_the_oracle():
     mapper, _ = train(ds, TrainConfig(epochs=4, seed=5))
     th = calibrate(mapper, ds)
 
-    def by_msd_only(stats, thresholds):
-        return Domain.SEEN if stats.msd < thresholds.m_msd else Domain.UNSEEN
+    def by_msd_only(d_l, msd, thresholds):
+        return msd < thresholds.m_msd
 
     assert_core_matches_oracle(mapper, ds, th, gate_fn=by_msd_only,
                                seen_classifier=StubClassifier(ds.n_seen_classes),
@@ -152,14 +155,15 @@ def test_a_stub_classifier_sees_exactly_the_rows_gated_into_its_domain():
     ds = generate_synthetic(SyntheticSpec(4, 2, 6, 4, 8, 13, 0.3, seed=6))
     mapper, _ = train(ds, TrainConfig(epochs=4, seed=6))
     th = calibrate(mapper, ds)
-    seen_stub, unseen_stub = StubClassifier(1), StubClassifier(1)
-    report = evaluate(mapper, th, "dl", ds, seen_classifier=seen_stub,
-                      unseen_classifier=unseen_stub)
-    c = report.gate_confusion
-    assert len(seen_stub.rows) == c[(Domain.SEEN, Domain.SEEN)] + c[(Domain.UNSEEN, Domain.SEEN)]
-    assert len(unseen_stub.rows) == (c[(Domain.SEEN, Domain.UNSEEN)]
-                                     + c[(Domain.UNSEEN, Domain.UNSEEN)])
-    assert all(r.shape == (ds.feature_dim,) for r in seen_stub.rows + unseen_stub.rows)
+    for xs in (ds.seen_test_x, ds.unseen_test_x):
+        seen_stub, unseen_stub = StubClassifier(1), StubClassifier(1)
+        seen, _ = predict(mapper, th, "dl", xs, ds.seen_emb, ds.unseen_emb,
+                          seen_classifier=seen_stub, unseen_classifier=unseen_stub)
+        assert seen.any() and not seen.all()
+        # one call per slot, with exactly the rows gated into its domain, in order
+        assert len(seen_stub.batches) == len(unseen_stub.batches) == 1
+        assert np.array_equal(seen_stub.batches[0], xs[seen])
+        assert np.array_equal(unseen_stub.batches[0], xs[~seen])
 
 
 def tie_dataset():
@@ -185,10 +189,12 @@ def test_exact_ties_go_to_the_lowest_index():
     mapper = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"]).validate()
     th = calibrate(mapper, ds)
     assert_core_matches_oracle(mapper, ds, th)
-    always_seen = evaluate(mapper, th, "ol", ds, gate_fn=lambda s, t: Domain.SEEN)
+    always_seen = evaluate(mapper, th, "ol", ds,
+                           gate_fn=lambda d_l, msd, t: np.ones(d_l.shape, dtype=bool))
     assert always_seen.per_class_acc[("seen", 0)] == 1.0
     assert always_seen.per_class_acc[("seen", 1)] == 0.0
-    always_unseen = evaluate(mapper, th, "ol", ds, gate_fn=lambda s, t: Domain.UNSEEN)
+    always_unseen = evaluate(mapper, th, "ol", ds,
+                             gate_fn=lambda d_l, msd, t: np.zeros(d_l.shape, dtype=bool))
     assert always_unseen.per_class_acc[("unseen", 0)] == 1.0
     assert always_unseen.per_class_acc[("unseen", 1)] == 0.0
     # the origin is as far from the seen table as from the unseen one
@@ -210,6 +216,6 @@ def test_calibration_msd_equals_min_semantic_distance_bit_for_bit(monkeypatch, s
     monkeypatch.setattr(gates, "calibrate_from_samples", capture)
     calibrate(mapper, ds, split=split)
     proj = forward_batch(mapper, getattr(ds, f"{split}_x"))
-    per_row = np.array([min_semantic_distance(p, ds.seen_emb) for p in proj])
+    per_row = np.concatenate([min_semantic_distance(p[None, :], ds.seen_emb) for p in proj])
     assert per_row.shape[0] > ROW_BLOCK
     assert np.array_equal(seen_samples["msd"], per_row)

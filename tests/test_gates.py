@@ -7,8 +7,6 @@ import pytest
 from sdgzsl import (
     CalibrationError,
     DomainError,
-    Domain,
-    GateStatistics,
     MlpParams,
     GzslDataset,
     SplitMix64,
@@ -18,14 +16,15 @@ from sdgzsl import (
     calibrate_from_samples,
     gate_dl,
     gate_ol,
+    gate_statistics,
     gate_ws,
-    length_gap,
     load_thresholds,
     min_semantic_distance,
+    ShapeError,
     save_thresholds,
     train,
 )
-from sdgzsl.gates import SEEN_RULES
+from sdgzsl.gates import GATE_FUNCTIONS
 from sdgzsl.mlp import forward_batch, init_params
 
 
@@ -58,27 +57,38 @@ def identity_mapper(dim):
 
 
 class TestLengthGap:
+    @staticmethod
+    def d_l(proj, l):
+        return gate_statistics(proj, np.zeros((1, len(proj[0]))), l)[0].tolist()
+
     def test_on_sphere_is_zero(self):
-        assert length_gap([0.6, 0.8], 1.0) == 0.0
+        assert self.d_l([[0.6, 0.8], [0.0, -1.0]], 1.0) == [0.0, 0.0]
 
     def test_three_four_vector(self):
-        assert length_gap([3.0, 4.0], 1.0) == 4.0
+        assert self.d_l([[3.0, 4.0]], 1.0) == [4.0]
 
     def test_zero_vector(self):
-        assert length_gap([0.0, 0.0, 0.0], 1.0) == 1.0
+        assert self.d_l([[0.0, 0.0, 0.0]], 1.0) == [1.0]
 
 
 class TestMinSemanticDistance:
     def test_exact_match_is_exact_zero(self):
-        assert min_semantic_distance([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]) == 0.0
+        assert min_semantic_distance([[1.0, 0.0], [0.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, 1.0]]).tolist() == [0.0, 0.0]
 
     def test_hand_computed_minimum(self):
         table = [[1.0, 0.0], [0.0, 1.0], [3.0, 4.0]]
-        assert min_semantic_distance([0.0, 0.0], table) == 1.0
+        assert min_semantic_distance([[0.0, 0.0], [3.0, 3.0]], table).tolist() == [1.0, 1.0]
 
     def test_empty_table_rejected(self):
         with pytest.raises(DomainError):
-            min_semantic_distance([1.0], np.empty((0, 1)))
+            min_semantic_distance([[1.0]], np.empty((0, 1)))
+
+    @pytest.mark.parametrize("fn", [min_semantic_distance,
+                                    lambda p, t: gate_statistics(p, t, 1.0)])
+    def test_a_single_vector_is_a_shape_error(self, fn):
+        with pytest.raises(ShapeError):
+            fn([1.0, 0.0], [[1.0, 0.0]])
 
 
 class TestCalibration:
@@ -125,15 +135,14 @@ class TestCalibration:
         assert th.r_ol == th.m_dl == 0.25
         assert th.r_0 == th.r_1 == th.m_msd == 0.5
         assert th.r_ws == th.m_ws == 0.75
-        at_mean = GateStatistics(d_l=0.25, msd=0.5)
         for gate in (gate_ol, gate_dl, gate_ws):
-            assert gate(at_mean, th) is Domain.UNSEEN
-        assert gate_ol(GateStatistics(d_l=math.nextafter(0.25, 0.0), msd=0.5), th) is Domain.SEEN
+            assert not gate(0.25, 0.5, th)
+        assert gate_ol(math.nextafter(0.25, 0.0), 0.5, th)
         d_ls = np.array([0.25, 0.25, 0.125])
         msds = np.array([0.5, 0.25, 0.5])
         expect = {"ol": [False, False, True], "dl": [False, True, False], "ws": [False, True, True]}
-        for tag, rule in SEEN_RULES.items():
-            assert np.asarray(rule(d_ls, msds, th)).tolist() == expect[tag], tag
+        for tag, rule in GATE_FUNCTIONS.items():
+            assert rule(d_ls, msds, th).tolist() == expect[tag], tag
 
     def test_empty_samples_rejected(self):
         with pytest.raises(CalibrationError):
@@ -165,37 +174,38 @@ class TestCalibration:
 class TestGateRules:
     def test_ol_inside(self):
         th = make_thresholds(m_dl=0.5)
-        assert gate_ol(GateStatistics(0.0, 0.0), th) == Domain.SEEN
+        assert gate_ol(0.0, 0.0, th)
 
     def test_ol_boundary_is_unseen(self):
         th = make_thresholds(m_dl=0.5)
-        assert gate_ol(GateStatistics(0.5, 0.0), th) == Domain.UNSEEN
+        assert not gate_ol(0.5, 0.0, th)
 
     def test_ol_far_outside(self):
         th = make_thresholds(m_dl=0.5)
-        assert gate_ol(GateStatistics(10.0, 0.0), th) == Domain.UNSEEN
+        assert not gate_ol(10.0, 0.0, th)
 
     def test_dl_four_cases(self):
         th = make_thresholds(m_dl=1.0, m_msd=1.0, std_msd=0.5)  # r_ol=1, r_0=2, r_1=1.5
-        assert gate_dl(GateStatistics(0.5, 1.9), th) == Domain.SEEN      # small d_l, small msd
-        assert gate_dl(GateStatistics(0.5, 2.0), th) == Domain.UNSEEN    # length vote overruled
-        assert gate_dl(GateStatistics(1.0, 1.4), th) == Domain.SEEN      # rescued by small msd
-        assert gate_dl(GateStatistics(1.0, 1.5), th) == Domain.UNSEEN    # both votes unseen
+        assert gate_dl(0.5, 1.9, th)        # small d_l, small msd
+        assert not gate_dl(0.5, 2.0, th)    # length vote overruled
+        assert gate_dl(1.0, 1.4, th)        # rescued by small msd
+        assert not gate_dl(1.0, 1.5, th)    # both votes unseen
+        d_l, msd = np.array([0.5, 0.5, 1.0, 1.0]), np.array([1.9, 2.0, 1.4, 1.5])
+        assert gate_dl(d_l, msd, th).tolist() == [True, False, True, False]
 
     def test_ws_simple(self):
         th = make_thresholds(m_ws=0.5)
-        assert gate_ws(GateStatistics(0.1, 0.2), th) == Domain.SEEN
+        assert gate_ws(0.1, 0.2, th)
 
     def test_ws_boundary_is_unseen(self):
         th = make_thresholds(m_ws=0.3)
-        assert gate_ws(GateStatistics(0.1, 0.2), th) == Domain.UNSEEN
+        assert not gate_ws(0.1, 0.2, th)
 
     def test_determinism(self, np_rng):
         th = make_thresholds(m_dl=0.4, m_msd=0.7, std_msd=0.2, m_ws=1.0)
-        for _ in range(100):
-            s = GateStatistics(float(np_rng.uniform(0, 2)), float(np_rng.uniform(0, 2)))
-            for gate in (gate_ol, gate_dl, gate_ws):
-                assert gate(s, th) == gate(s, th)
+        d_l, msd = np_rng.uniform(0, 2, size=100), np_rng.uniform(0, 2, size=100)
+        for gate in (gate_ol, gate_dl, gate_ws):
+            assert np.array_equal(gate(d_l, msd, th), gate(d_l, msd, th))
 
 
 class TestGateProperties:
@@ -213,35 +223,30 @@ class TestGateProperties:
                 d_l >= th.r_ol and msd >= th.r_1,
             ]
             assert sum(cases) == 1
-            expected = Domain.SEEN if cases[0] or cases[1] else Domain.UNSEEN
-            assert gate_dl(GateStatistics(d_l, msd), th) == expected
+            assert gate_dl(d_l, msd, th) == (cases[0] or cases[1])
 
     def test_ol_monotone(self, np_rng):
         th = make_thresholds(m_dl=0.7)
         for _ in range(200):
             d1, d2 = sorted(np_rng.uniform(0, 2, size=2))
-            if gate_ol(GateStatistics(float(d2), 0.0), th) == Domain.SEEN:
-                assert gate_ol(GateStatistics(float(d1), 0.0), th) == Domain.SEEN
+            if gate_ol(float(d2), 0.0, th):
+                assert gate_ol(float(d1), 0.0, th)
 
     def test_ws_monotone_in_both_statistics(self, np_rng):
         th = make_thresholds(m_ws=1.2, lam=0.7)
         for _ in range(200):
             d1, d2 = sorted(np_rng.uniform(0, 2, size=2))
             m1, m2 = sorted(np_rng.uniform(0, 2, size=2))
-            if gate_ws(GateStatistics(float(d2), float(m2)), th) == Domain.SEEN:
-                assert gate_ws(GateStatistics(float(d1), float(m1)), th) == Domain.SEEN
+            if gate_ws(float(d2), float(m2), th):
+                assert gate_ws(float(d1), float(m1), th)
 
     def test_lambda_zero_reduces_ws_to_ol(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th0 = calibrate(params, bench_dataset, lam=0.0)
         assert th0.r_ws == th0.r_ol
         proj = forward_batch(params, bench_dataset.seen_test_x)
-        for p in proj[:50]:
-            stats = GateStatistics(
-                length_gap(p, bench_dataset.unified_norm),
-                min_semantic_distance(p, bench_dataset.seen_emb),
-            )
-            assert gate_ws(stats, th0) == gate_ol(stats, th0)
+        d_l, msd = gate_statistics(proj, bench_dataset.seen_emb, bench_dataset.unified_norm)
+        assert np.array_equal(gate_ws(d_l, msd, th0), gate_ol(d_l, msd, th0))
 
 
 class TestConvergedNoiselessGating:
@@ -250,18 +255,13 @@ class TestConvergedNoiselessGating:
         assert history[-1] < 1e-6
         proj = forward_batch(params, noiseless_dataset.seen_train_x)
         l = noiseless_dataset.unified_norm
-        stats = [
-            GateStatistics(length_gap(p, l), min_semantic_distance(p, noiseless_dataset.seen_emb))
-            for p in proj
-        ]
-        assert max(s.d_l for s in stats) < 1e-6
-        assert max(s.msd for s in stats) < 1e-6
+        d_l, msd = gate_statistics(proj, noiseless_dataset.seen_emb, l)
+        assert d_l.max() < 1e-6
+        assert msd.max() < 1e-6
         # any thresholds bounded below by the statistic scale gate ALL instances seen
         th = make_thresholds(m_dl=1e-3, m_msd=1e-3, std_msd=1e-4, m_ws=1e-3, l=l)
-        for s in stats:
-            assert gate_ol(s, th) == Domain.SEEN
-            assert gate_dl(s, th) == Domain.SEEN
-            assert gate_ws(s, th) == Domain.SEEN
+        for gate in (gate_ol, gate_dl, gate_ws):
+            assert gate(d_l, msd, th).all()
 
 
 class TestThresholdFile:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdgzsl import DomainError, ShapeError, l2_norm, matmul, mean_and_popstd, sq_dist
+from sdgzsl import DomainError, ShapeError, matmul, mean_and_popstd, min_semantic_distance
 from sdgzsl.linalg import SCREEN_BLOCK, nearest
 
 
@@ -48,46 +48,32 @@ class TestMatmul:
             assert left == pytest.approx(right, rel=1e-9)
 
 
-class TestL2Norm:
-    def test_three_four_five(self):
-        assert l2_norm([3, 4]) == 5.0
-
-    def test_zero_vector(self):
-        assert l2_norm([0, 0, 0]) == 0.0
-
-    def test_ones(self):
-        assert l2_norm([1, 1, 1, 1]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            l2_norm([])
-
-    def test_absolute_homogeneity(self, np_rng):
-        for _ in range(50):
-            v = np_rng.normal(size=np_rng.integers(1, 12))
-            alpha = float(np_rng.normal() * 10)
-            assert l2_norm(alpha * v) == pytest.approx(abs(alpha) * l2_norm(v), abs=1e-12)
-
-
 class TestSqDist:
+    """The squared distance ``nearest`` returns, on one-row tables."""
+
+    @staticmethod
+    def sq_dist(a, b):
+        return float(nearest(np.array([a], dtype=float), np.array([b], dtype=float))[0][0])
+
     def test_identical_is_exact_zero(self):
-        assert sq_dist([1, 0], [1, 0]) == 0.0
+        assert self.sq_dist([1, 0], [1, 0]) == 0.0
 
     def test_unit_axis_pair(self):
-        assert sq_dist([1, 0], [0, 1]) == 2.0
+        assert self.sq_dist([1, 0], [0, 1]) == 2.0
 
     def test_hand_expanded_sum(self):
-        assert sq_dist([1, 2, 3], [4, 6, 3]) == 25.0
+        assert self.sq_dist([1, 2, 3], [4, 6, 3]) == 25.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            sq_dist([1, 2], [1, 2, 3])
+            min_semantic_distance([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
     def test_equals_norm_of_difference_squared(self, np_rng):
         for _ in range(50):
             n = int(np_rng.integers(1, 10))
             a, b = np_rng.normal(size=n), np_rng.normal(size=n)
-            assert sq_dist(a, b) == pytest.approx(l2_norm(a - b) ** 2, rel=1e-9, abs=1e-12)
+            assert self.sq_dist(a, b) == pytest.approx(np.linalg.norm(a - b) ** 2,
+                                                       rel=1e-9, abs=1e-12)
 
 
 class TestMeanAndPopStd:

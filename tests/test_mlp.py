@@ -21,7 +21,6 @@ from sdgzsl import (
     load_checkpoint,
     mse_loss,
     save_checkpoint,
-    sq_dist,
     train,
 )
 from sdgzsl.linalg import ROW_BLOCK
@@ -193,7 +192,8 @@ class TestMseLoss:
         params = init_params(4, [5], 3, SplitMix64(9))
         xs = np_rng.normal(size=(11, 4))
         zs = np_rng.normal(size=(11, 3))
-        ref = np.mean([sq_dist(forward(params, x), z) for x, z in zip(xs, zs)])
+        diffs = [forward(params, x) - z for x, z in zip(xs, zs)]
+        ref = np.mean([float(d @ d) for d in diffs])
         assert mse_loss(params, xs, zs) == pytest.approx(ref, rel=1e-12)
 
     def test_shape_mismatch(self, np_rng):

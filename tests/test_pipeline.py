@@ -6,8 +6,9 @@ from sdgzsl import (
     Domain,
     DomainError,
     MetricError,
-    Prediction,
+    NearestEmbeddingClassifier,
     STRATEGIES,
+    ShapeError,
     TrainConfig,
     calibrate,
     evaluate,
@@ -48,83 +49,93 @@ class TestHarmonicMean:
             harmonic_mean(0.5, -0.1)
 
 
-def pred(gate, cls, true_domain, true_cls):
-    return Prediction(gate, cls, true_domain, true_cls)
+def always(seen):
+    """A gate_fn that sends every row to one domain."""
+    return lambda d_l, msd, thresholds: np.full(d_l.shape, seen)
 
 
 class TestPerClassTop1:
     def test_all_correct(self):
-        preds = [pred(Domain.SEEN, c, Domain.SEEN, c) for c in (0, 1, 1, 0)]
-        assert per_class_top1(preds, [0, 1]) == {0: 1.0, 1: 1.0}
+        assert per_class_top1([0, 1, 1, 0], [True] * 4, [0, 1]) == {0: 1.0, 1: 1.0}
 
     def test_hand_counted_example(self):
         # class 0: 2 of 4 correct, class 1: 4 of 4 correct
-        preds = (
-            [pred(Domain.SEEN, 0, Domain.SEEN, 0)] * 2
-            + [pred(Domain.SEEN, 1, Domain.SEEN, 0)] * 2
-            + [pred(Domain.SEEN, 1, Domain.SEEN, 1)] * 4
-        )
-        out = per_class_top1(preds, [0, 1])
+        true_class = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        correct = np.array([True, True, False, False, True, True, True, True])
+        out = per_class_top1(true_class, correct, [0, 1])
         assert out == {0: 0.5, 1: 1.0}
         assert float(np.mean(list(out.values()))) == 0.75
 
     def test_all_wrong(self):
-        preds = [pred(Domain.SEEN, 1 - c, Domain.SEEN, c) for c in (0, 1, 0, 1)]
-        assert per_class_top1(preds, [0, 1]) == {0: 0.0, 1: 0.0}
+        assert per_class_top1([0, 1, 0, 1], [False] * 4, [0, 1]) == {0: 0.0, 1: 0.0}
 
     def test_wrong_domain_counts_as_incorrect(self):
-        preds = [pred(Domain.UNSEEN, 0, Domain.SEEN, 0)]
-        assert per_class_top1(preds, [0]) == {0: 0.0}
+        # gated unseen, every seen row gets unseen class 0: the right index
+        # for seen class 0, in the wrong domain
+        ds = identity_fit_dataset()
+        th = make_thresholds(m_dl=0.5, m_msd=0.5, m_ws=0.5)
+        seen, classes = predict(identity_mapper(3), th, "ol", ds.seen_test_x, ds.seen_emb,
+                                ds.unseen_emb, gate_fn=always(False))
+        assert not seen.any() and not classes.any()
+        report = evaluate(identity_mapper(3), th, "ol", ds, gate_fn=always(False))
+        assert report.per_class_acc[("seen", 0)] == 0.0
 
     def test_empty_class_rejected(self):
-        preds = [pred(Domain.SEEN, 0, Domain.SEEN, 0)]
         with pytest.raises(MetricError, match="class 1"):
-            per_class_top1(preds, [0, 1])
+            per_class_top1([0], [True], [0, 1])
+
+    def test_mismatched_vectors_rejected(self):
+        with pytest.raises(ShapeError):
+            per_class_top1([0, 1], [True], [0, 1])
 
 
 class TestPredict:
     def test_routing_contract(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
-        for x in bench_dataset.seen_test_x[:20]:
-            for tag in STRATEGIES:
-                p = predict(params, th, tag, x, bench_dataset.seen_emb, bench_dataset.unseen_emb)
-                limit = (
-                    bench_dataset.n_seen_classes
-                    if p.gate == Domain.SEEN
-                    else bench_dataset.n_unseen_classes
-                )
-                assert 0 <= p.predicted_class < limit
+        xs = np.vstack([bench_dataset.seen_test_x[:20], bench_dataset.unseen_test_x[:20]])
+        for tag in STRATEGIES:
+            seen, classes = predict(params, th, tag, xs, bench_dataset.seen_emb,
+                                    bench_dataset.unseen_emb)
+            assert seen.shape == classes.shape == (40,) and seen.dtype == bool
+            limit = np.where(seen, bench_dataset.n_seen_classes, bench_dataset.n_unseen_classes)
+            assert (0 <= classes).all() and (classes < limit).all()
+
+    def test_a_single_vector_is_a_shape_error(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        with pytest.raises(ShapeError):
+            predict(params, th, "dl", bench_dataset.seen_test_x[0],
+                    bench_dataset.seen_emb, bench_dataset.unseen_emb)
 
     def test_unknown_strategy(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
         with pytest.raises(ConfigError, match="unknown strategy"):
-            predict(params, th, "bogus", bench_dataset.seen_test_x[0],
+            predict(params, th, "bogus", bench_dataset.seen_test_x[:1],
                     bench_dataset.seen_emb, bench_dataset.unseen_emb)
 
     def test_noiseless_seen_instances_classified_to_their_class(self, noiseless_dataset):
         params, history = train(noiseless_dataset, TrainConfig())
         assert history[-1] < 1e-3
         th = calibrate(params, noiseless_dataset)
-        gated_seen = 0
-        for x, y in zip(noiseless_dataset.seen_test_x, noiseless_dataset.seen_test_y):
-            p = predict(params, th, "dl", x, noiseless_dataset.seen_emb,
-                        noiseless_dataset.unseen_emb, true_domain=Domain.SEEN, true_class=int(y))
-            if p.gate == Domain.SEEN:
-                gated_seen += 1
-                assert p.predicted_class == int(y)
+        ys = noiseless_dataset.seen_test_y
+        seen, classes = predict(params, th, "dl", noiseless_dataset.seen_test_x,
+                                noiseless_dataset.seen_emb, noiseless_dataset.unseen_emb)
+        assert np.array_equal(classes[seen], ys[seen])
         # adaptive thresholds sit at mean+std of near-zero statistics, so a
         # minority of seen instances can fall outside; the bulk must not
-        assert gated_seen >= 0.8 * len(noiseless_dataset.seen_test_y)
+        assert np.count_nonzero(seen) >= 0.8 * len(ys)
 
 
 class StubClassifier:
-    def __init__(self, constant):
-        self.constant = constant
+    """A classifier slot that answers every batch with ``answer(rows)``."""
 
-    def classify(self, x):
-        return self.constant
+    def __init__(self, answer):
+        self.answer = answer
+
+    def classify(self, rows):
+        return self.answer(rows)
 
 
 class TestEvaluate:
@@ -140,8 +151,7 @@ class TestEvaluate:
     def test_always_seen_gate_zeroes_unseen_accuracy(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
-        report = evaluate(params, th, "ol", bench_dataset,
-                          gate_fn=lambda stats, thresholds: Domain.SEEN)
+        report = evaluate(params, th, "ol", bench_dataset, gate_fn=always(True))
         assert report.acc_u == 0.0
         assert report.h == 0.0
         assert report.gate_confusion[(Domain.UNSEEN, Domain.UNSEEN)] == 0
@@ -165,25 +175,34 @@ class TestEvaluate:
     def test_strategies_differ_only_through_gates(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
-        by_tag = {}
-        for tag in STRATEGIES:
-            by_tag[tag] = [
-                predict(params, th, tag, x, bench_dataset.seen_emb, bench_dataset.unseen_emb)
-                for x in bench_dataset.seen_test_x
-            ]
-        for a in STRATEGIES:
-            for b in STRATEGIES:
-                for pa, pb in zip(by_tag[a], by_tag[b]):
-                    if pa.gate == pb.gate:
-                        assert pa.predicted_class == pb.predicted_class
+        by_tag = {tag: predict(params, th, tag, bench_dataset.seen_test_x,
+                               bench_dataset.seen_emb, bench_dataset.unseen_emb)
+                  for tag in STRATEGIES}
+        for seen_a, classes_a in by_tag.values():
+            for seen_b, classes_b in by_tag.values():
+                same = seen_a == seen_b
+                assert np.array_equal(classes_a[same], classes_b[same])
 
     def test_stub_classifier_leaves_routing_unchanged(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
         default = evaluate(params, th, "ws", bench_dataset)
         stubbed = evaluate(params, th, "ws", bench_dataset,
-                           seen_classifier=StubClassifier(0), unseen_classifier=StubClassifier(0))
+                           seen_classifier=StubClassifier(lambda rows: np.zeros(len(rows), int)),
+                           unseen_classifier=StubClassifier(lambda rows: np.zeros(len(rows), int)))
         assert stubbed.gate_confusion == default.gate_confusion
+
+    def test_nearest_embedding_classifiers_in_the_slots_change_nothing(self, bench_dataset,
+                                                                      bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        slots = dict(seen_classifier=NearestEmbeddingClassifier(params, bench_dataset.seen_emb),
+                     unseen_classifier=NearestEmbeddingClassifier(params, bench_dataset.unseen_emb))
+        for tag in STRATEGIES:
+            default = evaluate(params, th, tag, bench_dataset)
+            slotted = evaluate(params, th, tag, bench_dataset, **slots)
+            assert slotted.per_class_acc == default.per_class_acc
+            assert slotted.gate_confusion == default.gate_confusion
 
     def test_baseline_report_well_formed(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
@@ -212,3 +231,58 @@ class TestReportRendering:
         text = render_report_text(r)
         assert "runtime" not in text
         assert f"{r.acc_s:.6f}" in text
+
+
+class TestSlotOutputsAreChecked:
+    """A bad slot output is an error, never a silently wrong report."""
+
+    @pytest.mark.parametrize("answer, error", [
+        (lambda rows: np.full(len(rows), 99), DomainError),
+        (lambda rows: np.full(len(rows), -1), DomainError),
+        (lambda rows: np.full(len(rows), 2.7), DomainError),
+        (lambda rows: np.full(len(rows), True), DomainError),
+        (lambda rows: 0, ShapeError),
+        (lambda rows: np.zeros(len(rows) + 1, dtype=int), ShapeError),
+        (lambda rows: np.zeros((len(rows), 1), dtype=int), ShapeError),
+    ])
+    @pytest.mark.parametrize("slot", ["seen_classifier", "unseen_classifier"])
+    def test_bad_classifier_output_is_rejected(self, bench_dataset, bench_mapper, slot,
+                                               answer, error):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        with pytest.raises(error, match=f"^{slot.removesuffix('_classifier')} classifier"):
+            evaluate(params, th, "dl", bench_dataset, **{slot: StubClassifier(answer)})
+
+    def test_the_class_range_is_the_slots_own_domain(self, bench_dataset, bench_mapper):
+        # the seen domain has more classes than the unseen one
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        top_seen = bench_dataset.n_seen_classes - 1
+        assert top_seen >= bench_dataset.n_unseen_classes
+        top = StubClassifier(lambda rows: np.full(len(rows), top_seen))
+        assert evaluate(params, th, "dl", bench_dataset, seen_classifier=top).acc_s > 0.0
+        with pytest.raises(DomainError,
+                           match=rf"^unseen classifier.*\[0, {bench_dataset.n_unseen_classes}\)"):
+            evaluate(params, th, "dl", bench_dataset, unseen_classifier=top)
+
+    @pytest.mark.parametrize("gate_fn, error", [
+        (lambda d_l, msd, th: "seen", DomainError),
+        (lambda d_l, msd, th: np.full(d_l.shape, "seen"), DomainError),
+        (lambda d_l, msd, th: Domain.SEEN, DomainError),
+        (lambda d_l, msd, th: (msd < th.r_1).astype(int), DomainError),
+        (lambda d_l, msd, th: msd - th.r_1, DomainError),
+        (lambda d_l, msd, th: True, ShapeError),
+        (lambda d_l, msd, th: np.ones(d_l.size + 1, dtype=bool), ShapeError),
+    ])
+    def test_bad_gate_output_is_rejected(self, bench_dataset, bench_mapper, gate_fn, error):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        with pytest.raises(error, match="gate"):
+            evaluate(params, th, "ol", bench_dataset, gate_fn=gate_fn)
+
+    def test_a_list_of_bools_is_a_mask(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        as_list = evaluate(params, th, "ws", bench_dataset,
+                           gate_fn=lambda d_l, msd, t: (d_l + t.lam * msd < t.r_ws).tolist())
+        assert as_list.per_class_acc == evaluate(params, th, "ws", bench_dataset).per_class_acc
