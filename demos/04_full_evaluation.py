@@ -11,21 +11,20 @@ from sdgzsl import (
     SyntheticSpec,
     TrainConfig,
     calibrate,
-    evaluate,
-    evaluate_baseline,
+    evaluate_sweep,
     generate_synthetic,
     train,
 )
 from sdgzsl.gates import Domain
-from sdgzsl.pipeline import STRATEGIES, render_report_text
+from sdgzsl.pipeline import render_report_text
 
 ds = generate_synthetic(SyntheticSpec(10, 3, 32, 16, 50, 20, 0.05, seed=7))
 params, history = train(ds, TrainConfig())
 print(f"mapper trained, final loss {history[-1]:.4f}")
 
 th = calibrate(params, ds)
-reports = [evaluate(params, th, tag, ds) for tag in STRATEGIES]
-reports.append(evaluate_baseline(params, ds))
+# one pass over each test split serves the three gates and the baseline
+reports = evaluate_sweep(params, th, ds)
 
 print(f"\n{'strategy':<8} {'acc_s':>7} {'acc_u':>7} {'H':>7} {'balanced gate':>14}")
 for r in reports:

@@ -59,6 +59,7 @@ from .pipeline import (
     EvaluationReport,
     evaluate,
     evaluate_baseline,
+    evaluate_sweep,
     harmonic_mean,
     per_class_top1,
     predict,
@@ -94,6 +95,7 @@ __all__ = [
     "calibrate_from_samples",
     "evaluate",
     "evaluate_baseline",
+    "evaluate_sweep",
     "forward",
     "forward_batch",
     "gate_dl",

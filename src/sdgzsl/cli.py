@@ -38,10 +38,9 @@ from .errors import ConfigError, GzslError, ValidationError
 from .gates import calibrate, save_thresholds
 from .mlp import TrainConfig, load_checkpoint, save_checkpoint, train
 from .pipeline import (
-    BASELINE_TAG,
     STRATEGIES,
     evaluate,
-    evaluate_baseline,
+    evaluate_sweep,
     render_report_kv,
     render_report_text,
 )
@@ -233,12 +232,11 @@ def cmd_eval(args, parser) -> int:
     }
 
     run_sweep = bool(cfg["sweep"]) or cfg["strategy"] == "all"
-    tags = list(STRATEGIES) if cfg["strategy"] == "all" or cfg["sweep"] else [cfg["strategy"]]
-    reports = []
-    for tag in tags:
-        reports.append(evaluate(mapper, thresholds, tag, dataset))
     if run_sweep:
-        reports.append(evaluate_baseline(mapper, dataset))
+        reports = evaluate_sweep(mapper, thresholds, dataset)
+    else:
+        reports = [evaluate(mapper, thresholds, cfg["strategy"], dataset)]
+    print(f"evaluated {len(reports)} reports in {reports[0].runtime:.2f}s")
 
     for report in reports:
         (out / f"report_{report.strategy}.txt").write_text(render_report_text(report))
@@ -247,8 +245,7 @@ def cmd_eval(args, parser) -> int:
         )
         print(
             f"{report.strategy:>6}: acc_s={report.acc_s:.4f} acc_u={report.acc_u:.4f} "
-            f"h={report.h:.4f} balanced_gate={report.balanced_gate_accuracy():.4f} "
-            f"({report.runtime:.2f}s)"
+            f"h={report.h:.4f} balanced_gate={report.balanced_gate_accuracy():.4f}"
         )
 
     if run_sweep:

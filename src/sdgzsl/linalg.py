@@ -67,7 +67,8 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     rows share the call.  Only candidate table rows are summed that way.
     A screen, ``SCREEN_BLOCK`` points at a time, computes
     ``q_j = p.(-2 e_j) + |e_j|^2`` for every table row with one product
-    (``-2 table.T`` and ``|e|^2`` are formed once per call) and keeps row
+    (``-2 table.T``, ``|e|^2`` and ``E`` below are formed once per table,
+    by ``_prepare``) and keeps row
     ``j`` unless ``q_j > min_k q_k + m``.  The margin is one number per
     point, ``m = g (|p| + E)^2 + 3 (S+2) 2^-1074`` with ``E = max_j |e_j|``
     and ``g = 4 (S+4) eps``.
@@ -103,15 +104,26 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     norm or product make it, keeps every row, which reproduces the plain
     sum's NaN and inf results.
     """
-    n, dim = points.shape[0], table.shape[1]
-    dist, index = np.empty(n), np.empty(n, dtype=np.intp)
-    g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
-    floor = 3.0 * (dim + 2) * 2.0 ** -1074
+    return _screen(points, _prepare(table))
+
+
+def _prepare(table: np.ndarray) -> tuple:
+    """What ``_screen`` needs of ``table``: (table, -2 table.T, |e|^2, max |e|)."""
     # the screen's own overflow and inf - inf only keep more rows
     with np.errstate(all="ignore"):
         e2 = np.add.reduce(table * table, axis=1)
         e_max = np.sqrt(e2.max())  # NaN if any row is NaN
         w = table.T * -2.0
+    return table, w, e2, e_max
+
+
+def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest(points, table)`` against a table ``_prepare`` made."""
+    table, w, e2, e_max = prepared
+    n, dim = points.shape[0], table.shape[1]
+    dist, index = np.empty(n), np.empty(n, dtype=np.intp)
+    g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
+    floor = 3.0 * (dim + 2) * 2.0 ** -1074
     for start in range(0, n, SCREEN_BLOCK):
         rows = slice(start, start + SCREEN_BLOCK)
         p = points[rows]

@@ -5,26 +5,30 @@ split and on the unseen split, their harmonic mean, and a 2x2 gate
 confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
 
-One batched core serves every entry point.  It takes a split in
+One statistics pass serves every entry point.  It takes a split in
 fixed-size chunks and, per chunk, projects each row once in
 ``linalg.ROW_BLOCK``-row products, so projection bits do not depend on the
 chunk size: the chunk's whole blocks form one ``(blocks, ROW_BLOCK, d)``
 stack and each layer is one ``np.matmul`` over it, which runs the same
 32-row product on every block that ``forward_batch`` would, and a tail of
 fewer than ``ROW_BLOCK`` rows goes through ``forward_batch``
-(``mlp._forward_blocks``).  It then computes ``d_l`` and ``msd`` as
-vectors, finds the nearest seen and unseen embedding of every row with
-one ``linalg.nearest`` call per table (a BLAS distance screen, then the
-exact sum for the surviving candidates), applies the gate rule as a
-boolean mask and picks ``np.where(seen, nearest seen, nearest unseen)``.
-Per-class accuracy is counted with ``np.bincount`` (``per_class_top1``).
-``evaluate_baseline`` is the same core with the rule
-``msd <= nearest unseen distance``, and ``predict`` returns the core's
-two arrays for any batch of rows.
+(``mlp._forward_blocks``).  It computes ``d_l`` and ``msd`` and finds
+the nearest seen and unseen embedding of every row with one screen per
+table (``linalg.nearest``'s BLAS distance screen, then the exact sum for
+the surviving candidates; each table is prepared once per split).  What
+it returns for a split is five vectors: ``d_l``, ``msd``, the nearest
+seen index, the nearest unseen distance and its index.  None of them
+depends on the strategy, so a strategy is only a boolean mask over them
+and a class pick ``np.where(seen, nearest seen, nearest unseen)``; the
+no-gate baseline is the mask ``msd <= nearest unseen distance``.
+``evaluate_sweep`` scores the three gates and the baseline from one
+pass per split, and ``evaluate``, ``evaluate_baseline`` and ``predict``
+each make their own pass.  Per-class accuracy is counted with
+``np.bincount`` (``per_class_top1``).
 
 Both plug-in slots take batches.  ``gate_fn`` has the signature of the
 named rules, ``gate_fn(d_l, msd, ThresholdSet) -> seen mask``, and is
-called once per chunk with that chunk's statistic vectors.  A classifier
+called once per split with that split's statistic vectors.  A classifier
 slot is any object with ``classify(rows) -> class indices``; it is called
 once per split with the feature rows gated into its domain (not at all
 when there are none), and its indices replace the nearest-embedding ones
@@ -44,16 +48,15 @@ import numpy as np
 from .data import GzslDataset
 from .errors import ConfigError, DomainError, EvaluationError, MetricError, ShapeError
 from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, length_gaps
-from .linalg import as_matrix, as_table, nearest
+from .linalg import _prepare, _screen, as_matrix, as_table
 from .mlp import MlpParams, _forward_blocks
 
 STRATEGIES = ("ol", "dl", "ws")
 BASELINE_TAG = "nogate"
 
-# Rows gated per pass of the evaluation core.  A pass holds only its own
-# projections and nearest-embedding results: projecting each whole split
-# at once raised eval_heavy's peak RSS by about 3 MB, and 512-row passes
-# ran no faster than 256-row ones.
+# Rows projected per chunk of a statistics pass.  A chunk holds only its
+# own projections: projecting each whole split at once raised eval_heavy's
+# peak RSS by about 3 MB, and 512-row chunks ran no faster than 256-row ones.
 _CHUNK_ROWS = 256
 
 
@@ -65,6 +68,8 @@ class EvaluationReport:
     h: float
     per_class_acc: dict[tuple[str, int], float]
     gate_confusion: dict[tuple[Domain, Domain], int]
+    # wall seconds of the call that made the report; the reports of one
+    # ``evaluate_sweep`` share one pass, so they share its time
     runtime: float = 0.0
 
     def gate_recalls(self) -> tuple[float, float]:
@@ -95,13 +100,25 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
     """Correct fraction per class, counted with ``np.bincount``.
 
     ``correct[i]`` says whether row ``i``, of class ``true_class[i]``, was
-    gated into its true domain and assigned its class there.
+    gated into its true domain and assigned its class there.  Labels must
+    be nonnegative integers and ``correct`` booleans, else ``DomainError``
+    (empty vectors of any dtype are accepted).
     """
-    true_class = np.asarray(true_class, dtype=np.int64)
-    correct = np.asarray(correct, dtype=bool)
+    true_class, correct = np.asarray(true_class), np.asarray(correct)
     if true_class.ndim != 1 or correct.shape != true_class.shape:
         raise ShapeError(f"per_class_top1: shapes {true_class.shape} and {correct.shape} "
                          "must be one equal-length vector each")
+    if true_class.size:
+        if not np.issubdtype(true_class.dtype, np.integer):
+            raise DomainError(f"per_class_top1: labels have dtype {true_class.dtype}, "
+                              "expected integers")
+        if true_class.min() < 0:
+            raise DomainError("per_class_top1: negative class label")
+        if correct.dtype != bool:
+            raise DomainError(f"per_class_top1: correct has dtype {correct.dtype}, "
+                              "expected booleans")
+    true_class = true_class.astype(np.int64, copy=False)
+    correct = correct.astype(bool, copy=False)
     classes = list(classes)
     n = max(classes, default=-1) + 1
     totals = np.bincount(true_class, minlength=n)
@@ -115,7 +132,7 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
 
 
 def _gate_rule(strategy: str, thresholds: ThresholdSet, gate_fn):
-    """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one chunk."""
+    """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one split."""
     if gate_fn is None:
         try:
             gate_fn = GATE_FUNCTIONS[strategy]
@@ -154,28 +171,43 @@ def _class_indices(classes, n: int, n_classes: int, slot: str) -> np.ndarray:
     return classes
 
 
+def _split_stats(mapper: MlpParams, l: float, xs, seen_emb, unseen_emb) -> tuple[np.ndarray, ...]:
+    """The per-row vectors every rule reads, for every row of ``xs``:
+    ``(d_l, msd, nearest seen index, nearest unseen distance, its index)``."""
+    xs = as_matrix(xs, "feature rows")
+    seen = _prepare(as_table(seen_emb, mapper.out_dim, "seen embeddings"))
+    unseen = _prepare(as_table(unseen_emb, mapper.out_dim, "unseen embeddings"))
+    n = xs.shape[0]
+    d_l, msd, min_unseen = np.empty(n), np.empty(n), np.empty(n)
+    arg_seen, arg_unseen = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        proj = _forward_blocks(mapper, xs[rows])
+        d_l[rows] = length_gaps(proj, l)
+        msd[rows], arg_seen[rows] = _screen(proj, seen)
+        min_unseen[rows], arg_unseen[rows] = _screen(proj, unseen)
+    return d_l, msd, arg_seen, min_unseen, arg_unseen
+
+
+def _gated(rule, stats) -> tuple[np.ndarray, np.ndarray]:
+    """(gated-seen mask, class index inside the gated domain) under ``rule``."""
+    d_l, msd, arg_seen, min_unseen, arg_unseen = stats
+    seen = _seen_mask(rule(d_l, msd, min_unseen), d_l.shape[0])
+    return seen, np.where(seen, arg_seen, arg_unseen)
+
+
 def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
            seen_classifier, unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
     """Gate and classify every row of ``xs``: (gated-seen mask, class index
-    inside the gated domain)."""
+    inside the gated domain), the classifier slots answering for their rows."""
     xs = as_matrix(xs, "feature rows")
-    seen_emb = as_table(seen_emb, mapper.out_dim, "seen embeddings")
-    unseen_emb = as_table(unseen_emb, mapper.out_dim, "unseen embeddings")
-    gated_seen = np.empty(xs.shape[0], dtype=bool)
-    predicted = np.empty(xs.shape[0], dtype=np.int64)
-    for start in range(0, xs.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        proj = _forward_blocks(mapper, xs[rows])
-        msd, arg_seen = nearest(proj, seen_emb)
-        min_unseen, arg_unseen = nearest(proj, unseen_emb)
-        gated_seen[rows] = seen = _seen_mask(rule(length_gaps(proj, l), msd, min_unseen),
-                                             proj.shape[0])
-        predicted[rows] = np.where(seen, arg_seen, arg_unseen)
-    for slot, mask, clf, table in (("seen", gated_seen, seen_classifier, seen_emb),
-                                   ("unseen", ~gated_seen, unseen_classifier, unseen_emb)):
+    gated_seen, predicted = _gated(rule, _split_stats(mapper, l, xs, seen_emb, unseen_emb))
+    # _split_stats has checked both tables, so len() is their class count
+    for slot, mask, clf, n_classes in (("seen", gated_seen, seen_classifier, len(seen_emb)),
+                                       ("unseen", ~gated_seen, unseen_classifier, len(unseen_emb))):
         n = np.count_nonzero(mask)
         if clf is not None and n:
-            predicted[mask] = _class_indices(clf.classify(xs[mask]), n, table.shape[0], slot)
+            predicted[mask] = _class_indices(clf.classify(xs[mask]), n, n_classes, slot)
     return gated_seen, predicted
 
 
@@ -194,21 +226,22 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
                   seen_classifier, unseen_classifier)
 
 
-def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
-              seen_classifier=None, unseen_classifier=None) -> EvaluationReport:
-    """Route both test splits through the core and score them."""
+def _test_splits(dataset: GzslDataset) -> tuple[np.ndarray, np.ndarray]:
+    """(seen_test, unseen_test) feature rows, required to be nonempty."""
     if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
         raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
-    t0 = time.perf_counter()
+    return dataset.seen_test_x, dataset.unseen_test_x
+
+
+def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationReport:
+    """Report for the gated-seen masks and class indices of (seen_test, unseen_test)."""
     splits = (
-        (Domain.SEEN, dataset.seen_test_x, dataset.seen_test_y, dataset.n_seen_classes),
-        (Domain.UNSEEN, dataset.unseen_test_x, dataset.unseen_test_y, dataset.n_unseen_classes),
+        (Domain.SEEN, dataset.seen_test_y, dataset.n_seen_classes),
+        (Domain.UNSEEN, dataset.unseen_test_y, dataset.n_unseen_classes),
     )
     acc, per_class = {}, {}
     confusion = {(t, g): 0 for t in Domain for g in Domain}
-    for true, xs, ys, n_classes in splits:
-        gated_seen, predicted = _route(mapper, rule, l, xs, dataset.seen_emb, dataset.unseen_emb,
-                                       seen_classifier, unseen_classifier)
+    for (true, ys, n_classes), gated_seen, predicted in zip(splits, masks, predictions):
         right_domain = gated_seen if true == Domain.SEEN else ~gated_seen
         ys = np.asarray(ys, dtype=np.int64)
         per = per_class_top1(ys, right_domain & (predicted == ys), range(n_classes))
@@ -216,7 +249,7 @@ def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
         per_class.update({(true.value, c): a for c, a in per.items()})
         n_seen = int(np.count_nonzero(gated_seen))
         confusion[(true, Domain.SEEN)] = n_seen
-        confusion[(true, Domain.UNSEEN)] = xs.shape[0] - n_seen
+        confusion[(true, Domain.UNSEEN)] = gated_seen.shape[0] - n_seen
 
     acc_s, acc_u = acc[Domain.SEEN], acc[Domain.UNSEEN]
     h = harmonic_mean(acc_s, acc_u)
@@ -232,8 +265,22 @@ def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
         h=h,
         per_class_acc=per_class,
         gate_confusion=confusion,
-        runtime=time.perf_counter() - t0,
     )
+
+
+def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
+              seen_classifier=None, unseen_classifier=None) -> EvaluationReport:
+    """Route both test splits through the core and score them."""
+    splits = _test_splits(dataset)
+    t0 = time.perf_counter()
+    masks, predictions = zip(*(
+        _route(mapper, rule, l, xs, dataset.seen_emb, dataset.unseen_emb,
+               seen_classifier, unseen_classifier)
+        for xs in splits
+    ))
+    report = _score(tag, masks, predictions, dataset)
+    report.runtime = time.perf_counter() - t0
+    return report
 
 
 def evaluate(mapper: MlpParams, thresholds: ThresholdSet, strategy: str,
@@ -253,6 +300,32 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
     unseen distances the seen table wins (it comes first in the union).
     """
     return _evaluate(BASELINE_TAG, mapper, _baseline_rule, dataset.unified_norm, dataset)
+
+
+def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet, dataset: GzslDataset,
+                   strategies=STRATEGIES) -> list[EvaluationReport]:
+    """``evaluate`` for each tag in ``strategies``, then ``evaluate_baseline``,
+    from one pass over each test split.
+
+    The reports equal those of the separate calls, field for field, apart
+    from ``runtime``: each split is projected and scanned once, and every
+    strategy and the baseline is a mask over the same vectors.  Every
+    report's ``runtime`` is the wall time of the whole call.
+    """
+    rules = [(tag, _gate_rule(tag, thresholds, None)) for tag in strategies]
+    rules.append((BASELINE_TAG, _baseline_rule))
+    splits = _test_splits(dataset)
+    t0 = time.perf_counter()
+    stats = [_split_stats(mapper, thresholds.l, xs, dataset.seen_emb, dataset.unseen_emb)
+             for xs in splits]
+    reports = []
+    for tag, rule in rules:
+        masks, predictions = zip(*(_gated(rule, s) for s in stats))
+        reports.append(_score(tag, masks, predictions, dataset))
+    runtime = time.perf_counter() - t0
+    for report in reports:
+        report.runtime = runtime
+    return reports
 
 
 def render_report_text(report: EvaluationReport) -> str:

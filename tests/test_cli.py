@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -170,14 +171,34 @@ class TestEval:
         assert (out / "sweep.csv").is_file()
         load_thresholds(out / "thresholds.kv")
 
-    def test_single_strategy(self, workspace, tmp_path):
+    def test_single_strategy(self, workspace, tmp_path, capsys):
         data, run = workspace
         out = tmp_path / "eval1"
         assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
                        "--out", out, "--strategy", "dl") == 0
-        assert (out / "report_dl.kv").is_file()
-        assert not (out / "report_ol.kv").exists()
-        assert not (out / "sweep.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report_dl.kv", "report_dl.txt", "thresholds.kv"]
+        assert "evaluated 1 reports in " in capsys.readouterr().out
+
+    def test_sweep_prints_the_shared_time_once(self, workspace, tmp_path, capsys):
+        data, run = workspace
+        assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                       "--out", tmp_path / "e", "--strategy", "all", "--sweep") == 0
+        stdout = capsys.readouterr().out
+        assert stdout.count("evaluated 4 reports in ") == 1
+        assert not re.search(r"\(\d+\.\d+s\)", stdout)  # no per-report "(0.00s)"
+        assert len((tmp_path / "e" / "sweep.csv").read_text().splitlines()) == 5
+
+    def test_one_strategy_with_sweep_writes_the_full_sweep(self, workspace, tmp_path):
+        data, run = workspace
+        outs = {}
+        for flags in (["--strategy", "all"], ["--strategy", "dl", "--sweep"]):
+            out = tmp_path / flags[1]
+            assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                           "--out", out, *flags) == 0
+            outs[flags[1]] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outs["all"]) == 2 * (len(STRATEGIES) + 1) + 2
+        assert outs["all"] == outs["dl"]
 
     def test_reports_do_not_depend_on_where_they_are_written(self, workspace, tmp_path):
         # the dataset fingerprint covers the dataset's own files, so reports

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdgzsl import DomainError, ShapeError, matmul, mean_and_popstd, min_semantic_distance
-from sdgzsl.linalg import SCREEN_BLOCK, nearest
+from sdgzsl.linalg import SCREEN_BLOCK, _prepare, _screen, nearest
 
 
 def naive_matmul(a, b):
@@ -255,3 +255,18 @@ class TestNearest:
         dist, index = nearest(points, table)
         assert index.tolist() == [0] and dist.tolist() == [0.0]
         assert_same_bits(points, table)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e155])
+    def test_one_prepared_table_screens_every_block_alike(self, scale):
+        # the evaluation pass prepares each table once per split and
+        # screens it chunk by chunk; every chunk must read as one call
+        rng = np.random.default_rng(19)
+        points, table = nearest_case(rng, 600, 12, 17, scale)
+        table[3, 2] = np.nan
+        prepared = _prepare(table)
+        with np.errstate(all="ignore"):
+            want_d, want_i = nearest(points, table)
+            for start in (0, 100, 356, 599):
+                d, i = _screen(points[start:start + 256], prepared)
+                assert np.array_equal(d.view(np.int64), want_d[start:start + 256].view(np.int64))
+                assert np.array_equal(i, want_i[start:start + 256])

@@ -1,18 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sdgzsl import (
+    BASELINE_TAG,
     ConfigError,
     Domain,
     DomainError,
+    EvaluationError,
+    GzslError,
     MetricError,
     NearestEmbeddingClassifier,
     STRATEGIES,
     ShapeError,
+    SyntheticSpec,
     TrainConfig,
     calibrate,
     evaluate,
     evaluate_baseline,
+    evaluate_sweep,
+    generate_synthetic,
     harmonic_mean,
     per_class_top1,
     predict,
@@ -87,6 +95,29 @@ class TestPerClassTop1:
     def test_mismatched_vectors_rejected(self):
         with pytest.raises(ShapeError):
             per_class_top1([0, 1], [True], [0, 1])
+
+    @pytest.mark.parametrize("true_class, correct", [
+        ([0.5, 1.7], [True, True]),  # would truncate to classes 0 and 1
+        ([0.0, 1.0], [True, True]),
+        ([-1, 0, 1], [True, True, True]),  # numpy's bincount would raise a bare ValueError
+        ([0, 1], [1, 0]),
+        ([0, 1], [0.0, 1.0]),
+        ([0, 1], ["yes", "no"]),
+    ])
+    def test_bad_labels_or_correctness_rejected(self, true_class, correct):
+        with pytest.raises(DomainError) as info:
+            per_class_top1(true_class, correct, [0, 1])
+        assert isinstance(info.value, GzslError)
+
+    def test_empty_input_allowed(self):
+        assert per_class_top1([], [], []) == {}
+        assert per_class_top1(np.array([], dtype=float), np.array([]), []) == {}
+        with pytest.raises(MetricError, match="class 0"):
+            per_class_top1([], [], [0])
+
+    def test_unsigned_labels_accepted(self):
+        labels = np.array([0, 1, 1], dtype=np.uint32)
+        assert per_class_top1(labels, [True, False, True], [0, 1]) == {0: 1.0, 1: 0.5}
 
 
 class TestPredict:
@@ -286,3 +317,76 @@ class TestSlotOutputsAreChecked:
         as_list = evaluate(params, th, "ws", bench_dataset,
                            gate_fn=lambda d_l, msd, t: (d_l + t.lam * msd < t.r_ws).tolist())
         assert as_list.per_class_acc == evaluate(params, th, "ws", bench_dataset).per_class_acc
+
+
+@pytest.fixture(scope="module", params=[3, 5], ids=["seed3", "seed5"])
+def eval_heavy_run(request):
+    """A trained mapper on the benchmark's eval_heavy shape: 8,000 test rows
+    over 80 classes, so each split spans many 256-row chunks."""
+    seed = request.param
+    ds = generate_synthetic(SyntheticSpec(60, 20, 32, 32, 10, 100, 0.05, seed=seed))
+    mapper, _ = train(ds, TrainConfig(epochs=20, seed=seed))
+    return ds, mapper
+
+
+def without_runtime(report):
+    return dataclasses.replace(report, runtime=0.0)
+
+
+class TestEvaluateSweep:
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
+    def test_equals_the_separate_calls(self, eval_heavy_run, lam):
+        ds, mapper = eval_heavy_run
+        th = calibrate(mapper, ds, lam=lam, split="seen_test")
+        separate = [evaluate(mapper, th, tag, ds) for tag in STRATEGIES]
+        separate.append(evaluate_baseline(mapper, ds))
+        swept = evaluate_sweep(mapper, th, ds)
+        assert [r.strategy for r in swept] == [*STRATEGIES, BASELINE_TAG]
+        assert [without_runtime(r) for r in swept] == [without_runtime(r) for r in separate]
+
+    def test_a_subset_and_a_reordering_keep_their_order(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        full = {r.strategy: without_runtime(r) for r in evaluate_sweep(params, th, bench_dataset)}
+        for strategies in (("ws", "ol"), ("dl",), ("ws", "dl", "ol"), ()):
+            swept = evaluate_sweep(params, th, bench_dataset, strategies)
+            tags = [*strategies, BASELINE_TAG]
+            assert [r.strategy for r in swept] == tags
+            assert [without_runtime(r) for r in swept] == [full[t] for t in tags]
+
+    def test_the_reports_share_one_runtime(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        runtimes = {r.runtime for r in evaluate_sweep(params, th, bench_dataset)}
+        assert len(runtimes) == 1 and runtimes.pop() > 0.0
+
+    def test_unknown_strategy(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        with pytest.raises(ConfigError, match="unknown strategy 'bogus'"):
+            evaluate_sweep(params, th, bench_dataset, ("ol", "bogus"))
+
+    @pytest.mark.parametrize("side", ["seen_test", "unseen_test"])
+    def test_empty_test_split(self, bench_dataset, bench_mapper, side):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        x, y = getattr(bench_dataset, f"{side}_x"), getattr(bench_dataset, f"{side}_y")
+        empty = dataclasses.replace(bench_dataset, **{f"{side}_x": x[:0], f"{side}_y": y[:0]})
+        for run in (lambda: evaluate_sweep(params, th, empty),
+                    lambda: evaluate(params, th, "dl", empty),
+                    lambda: evaluate_baseline(params, empty)):
+            with pytest.raises(EvaluationError, match="nonempty"):
+                run()
+
+    def test_gate_fn_is_called_once_per_split(self, eval_heavy_run):
+        ds, mapper = eval_heavy_run
+        th = calibrate(mapper, ds)
+        calls = []
+
+        def gate_fn(d_l, msd, thresholds):
+            calls.append(d_l.shape)
+            return d_l < thresholds.r_ol
+
+        report = evaluate(mapper, th, "ol", ds, gate_fn=gate_fn)
+        assert calls == [(ds.seen_test_x.shape[0],), (ds.unseen_test_x.shape[0],)]
+        assert without_runtime(report) == without_runtime(evaluate(mapper, th, "ol", ds))
