@@ -15,7 +15,7 @@ fewer than ``ROW_BLOCK`` rows goes through ``forward_batch``
 (``mlp._forward_blocks``).  It computes ``d_l`` and ``msd`` and finds
 the nearest seen and unseen embedding of every row with one screen per
 table (``linalg.nearest``'s BLAS distance screen, then the exact sum for
-the surviving candidates; each table is prepared once per split).  What
+the surviving candidates; each table is prepared once per call).  What
 it returns for a split is five vectors: ``d_l``, ``msd``, the nearest
 seen index, the nearest unseen distance and its index.  None of them
 depends on the strategy, so a strategy is only a boolean mask over them
@@ -171,12 +171,17 @@ def _class_indices(classes, n: int, n_classes: int, slot: str) -> np.ndarray:
     return classes
 
 
-def _split_stats(mapper: MlpParams, l: float, xs, seen_emb, unseen_emb) -> tuple[np.ndarray, ...]:
-    """The per-row vectors every rule reads, for every row of ``xs``:
+def _tables(mapper: MlpParams, seen_emb, unseen_emb) -> tuple[tuple, tuple]:
+    """The seen and unseen embedding tables, checked and prepared for ``_screen``."""
+    return (_prepare(as_table(seen_emb, mapper.out_dim, "seen embeddings")),
+            _prepare(as_table(unseen_emb, mapper.out_dim, "unseen embeddings")))
+
+
+def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, seen: tuple,
+                 unseen: tuple) -> tuple[np.ndarray, ...]:
+    """The per-row vectors every rule reads, for every row of the checked
+    matrix ``xs`` against the ``_tables`` pair ``seen``, ``unseen``:
     ``(d_l, msd, nearest seen index, nearest unseen distance, its index)``."""
-    xs = as_matrix(xs, "feature rows")
-    seen = _prepare(as_table(seen_emb, mapper.out_dim, "seen embeddings"))
-    unseen = _prepare(as_table(unseen_emb, mapper.out_dim, "unseen embeddings"))
     n = xs.shape[0]
     d_l, msd, min_unseen = np.empty(n), np.empty(n), np.empty(n)
     arg_seen, arg_unseen = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
@@ -196,18 +201,17 @@ def _gated(rule, stats) -> tuple[np.ndarray, np.ndarray]:
     return seen, np.where(seen, arg_seen, arg_unseen)
 
 
-def _route(mapper: MlpParams, rule, l: float, xs, seen_emb, unseen_emb,
+def _route(mapper: MlpParams, rule, l: float, xs: np.ndarray, seen: tuple, unseen: tuple,
            seen_classifier, unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
-    """Gate and classify every row of ``xs``: (gated-seen mask, class index
-    inside the gated domain), the classifier slots answering for their rows."""
-    xs = as_matrix(xs, "feature rows")
-    gated_seen, predicted = _gated(rule, _split_stats(mapper, l, xs, seen_emb, unseen_emb))
-    # _split_stats has checked both tables, so len() is their class count
-    for slot, mask, clf, n_classes in (("seen", gated_seen, seen_classifier, len(seen_emb)),
-                                       ("unseen", ~gated_seen, unseen_classifier, len(unseen_emb))):
+    """Gate and classify every row of the checked matrix ``xs``: (gated-seen
+    mask, class index inside the gated domain), the classifier slots
+    answering for their rows."""
+    gated_seen, predicted = _gated(rule, _split_stats(mapper, l, xs, seen, unseen))
+    for slot, mask, clf, (table, *_) in (("seen", gated_seen, seen_classifier, seen),
+                                         ("unseen", ~gated_seen, unseen_classifier, unseen)):
         n = np.count_nonzero(mask)
         if clf is not None and n:
-            predicted[mask] = _class_indices(clf.classify(xs[mask]), n, n_classes, slot)
+            predicted[mask] = _class_indices(clf.classify(xs[mask]), n, table.shape[0], slot)
     return gated_seen, predicted
 
 
@@ -222,15 +226,18 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
     slots accept any object with ``classify(rows) -> class indices``.
     """
     rule = _gate_rule(strategy, thresholds, gate_fn)
-    return _route(mapper, rule, thresholds.l, xs, seen_emb, unseen_emb,
+    xs = as_matrix(xs, "feature rows")
+    return _route(mapper, rule, thresholds.l, xs, *_tables(mapper, seen_emb, unseen_emb),
                   seen_classifier, unseen_classifier)
 
 
 def _test_splits(dataset: GzslDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(seen_test, unseen_test) feature rows, required to be nonempty."""
+    """(seen_test, unseen_test) feature rows as checked matrices, required
+    to be nonempty."""
     if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
         raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
-    return dataset.seen_test_x, dataset.unseen_test_x
+    return (as_matrix(dataset.seen_test_x, "feature rows"),
+            as_matrix(dataset.unseen_test_x, "feature rows"))
 
 
 def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationReport:
@@ -273,9 +280,9 @@ def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
     """Route both test splits through the core and score them."""
     splits = _test_splits(dataset)
     t0 = time.perf_counter()
+    tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
     masks, predictions = zip(*(
-        _route(mapper, rule, l, xs, dataset.seen_emb, dataset.unseen_emb,
-               seen_classifier, unseen_classifier)
+        _route(mapper, rule, l, xs, *tables, seen_classifier, unseen_classifier)
         for xs in splits
     ))
     report = _score(tag, masks, predictions, dataset)
@@ -302,9 +309,9 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
     return _evaluate(BASELINE_TAG, mapper, _baseline_rule, dataset.unified_norm, dataset)
 
 
-def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet, dataset: GzslDataset,
-                   strategies=STRATEGIES) -> list[EvaluationReport]:
-    """``evaluate`` for each tag in ``strategies``, then ``evaluate_baseline``,
+def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
+                   dataset: GzslDataset) -> list[EvaluationReport]:
+    """``evaluate`` for each of ``STRATEGIES``, then ``evaluate_baseline``,
     from one pass over each test split.
 
     The reports equal those of the separate calls, field for field, apart
@@ -312,12 +319,12 @@ def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet, dataset: GzslDat
     strategy and the baseline is a mask over the same vectors.  Every
     report's ``runtime`` is the wall time of the whole call.
     """
-    rules = [(tag, _gate_rule(tag, thresholds, None)) for tag in strategies]
+    rules = [(tag, _gate_rule(tag, thresholds, None)) for tag in STRATEGIES]
     rules.append((BASELINE_TAG, _baseline_rule))
     splits = _test_splits(dataset)
     t0 = time.perf_counter()
-    stats = [_split_stats(mapper, thresholds.l, xs, dataset.seen_emb, dataset.unseen_emb)
-             for xs in splits]
+    tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
+    stats = [_split_stats(mapper, thresholds.l, xs, *tables) for xs in splits]
     reports = []
     for tag, rule in rules:
         masks, predictions = zip(*(_gated(rule, s) for s in stats))

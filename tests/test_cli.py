@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdgzsl
 from sdgzsl import forward, load_checkpoint, load_dataset, load_thresholds, train
 from sdgzsl.cli import main
 from sdgzsl.pipeline import STRATEGIES
@@ -315,3 +320,14 @@ class TestEndToEndDeterminism:
                 if p.suffix in (".kv", ".csv", ".txt")
             }
         assert outputs["x"] == outputs["y"]
+
+
+def test_module_entry_point_runs():
+    """``python -m sdgzsl.cli``, the README's entry point, reaches ``main``."""
+    src = str(Path(sdgzsl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "sdgzsl.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert all(cmd in done.stdout for cmd in ("gen", "train", "eval"))

@@ -344,27 +344,11 @@ class TestEvaluateSweep:
         assert [r.strategy for r in swept] == [*STRATEGIES, BASELINE_TAG]
         assert [without_runtime(r) for r in swept] == [without_runtime(r) for r in separate]
 
-    def test_a_subset_and_a_reordering_keep_their_order(self, bench_dataset, bench_mapper):
-        params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        full = {r.strategy: without_runtime(r) for r in evaluate_sweep(params, th, bench_dataset)}
-        for strategies in (("ws", "ol"), ("dl",), ("ws", "dl", "ol"), ()):
-            swept = evaluate_sweep(params, th, bench_dataset, strategies)
-            tags = [*strategies, BASELINE_TAG]
-            assert [r.strategy for r in swept] == tags
-            assert [without_runtime(r) for r in swept] == [full[t] for t in tags]
-
     def test_the_reports_share_one_runtime(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
         th = calibrate(params, bench_dataset)
         runtimes = {r.runtime for r in evaluate_sweep(params, th, bench_dataset)}
         assert len(runtimes) == 1 and runtimes.pop() > 0.0
-
-    def test_unknown_strategy(self, bench_dataset, bench_mapper):
-        params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        with pytest.raises(ConfigError, match="unknown strategy 'bogus'"):
-            evaluate_sweep(params, th, bench_dataset, ("ol", "bogus"))
 
     @pytest.mark.parametrize("side", ["seen_test", "unseen_test"])
     def test_empty_test_split(self, bench_dataset, bench_mapper, side):
