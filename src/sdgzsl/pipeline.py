@@ -102,7 +102,9 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
     ``correct[i]`` says whether row ``i``, of class ``true_class[i]``, was
     gated into its true domain and assigned its class there.  Labels must
     be nonnegative integers and ``correct`` booleans, else ``DomainError``
-    (empty vectors of any dtype are accepted).
+    (empty vectors of any dtype are accepted).  Every class needs a row,
+    else ``MetricError``, and every label must be one of ``classes``, else
+    ``DomainError``.
     """
     true_class, correct = np.asarray(true_class), np.asarray(correct)
     if true_class.ndim != 1 or correct.shape != true_class.shape:
@@ -128,6 +130,9 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
         if not totals[c]:
             raise MetricError(f"class {c} has no test instances")
         out[c] = float(hits[c] / totals[c])
+    # every class counted rows, so another nonzero count is a label outside them
+    if np.count_nonzero(totals) > len(out):
+        raise DomainError("per_class_top1: labels not in classes")
     return out
 
 

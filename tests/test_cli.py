@@ -118,6 +118,21 @@ class TestTrain:
         data, _ = workspace
         assert run_cli("train", "--data", data, "--out", tmp_path / "r", "--epochs", 0) == 2
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0"])
+    def test_rate_that_is_not_a_finite_positive_number_is_usage_error(self, workspace, tmp_path,
+                                                                      capsys, lr):
+        data, _ = workspace
+        assert run_cli("train", "--data", data, "--out", tmp_path / "r", f"--lr={lr}") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "learning_rate must be a finite number > 0" in errors[0]
+        assert not (tmp_path / "r").exists()
+
+    def test_finite_rate_that_overflows_reports_divergence(self, workspace, tmp_path, capsys):
+        data, _ = workspace
+        assert run_cli("train", "--data", data, "--out", tmp_path / "r", "--lr", "1e308") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite training loss at epoch 0")
+
     def test_checkpoint_reproduces_forward_bitwise(self, workspace):
         data, run = workspace
         ds = load_dataset(data)

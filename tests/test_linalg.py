@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdgzsl import DomainError, ShapeError, matmul, mean_and_popstd, min_semantic_distance
-from sdgzsl.linalg import SCREEN_BLOCK, _prepare, _screen, nearest
+from sdgzsl.linalg import SCREEN_BLOCK, _prepare, _screen, check_finite, nearest
 
 
 def naive_matmul(a, b):
@@ -46,6 +46,22 @@ class TestMatmul:
             left = matmul(matmul(a, b), c)
             right = matmul(a, matmul(b, c))
             assert left == pytest.approx(right, rel=1e-9)
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_raises(self, bad):
+        a = np.ones((64, 32))
+        a[17, 5] = bad
+        with pytest.raises(DomainError, match="grad: non-finite entries"):
+            check_finite(a, "grad")
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        # a check through the sum would read this inf as a non-finite entry
+        a = np.full((4, 3), 1e308)
+        with np.errstate(over="ignore"):
+            assert np.isinf(a.sum())
+        assert check_finite(a, "grad") is a
 
 
 class TestSqDist:

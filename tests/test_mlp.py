@@ -23,6 +23,8 @@ from sdgzsl import (
     save_checkpoint,
     train,
 )
+import sdgzsl.linalg
+import sdgzsl.mlp
 from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.mlp import _forward_blocks, init_params
 
@@ -221,6 +223,16 @@ class TestBackward:
         assert gw[0] == pytest.approx(2.0 * np.outer(residual, x), rel=1e-12)
         assert gb[0] == pytest.approx(2.0 * residual, rel=1e-12)
 
+    def test_gradients_share_no_memory_with_each_other_or_the_parameters(self, np_rng):
+        # trained parameters are views of one packed vector, as the gradients are
+        params, _ = train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=1, hidden_sizes=[7]))
+        xs, zs = np_rng.normal(size=(9, params.in_dim)), np_rng.normal(size=(9, params.out_dim))
+        first, second = (sum(backward(params, xs, zs), []) for _ in range(2))
+        assert bits(first) == bits(second)
+        for a in first:
+            others = second + params.weights + params.biases + [g for g in first if g is not a]
+            assert not any(np.shares_memory(a, b) for b in others)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_agreement(self, seed):
         params, xs, zs = sample_gradcheck_case(seed)
@@ -254,6 +266,14 @@ class TestTrain:
     def test_history_length_matches_epochs(self, noiseless_dataset):
         _, history = train(noiseless_dataset, TrainConfig(epochs=7))
         assert len(history) == 7
+
+    def test_trained_parameters_are_read_only_and_valid(self):
+        params, _ = train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=2, hidden_sizes=[7, 5]))
+        assert params.validate() is params
+        for a in params.weights + params.biases:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
 
 class TestCheckpoint:
@@ -330,6 +350,23 @@ class TestTrainMatchesReferenceSgd:
         assert epoch is not None
         with pytest.raises(DivergenceError, match=f"at epoch {epoch} "):
             train(noiseless_dataset, cfg)
+
+    def test_overflow_first_seen_in_a_gradient_product_is_raised_at_the_reference_epoch(
+            self, monkeypatch):
+        ds = generate_synthetic(SyntheticSpec(5, 2, 8, 8, 40, 10, 0.0, seed=11))
+        cfg = TrainConfig(learning_rate=2.0, epochs=30)
+        _, _, history, epoch = reference_train(ds, cfg)
+        assert epoch == len(history) == 1  # epoch 0 and its loss are finite
+        first_non_finite = []
+        for module in (sdgzsl.linalg, sdgzsl.mlp):  # mlp's copy checks the weight gradients
+            def spy(a, name, _module=module.__name__, _check=module.check_finite):
+                if not (first_non_finite or np.isfinite(a).all()):
+                    first_non_finite.append(_module)
+                return _check(a, name)
+            monkeypatch.setattr(module, "check_finite", spy)
+        with pytest.raises(DivergenceError, match=f"at epoch {epoch} "):
+            train(ds, cfg)
+        assert first_non_finite == ["sdgzsl.mlp"]
 
 
 class TestInputsAreNotModified:

@@ -109,6 +109,15 @@ class TestPerClassTop1:
             per_class_top1(true_class, correct, [0, 1])
         assert isinstance(info.value, GzslError)
 
+    @pytest.mark.parametrize("true_class, classes", [([0, 5, 5], [0]), ([0, 5], [0, 0]),
+                                                     ([0, 2, 1], [0, 2]), ([0], [])])
+    def test_labels_outside_classes_rejected(self, true_class, classes):
+        with pytest.raises(DomainError, match="not in classes"):
+            per_class_top1(true_class, [True] * len(true_class), classes)
+
+    def test_a_repeated_class_is_scored_once(self):
+        assert per_class_top1([0, 1, 1], [True, False, True], [1, 0, 1]) == {1: 0.5, 0: 1.0}
+
     def test_empty_input_allowed(self):
         assert per_class_top1([], [], []) == {}
         assert per_class_top1(np.array([], dtype=float), np.array([]), []) == {}
