@@ -29,6 +29,7 @@ from .data import (
     FEATURE_FILES,
     LABEL_FILES,
     SyntheticSpec,
+    _is_integer,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -59,19 +60,16 @@ def _config_value(key: str, value, default):
     An int is accepted where a float is expected; a bool is never a number;
     ``hidden`` also takes a list of ints.
     """
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
     if key == "hidden" and isinstance(value, list):
-        return value if all(is_int(v) for v in value) else None
+        return value if all(_is_integer(v) for v in value) else None
     if isinstance(default, (bool, str)):
         return value if type(value) is type(default) else None
     if isinstance(default, int):
-        return value if is_int(value) else None
+        return value if _is_integer(value) else None
     if isinstance(value, float):
         return value
     try:
-        return float(value) if is_int(value) else None
+        return float(value) if _is_integer(value) else None
     except OverflowError:  # an int beyond the float range
         return None
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +50,26 @@ LABEL_FILES = {
 EMBEDDING_FILES = {"seen": "seen_emb.f32", "unseen": "unseen_emb.f32"}
 
 
+def _is_integer(v) -> bool:  # a bool is no count, size or seed
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:  # nor is it a rate, spread or norm
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer_problems(obj, lows) -> list[str]:
+    """A problem for each ``(name, low)`` of ``lows`` whose field is not an integer >= ``low``."""
+    problems = []
+    for name, low in lows:
+        v = getattr(obj, name)
+        if not _is_integer(v):
+            problems.append(f"{name} must be an integer, got {v!r}")
+        elif v < low:
+            problems.append(f"{name} must be >= {low}, got {v}")
+    return problems
+
+
 @dataclass
 class SyntheticSpec:
     """Shape of a synthetic benchmark at desk scale."""
@@ -64,30 +85,22 @@ class SyntheticSpec:
     unified_norm: float = 1.0
 
     def validate(self) -> None:
-        problems = []
-        if self.n_seen_classes < 2:
-            problems.append(f"n_seen_classes must be >= 2, got {self.n_seen_classes}")
-        if self.n_unseen_classes < 1:
-            problems.append(f"n_unseen_classes must be >= 1, got {self.n_unseen_classes}")
-        if self.feature_dim < 1:
-            problems.append(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.semantic_dim < 1:
-            problems.append(f"semantic_dim must be >= 1, got {self.semantic_dim}")
-        if self.per_class_train < 1:
-            problems.append(f"per_class_train must be >= 1, got {self.per_class_train}")
-        if self.per_class_test < 1:
-            problems.append(f"per_class_test must be >= 1, got {self.per_class_test}")
-        if not (math.isfinite(self.cluster_spread) and self.cluster_spread >= 0.0):
-            problems.append(f"cluster_spread must be finite and >= 0, got {self.cluster_spread}")
-        if not (math.isfinite(self.unified_norm) and self.unified_norm > 0.0):
-            problems.append(f"unified_norm must be finite and > 0, got {self.unified_norm}")
+        problems = _integer_problems(self, (
+            ("n_seen_classes", 2), ("n_unseen_classes", 1), ("feature_dim", 1), ("semantic_dim", 1),
+            ("per_class_train", 1), ("per_class_test", 1), ("seed", -math.inf)))
+        # NaN fails every comparison, and a bounded comparison takes any integer
+        if not (_is_real(self.cluster_spread) and 0.0 <= self.cluster_spread < math.inf):
+            problems.append(f"cluster_spread must be finite and >= 0, got {self.cluster_spread!r}")
+        if not (_is_real(self.unified_norm) and 0.0 < self.unified_norm < math.inf):
+            problems.append(f"unified_norm must be finite and > 0, got {self.unified_norm!r}")
         if not problems:
             # every generated array must be addressable: its float64 byte size fits np.intp
-            d, s = self.feature_dim, self.semantic_dim
-            rows = (self.n_seen_classes * (self.per_class_train + self.per_class_test)
-                    + self.n_unseen_classes * self.per_class_test)
-            for what, count in (("feature", rows * d),
-                                ("embedding", (self.n_seen_classes + self.n_unseen_classes) * s),
+            # (counted in Python ints, which numpy integer fields would overflow)
+            n_s, n_u, train, test, d, s = map(int, (
+                self.n_seen_classes, self.n_unseen_classes, self.per_class_train,
+                self.per_class_test, self.feature_dim, self.semantic_dim))
+            rows = n_s * (train + test) + n_u * test
+            for what, count in (("feature", rows * d), ("embedding", (n_s + n_u) * s),
                                 ("feature map", d * s)):
                 if count * 8 > np.iinfo(np.intp).max:
                     problems.append(f"{what} element count {count} is too large to allocate")

@@ -23,7 +23,7 @@ threshold gates UNSEEN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -98,6 +98,8 @@ def gate_statistics(proj, seen_emb, l: float) -> tuple[np.ndarray, np.ndarray]:
 
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:
     """Build a ThresholdSet from raw per-instance statistic samples."""
+    if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
+        raise CalibrationError(f"lam must be a finite number >= 0, got {lam!r}")
     d_l_samples = as_vector(d_l_samples, "d_l samples")
     msd_samples = as_vector(msd_samples, "msd samples")
     if d_l_samples.size == 0 or d_l_samples.shape != msd_samples.shape:
@@ -174,6 +176,7 @@ def gate_ws(d_l, msd, th: ThresholdSet):
 # strategy -> rule over statistics: scalars give a bool, arrays a boolean mask
 GATE_FUNCTIONS = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}
 
+# the file keys of ``save_thresholds``, in ``ThresholdSet`` field order
 _THRESHOLD_FIELDS = (
     "r_ol", "r_0", "r_1", "r_ws", "lambda",
     "m_dl", "std_dl", "m_msd", "std_msd", "m_ws", "std_ws", "l",
@@ -184,9 +187,7 @@ def save_thresholds(th: ThresholdSet, path) -> Path:
     """Audit file: one ``key=value`` line per statistic/threshold."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    values = {**{f: getattr(th, f) for f in _THRESHOLD_FIELDS if f != "lambda"},
-              "lambda": th.lam}
-    out.write_text("".join(f"{k}={values[k]!r}\n" for k in _THRESHOLD_FIELDS))
+    out.write_text("".join(f"{k}={v!r}\n" for k, v in zip(_THRESHOLD_FIELDS, astuple(th))))
     return out
 
 
@@ -206,9 +207,4 @@ def load_thresholds(path) -> ThresholdSet:
     missing = [f for f in _THRESHOLD_FIELDS if f not in values]
     if missing:
         raise DatasetLoadError(f"{p}: missing keys {missing}")
-    return ThresholdSet(
-        r_ol=values["r_ol"], r_0=values["r_0"], r_1=values["r_1"], r_ws=values["r_ws"],
-        lam=values["lambda"], m_dl=values["m_dl"], std_dl=values["std_dl"],
-        m_msd=values["m_msd"], std_msd=values["std_msd"],
-        m_ws=values["m_ws"], std_ws=values["std_ws"], l=values["l"],
-    ).validate()
+    return ThresholdSet(*(values[k] for k in _THRESHOLD_FIELDS)).validate()

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GzslDataset
+from .data import GzslDataset, _integer_problems, _is_integer, _is_real
 from .errors import DatasetLoadError, DivergenceError, DomainError, ShapeError, ValidationError
 from .linalg import ROW_BLOCK, check_finite, matmul
 from .rng import SplitMix64
@@ -85,15 +85,12 @@ class TrainConfig:
     hidden_sizes: list[int] | None = None  # None -> one hidden layer of max(d, S)
 
     def validate(self) -> "TrainConfig":
-        problems = []
-        if not 0 < self.learning_rate < np.inf:  # NaN fails both comparisons
-            problems.append(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
-            problems.append(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+        problems = _integer_problems(self, (("epochs", 1), ("batch_size", 1), ("seed", -np.inf)))
+        if not (_is_real(self.learning_rate) and 0 < self.learning_rate < np.inf):  # NaN fails both
+            problems.append(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
+        if self.hidden_sizes is not None and not all(_is_integer(h) and h >= 1
+                                                     for h in self.hidden_sizes):
+            problems.append(f"hidden sizes must be integers >= 1, got {self.hidden_sizes!r}")
         if problems:
             raise ValidationError("invalid TrainConfig: " + "; ".join(problems))
         return self
@@ -122,10 +119,15 @@ def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]
 
 
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Input and every layer's activation, ``[x, h1, ..., out]``; each ``h`` is a fresh array."""
+    """Input and every layer's activation, ``[x, h1, ..., out]``, of a 2-D batch or a
+    ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Non-conforming layers
+    (unvalidated parameters) raise ``ShapeError`` on every path."""
     acts = [x]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = matmul(acts[-1], w.T)
+    for k, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
+        if w.shape[1] != acts[-1].shape[-1]:
+            raise ShapeError(f"forward: layer {k} takes {w.shape[1]} inputs, "
+                             f"got {acts[-1].shape[-1]}")
+        h = check_finite(np.matmul(acts[-1], w.T), "matmul result")
         h += b
         if act == "relu":
             np.maximum(h, 0.0, out=h)
@@ -149,8 +151,8 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def _forward_blocks(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """``forward_batch`` on each ``ROW_BLOCK``-row block of ``x``, concatenated.
 
-    The whole blocks go through one ``(blocks, ROW_BLOCK, d)`` stack per
-    layer: ``np.matmul`` runs the same ``ROW_BLOCK``-row product on every
+    The whole blocks go through ``_layers`` as one ``(blocks, ROW_BLOCK, d)``
+    stack: ``np.matmul`` runs the same ``ROW_BLOCK``-row product on every
     block that ``forward_batch`` would, so the bits match, without a Python
     call per block.  The short tail goes through ``forward_batch`` itself.
     """
@@ -158,13 +160,7 @@ def _forward_blocks(params: MlpParams, x: np.ndarray) -> np.ndarray:
     full = x.shape[0] - x.shape[0] % ROW_BLOCK
     if not full:  # as for one-row callers: no per-layer calls on an empty stack
         return forward_batch(params, x)
-    h = x[:full].reshape(-1, ROW_BLOCK, x.shape[1])
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        h = check_finite(np.matmul(h, w.T), "matmul result")
-        h += b
-        if act == "relu":
-            np.maximum(h, 0.0, out=h)
-    h = h.reshape(full, params.out_dim)
+    h = _layers(params, x[:full].reshape(-1, ROW_BLOCK, x.shape[1]))[-1].reshape(full, -1)
     if full == x.shape[0]:
         return h
     return np.concatenate([h, forward_batch(params, x[full:])])
@@ -299,8 +295,7 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
 
 
 def _is_shape(pair) -> bool:
-    return (isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in pair))
+    return isinstance(pair, list) and len(pair) == 2 and all(_is_integer(v) and v >= 1 for v in pair)
 
 
 def load_checkpoint(path) -> tuple[MlpParams, dict]:

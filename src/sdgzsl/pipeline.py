@@ -7,12 +7,8 @@ from classifier quality.
 
 One statistics pass serves every entry point.  It takes a split in
 fixed-size chunks and, per chunk, projects each row once in
-``linalg.ROW_BLOCK``-row products, so projection bits do not depend on the
-chunk size: the chunk's whole blocks form one ``(blocks, ROW_BLOCK, d)``
-stack and each layer is one ``np.matmul`` over it, which runs the same
-32-row product on every block that ``forward_batch`` would, and a tail of
-fewer than ``ROW_BLOCK`` rows goes through ``forward_batch``
-(``mlp._forward_blocks``).  It computes ``d_l`` and ``msd`` and finds
+``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``), so projection
+bits do not depend on the chunk size.  It computes ``d_l`` and ``msd``, finds
 the nearest seen and unseen embedding of every row with one screen per
 table (``linalg.nearest``'s BLAS distance screen, then the exact sum for
 the surviving candidates; each table is prepared once per call).  What
@@ -21,10 +17,13 @@ seen index, the nearest unseen distance and its index.  None of them
 depends on the strategy, so a strategy is only a boolean mask over them
 and a class pick ``np.where(seen, nearest seen, nearest unseen)``; the
 no-gate baseline is the mask ``msd <= nearest unseen distance``.
-``evaluate_sweep`` scores the three gates and the baseline from one
-pass per split, and ``evaluate``, ``evaluate_baseline`` and ``predict``
-each make their own pass.  Per-class accuracy is counted with
-``np.bincount`` (``per_class_top1``).
+One evaluation body, ``_evaluate``, makes that pass once per test split
+and scores each ``(tag, rule)`` it is given from the same vectors:
+``evaluate`` and ``evaluate_baseline`` hand it one rule, ``evaluate_sweep``
+the three gates and the baseline.  ``_route`` turns a rule and a split's
+vectors into the gated mask and class indices, for ``_evaluate`` and
+``predict`` alike.  Per-class accuracy is counted with ``np.bincount``
+(``per_class_top1``).
 
 Both plug-in slots take batches.  ``gate_fn`` has the signature of the
 named rules, ``gate_fn(d_l, msd, ThresholdSet) -> seen mask``, and is
@@ -45,13 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GzslDataset
+from .data import GzslDataset, _is_integer
 from .errors import ConfigError, DomainError, EvaluationError, MetricError, ShapeError
 from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, length_gaps
 from .linalg import _prepare, _screen, as_matrix, as_table
 from .mlp import MlpParams, _forward_blocks
 
-STRATEGIES = ("ol", "dl", "ws")
+STRATEGIES = tuple(GATE_FUNCTIONS)
 BASELINE_TAG = "nogate"
 
 # Rows projected per chunk of a statistics pass.  A chunk holds only its
@@ -100,11 +99,11 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
     """Correct fraction per class, counted with ``np.bincount``.
 
     ``correct[i]`` says whether row ``i``, of class ``true_class[i]``, was
-    gated into its true domain and assigned its class there.  Labels must
-    be nonnegative integers and ``correct`` booleans, else ``DomainError``
-    (empty vectors of any dtype are accepted).  Every class needs a row,
-    else ``MetricError``, and every label must be one of ``classes``, else
-    ``DomainError``.
+    gated into its true domain and assigned its class there.  Labels and
+    ``classes`` must be nonnegative integers and ``correct`` booleans, else
+    ``DomainError`` (empty vectors of any dtype are accepted).  Every class
+    needs a row, else ``MetricError``, and every label must be one of
+    ``classes``, else ``DomainError``.
     """
     true_class, correct = np.asarray(true_class), np.asarray(correct)
     if true_class.ndim != 1 or correct.shape != true_class.shape:
@@ -122,6 +121,8 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
     true_class = true_class.astype(np.int64, copy=False)
     correct = correct.astype(bool, copy=False)
     classes = list(classes)
+    if not all(_is_integer(c) and c >= 0 for c in classes):
+        raise DomainError("per_class_top1: classes must be nonnegative integers")
     n = max(classes, default=-1) + 1
     totals = np.bincount(true_class, minlength=n)
     hits = np.bincount(true_class[correct], minlength=n)
@@ -199,21 +200,18 @@ def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, seen: tuple,
     return d_l, msd, arg_seen, min_unseen, arg_unseen
 
 
-def _gated(rule, stats) -> tuple[np.ndarray, np.ndarray]:
-    """(gated-seen mask, class index inside the gated domain) under ``rule``."""
+def _route(rule, stats, xs: np.ndarray, tables: tuple, seen_classifier,
+           unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
+    """Gate and classify every row of the checked matrix ``xs`` from its
+    ``_split_stats`` vectors: (gated-seen mask, class index inside the gated
+    domain), the classifier slots answering for their rows."""
     d_l, msd, arg_seen, min_unseen, arg_unseen = stats
-    seen = _seen_mask(rule(d_l, msd, min_unseen), d_l.shape[0])
-    return seen, np.where(seen, arg_seen, arg_unseen)
-
-
-def _route(mapper: MlpParams, rule, l: float, xs: np.ndarray, seen: tuple, unseen: tuple,
-           seen_classifier, unseen_classifier) -> tuple[np.ndarray, np.ndarray]:
-    """Gate and classify every row of the checked matrix ``xs``: (gated-seen
-    mask, class index inside the gated domain), the classifier slots
-    answering for their rows."""
-    gated_seen, predicted = _gated(rule, _split_stats(mapper, l, xs, seen, unseen))
-    for slot, mask, clf, (table, *_) in (("seen", gated_seen, seen_classifier, seen),
-                                         ("unseen", ~gated_seen, unseen_classifier, unseen)):
+    gated_seen = _seen_mask(rule(d_l, msd, min_unseen), d_l.shape[0])
+    predicted = np.where(gated_seen, arg_seen, arg_unseen)
+    if seen_classifier is None and unseen_classifier is None:
+        return gated_seen, predicted
+    for slot, mask, clf, (table, *_) in (("seen", gated_seen, seen_classifier, tables[0]),
+                                         ("unseen", ~gated_seen, unseen_classifier, tables[1])):
         n = np.count_nonzero(mask)
         if clf is not None and n:
             predicted[mask] = _class_indices(clf.classify(xs[mask]), n, table.shape[0], slot)
@@ -232,7 +230,8 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
     """
     rule = _gate_rule(strategy, thresholds, gate_fn)
     xs = as_matrix(xs, "feature rows")
-    return _route(mapper, rule, thresholds.l, xs, *_tables(mapper, seen_emb, unseen_emb),
+    tables = _tables(mapper, seen_emb, unseen_emb)
+    return _route(rule, _split_stats(mapper, thresholds.l, xs, *tables), xs, tables,
                   seen_classifier, unseen_classifier)
 
 
@@ -280,28 +279,32 @@ def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationRepo
     )
 
 
-def _evaluate(tag: str, mapper: MlpParams, rule, l: float, dataset: GzslDataset,
-              seen_classifier=None, unseen_classifier=None) -> EvaluationReport:
-    """Route both test splits through the core and score them."""
+def _evaluate(rules, mapper: MlpParams, l: float, dataset: GzslDataset,
+              seen_classifier=None, unseen_classifier=None) -> list[EvaluationReport]:
+    """One report per ``(tag, rule)`` of ``rules``, all from one statistics
+    pass over each test split; every report's ``runtime`` is the wall time
+    of the whole call."""
     splits = _test_splits(dataset)
     t0 = time.perf_counter()
     tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
-    masks, predictions = zip(*(
-        _route(mapper, rule, l, xs, *tables, seen_classifier, unseen_classifier)
-        for xs in splits
-    ))
-    report = _score(tag, masks, predictions, dataset)
-    report.runtime = time.perf_counter() - t0
-    return report
+    stats = [_split_stats(mapper, l, xs, *tables) for xs in splits]
+    reports = []
+    for tag, rule in rules:
+        masks, predictions = zip(*(_route(rule, s, xs, tables, seen_classifier, unseen_classifier)
+                                   for s, xs in zip(stats, splits)))
+        reports.append(_score(tag, masks, predictions, dataset))
+    runtime = time.perf_counter() - t0
+    for report in reports:
+        report.runtime = runtime
+    return reports
 
 
 def evaluate(mapper: MlpParams, thresholds: ThresholdSet, strategy: str,
              dataset: GzslDataset, seen_classifier=None, unseen_classifier=None,
              gate_fn=None) -> EvaluationReport:
     """Run the gate + route flow over both test splits and report metrics."""
-    rule = _gate_rule(strategy, thresholds, gate_fn)
-    return _evaluate(strategy, mapper, rule, thresholds.l, dataset,
-                     seen_classifier, unseen_classifier)
+    return _evaluate([(strategy, _gate_rule(strategy, thresholds, gate_fn))], mapper,
+                     thresholds.l, dataset, seen_classifier, unseen_classifier)[0]
 
 
 def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationReport:
@@ -311,7 +314,7 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
     stays comparable with the gated strategies.  Between equal seen and
     unseen distances the seen table wins (it comes first in the union).
     """
-    return _evaluate(BASELINE_TAG, mapper, _baseline_rule, dataset.unified_norm, dataset)
+    return _evaluate([(BASELINE_TAG, _baseline_rule)], mapper, dataset.unified_norm, dataset)[0]
 
 
 def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
@@ -324,20 +327,8 @@ def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
     strategy and the baseline is a mask over the same vectors.  Every
     report's ``runtime`` is the wall time of the whole call.
     """
-    rules = [(tag, _gate_rule(tag, thresholds, None)) for tag in STRATEGIES]
-    rules.append((BASELINE_TAG, _baseline_rule))
-    splits = _test_splits(dataset)
-    t0 = time.perf_counter()
-    tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
-    stats = [_split_stats(mapper, thresholds.l, xs, *tables) for xs in splits]
-    reports = []
-    for tag, rule in rules:
-        masks, predictions = zip(*(_gated(rule, s) for s in stats))
-        reports.append(_score(tag, masks, predictions, dataset))
-    runtime = time.perf_counter() - t0
-    for report in reports:
-        report.runtime = runtime
-    return reports
+    return _evaluate([*((tag, _gate_rule(tag, thresholds, None)) for tag in STRATEGIES),
+                      (BASELINE_TAG, _baseline_rule)], mapper, thresholds.l, dataset)
 
 
 def render_report_text(report: EvaluationReport) -> str:

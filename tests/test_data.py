@@ -105,6 +105,7 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("field, value", [
         ("cluster_spread", float("inf")), ("cluster_spread", float("nan")),
         ("unified_norm", float("inf")), ("unified_norm", float("nan")),
+        ("cluster_spread", "0.1"), ("cluster_spread", False), ("unified_norm", None),
     ])
     def test_non_finite_spread_or_norm_is_rejected(self, field, value):
         spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
@@ -112,11 +113,22 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError, match=field):
             spec.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_seen_classes", 2.5), ("n_unseen_classes", True), ("feature_dim", 8.0),
+        ("per_class_test", "2"), ("seed", 5.0), ("seed", None),
+    ])
+    def test_non_integer_count_or_seed_is_rejected(self, field, value):
+        spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
+        setattr(spec, field, value)
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            generate_synthetic(spec)
+
     @pytest.mark.parametrize("counts, what", [
         (dict(n_seen_classes=10**23), "feature element count"),
         (dict(per_class_test=2**40, feature_dim=2**30), "feature element count"),
         (dict(n_unseen_classes=2**40, semantic_dim=2**30), "embedding element count"),
         (dict(feature_dim=2**31, semantic_dim=2**31), "feature map element count"),
+        (dict(per_class_test=np.int64(2**40), feature_dim=np.int64(2**30)), "feature element count"),
     ])
     def test_counts_beyond_np_intp_are_rejected(self, counts, what):
         # validate() only: a spec that got through would try to allocate

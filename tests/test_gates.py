@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,10 +149,18 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_from_samples([], [], lam=1.0, l=1.0)
 
-    @pytest.mark.parametrize("lam", [math.nan, -1.0, -1e-300])
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
     def test_non_finite_or_negative_lambda_rejected(self, lam):
         with pytest.raises(CalibrationError):
             calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=lam, l=1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0])
+    def test_bad_lambda_fails_before_any_statistic(self, bench_dataset, bench_mapper, lam):
+        # an infinite lam would otherwise form inf - inf inside mean_and_popstd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="lam must be"):
+                calibrate(bench_mapper[0], bench_dataset, lam=lam)
 
     def test_zero_lambda_is_valid(self):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=0.0, l=1.0)
@@ -270,6 +279,12 @@ class TestThresholdFile:
         path = save_thresholds(th, tmp_path / "th.kv")
         loaded = load_thresholds(path)
         assert loaded == th
+
+    def test_keys_follow_the_field_order(self, tmp_path):
+        th = calibrate_from_samples([0.1, 0.4, 0.9], [0.2, 0.5, 0.3], lam=0.5, l=2.0)
+        lines = save_thresholds(th, tmp_path / "th.kv").read_text().splitlines()
+        assert lines == [f"{'lambda' if f.name == 'lam' else f.name}={getattr(th, f.name)!r}"
+                         for f in dataclasses.fields(ThresholdSet)]
 
     def test_nan_lambda_in_file_rejected(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)

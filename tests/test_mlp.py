@@ -177,6 +177,15 @@ class TestForwardBlocks:
         with pytest.raises(ShapeError):
             _forward_blocks(params, np.ones((40, 7)))
 
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("project", [forward_batch, _forward_blocks])
+    def test_non_conforming_layers_raise_shape_error(self, n, project):
+        # never validated: layer 1 takes 7 inputs after a 5-wide layer 0
+        params = MlpParams([np.ones((5, 6)), np.ones((4, 7))], [np.zeros(5), np.zeros(4)],
+                           ["relu", "linear"])
+        with pytest.raises(ShapeError, match="layer 1 takes 7 inputs, got 5"):
+            project(params, np.ones((n, 6)))
+
 
 class TestMseLoss:
     def test_perfect_predictor_is_zero(self, np_rng):
@@ -247,6 +256,22 @@ class TestTrain:
     def test_invalid_epochs_rejected(self, noiseless_dataset):
         with pytest.raises(ValidationError):
             train(noiseless_dataset, TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("batch_size", 8.0), ("seed", 1.5), ("seed", "1"),
+        ("hidden_sizes", [4.0]), ("hidden_sizes", [True]),
+        ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", None),
+    ])
+    def test_non_numbers_rejected(self, noiseless_dataset, field, value):
+        cfg = TrainConfig(**{"epochs": 1, field: value})
+        with pytest.raises(ValidationError, match=field.split("_")[0]):
+            cfg.validate()
+        with pytest.raises(ValidationError):
+            train(noiseless_dataset, cfg)
+
+    def test_numpy_scalars_accepted(self):
+        TrainConfig(learning_rate=np.float64(0.1), epochs=np.int64(2), seed=np.uint32(3),
+                    hidden_sizes=[np.int32(4)]).validate()
 
     def test_same_seed_identical_history(self, noiseless_dataset):
         cfg = TrainConfig(epochs=5, seed=21)

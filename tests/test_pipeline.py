@@ -115,6 +115,20 @@ class TestPerClassTop1:
         with pytest.raises(DomainError, match="not in classes"):
             per_class_top1(true_class, [True] * len(true_class), classes)
 
+    @pytest.mark.parametrize("true_class, classes", [
+        ([0, 0], [0, -1]),  # bincount's totals[-1] would report class 0 again as -1
+        ([0], [0.0]),
+        ([0], [np.float64(0.0)]),
+        ([0], ["0"]),
+        ([0, 1], [False, True]),
+    ])
+    def test_classes_that_are_not_nonnegative_integers_rejected(self, true_class, classes):
+        with pytest.raises(DomainError, match="nonnegative integers"):
+            per_class_top1(true_class, [True] + [False] * (len(true_class) - 1), classes)
+
+    def test_numpy_integer_classes_accepted(self):
+        assert per_class_top1([0, 1], [True, False], np.arange(2)) == {0: 1.0, 1: 0.0}
+
     def test_a_repeated_class_is_scored_once(self):
         assert per_class_top1([0, 1, 1], [True, False, True], [1, 0, 1]) == {1: 0.5, 0: 1.0}
 
