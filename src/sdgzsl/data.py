@@ -161,7 +161,7 @@ class GzslDataset:
                 raise ValidationError(f"{side}_emb: semantic dim {emb.shape[1]} != {s}")
             norms = np.sqrt((emb * emb).sum(axis=1))
             off = np.abs(norms - self.unified_norm)
-            if off.size and off.max() > 1e-9:
+            if off.size and not off.max() <= 1e-9:  # a NaN norm fails this too
                 bad = int(off.argmax())
                 raise ValidationError(
                     f"{side}_emb: row {bad} has norm {norms[bad]!r}, expected {self.unified_norm!r}"

@@ -7,10 +7,15 @@ Two statistics of each projected row drive every rule:
 * ``msd`` - minimum squared distance from the projection to any
   seen-class embedding.
 
-``gate_statistics(proj, seen_emb, l)`` computes both as vectors over a
-batch of projected rows.  Thresholds are calibrated from seen training
-instances alone, as mean plus population standard deviation of the
-matching statistic, so no manual tuning is involved.
+One statistics pass, ``_split_stats``, computes both for calibration,
+evaluation and ``predict``, so a row's ``d_l`` and ``msd`` are the same
+bits wherever they are read.  It projects a split in ``_CHUNK_ROWS``-row
+chunks of ``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``) and
+screens each embedding table it is given once per chunk: the seen table
+for ``calibrate``, both tables for evaluation.  ``gate_statistics`` gives
+the same two vectors for rows already projected.  Thresholds are the mean
+plus population standard deviation of a statistic over seen instances
+alone, so no manual tuning is involved.
 
 Each rule (``gate_ol`` / ``gate_dl`` / ``gate_ws``, by strategy tag in
 ``GATE_FUNCTIONS``) is ``(d_l, msd, thresholds) -> seen``, one comparison
@@ -31,8 +36,13 @@ import numpy as np
 
 from .data import GzslDataset
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
-from .linalg import as_matrix, as_table, as_vector, mean_and_popstd, nearest
-from .mlp import MlpParams, forward_batch
+from .linalg import _prepare, _screen, as_matrix, as_table, as_vector, mean_and_popstd, nearest
+from .mlp import MlpParams, _forward_blocks
+
+# Rows projected per chunk of a statistics pass.  A chunk holds only its
+# own projections: projecting each whole split at once raised eval_heavy's
+# peak RSS by about 3 MB, and 512-row chunks ran no faster than 256-row ones.
+_CHUNK_ROWS = 256
 
 
 class Domain(Enum):
@@ -96,6 +106,28 @@ def gate_statistics(proj, seen_emb, l: float) -> tuple[np.ndarray, np.ndarray]:
     return length_gaps(p, l), min_semantic_distance(p, seen_emb)
 
 
+def _tables(mapper: MlpParams, *embs) -> tuple:
+    """Seen, then (if given) unseen embedding table, checked and prepared for ``_screen``."""
+    return tuple(_prepare(as_table(emb, mapper.out_dim, f"{side} embeddings"))
+                 for emb, side in zip(embs, ("seen", "unseen")))
+
+
+def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, *tables) -> tuple[np.ndarray, ...]:
+    """The statistics pass over the feature rows ``xs``: ``d_l``, then the
+    nearest distance and index in each ``_tables`` table, so ``(d_l, msd,
+    nearest seen index[, nearest unseen distance, its index])``."""
+    n = xs.shape[0]
+    d_l = np.empty(n)
+    scans = [(np.empty(n), np.empty(n, dtype=np.intp)) for _ in tables]
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        proj = _forward_blocks(mapper, xs[rows])
+        d_l[rows] = length_gaps(proj, l)
+        for (dist, index), table in zip(scans, tables):
+            dist[rows], index[rows] = _screen(proj, table)
+    return (d_l, *(v for scan in scans for v in scan))
+
+
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:
     """Build a ThresholdSet from raw per-instance statistic samples."""
     if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
@@ -127,7 +159,7 @@ def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> Th
 
 def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
               split: str = "seen_train") -> ThresholdSet:
-    """Project every seen instance of ``split`` and calibrate all thresholds.
+    """Calibrate all thresholds from the statistics pass over ``split``'s rows.
 
     ``split`` is ``"seen_train"`` (default) or ``"seen_test"`` for
     held-out calibration.
@@ -138,7 +170,7 @@ def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
     if xs.shape[0] == 0:
         raise CalibrationError(f"calibration split {split!r} is empty")
     l = dataset.unified_norm
-    d_l, msd = gate_statistics(forward_batch(mapper, xs), dataset.seen_emb, l)
+    d_l, msd, _ = _split_stats(mapper, l, xs, *_tables(mapper, dataset.seen_emb))
     return calibrate_from_samples(d_l, msd, lam, l)
 
 

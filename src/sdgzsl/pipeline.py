@@ -5,17 +5,12 @@ split and on the unseen split, their harmonic mean, and a 2x2 gate
 confusion matrix (true domain x gated domain) that isolates gate quality
 from classifier quality.
 
-One statistics pass serves every entry point.  It takes a split in
-fixed-size chunks and, per chunk, projects each row once in
-``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``), so projection
-bits do not depend on the chunk size.  It computes ``d_l`` and ``msd``, finds
-the nearest seen and unseen embedding of every row with one screen per
-table (``linalg.nearest``'s BLAS distance screen, then the exact sum for
-the surviving candidates; each table is prepared once per call).  What
-it returns for a split is five vectors: ``d_l``, ``msd``, the nearest
-seen index, the nearest unseen distance and its index.  None of them
-depends on the strategy, so a strategy is only a boolean mask over them
-and a class pick ``np.where(seen, nearest seen, nearest unseen)``; the
+Every entry point reads a split through the statistics pass of ``gates``
+(``_split_stats``), the one ``calibrate`` uses, against the seen and unseen
+tables: ``d_l``, ``msd``, the nearest seen index, the nearest unseen
+distance and its index, with the bits calibration sees for each row.  No
+vector depends on the strategy, so a strategy is only a boolean mask over
+them and a class pick ``np.where(seen, nearest seen, nearest unseen)``; the
 no-gate baseline is the mask ``msd <= nearest unseen distance``.
 One evaluation body, ``_evaluate``, makes that pass once per test split
 and scores each ``(tag, rule)`` it is given from the same vectors:
@@ -46,17 +41,12 @@ import numpy as np
 
 from .data import GzslDataset, _is_integer
 from .errors import ConfigError, DomainError, EvaluationError, MetricError, ShapeError
-from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, length_gaps
-from .linalg import _prepare, _screen, as_matrix, as_table
-from .mlp import MlpParams, _forward_blocks
+from .gates import GATE_FUNCTIONS, Domain, ThresholdSet, _split_stats, _tables
+from .linalg import as_matrix
+from .mlp import MlpParams
 
 STRATEGIES = tuple(GATE_FUNCTIONS)
 BASELINE_TAG = "nogate"
-
-# Rows projected per chunk of a statistics pass.  A chunk holds only its
-# own projections: projecting each whole split at once raised eval_heavy's
-# peak RSS by about 3 MB, and 512-row chunks ran no faster than 256-row ones.
-_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -175,29 +165,6 @@ def _class_indices(classes, n: int, n_classes: int, slot: str) -> np.ndarray:
     if classes.min() < 0 or classes.max() >= n_classes:
         raise DomainError(f"{slot} classifier returned class indices outside [0, {n_classes})")
     return classes
-
-
-def _tables(mapper: MlpParams, seen_emb, unseen_emb) -> tuple[tuple, tuple]:
-    """The seen and unseen embedding tables, checked and prepared for ``_screen``."""
-    return (_prepare(as_table(seen_emb, mapper.out_dim, "seen embeddings")),
-            _prepare(as_table(unseen_emb, mapper.out_dim, "unseen embeddings")))
-
-
-def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, seen: tuple,
-                 unseen: tuple) -> tuple[np.ndarray, ...]:
-    """The per-row vectors every rule reads, for every row of the checked
-    matrix ``xs`` against the ``_tables`` pair ``seen``, ``unseen``:
-    ``(d_l, msd, nearest seen index, nearest unseen distance, its index)``."""
-    n = xs.shape[0]
-    d_l, msd, min_unseen = np.empty(n), np.empty(n), np.empty(n)
-    arg_seen, arg_unseen = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        proj = _forward_blocks(mapper, xs[rows])
-        d_l[rows] = length_gaps(proj, l)
-        msd[rows], arg_seen[rows] = _screen(proj, seen)
-        min_unseen[rows], arg_unseen[rows] = _screen(proj, unseen)
-    return d_l, msd, arg_seen, min_unseen, arg_unseen
 
 
 def _route(rule, stats, xs: np.ndarray, tables: tuple, seen_classifier,

@@ -25,8 +25,8 @@ from sdgzsl import (
     evaluate,
     evaluate_baseline,
     forward_batch,
+    gate_statistics,
     generate_synthetic,
-    min_semantic_distance,
     predict,
     train,
 )
@@ -202,20 +202,60 @@ def test_exact_ties_go_to_the_lowest_index():
     assert baseline.gate_confusion[(Domain.UNSEEN, Domain.SEEN)] == 3
 
 
-@pytest.mark.parametrize("split", ["seen_train", "seen_test"])
-def test_calibration_msd_equals_min_semantic_distance_bit_for_bit(monkeypatch, split):
-    ds = generate_synthetic(SyntheticSpec(5, 2, 6, 4, 23, 7, 0.3, seed=8))
-    mapper, _ = train(ds, TrainConfig(epochs=3, seed=8))
-    seen_samples = {}
+@pytest.fixture(scope="module")
+def calibration_fixtures():
+    """(dataset, trained mapper) pairs: a small one, and the acceptance shape
+    with 30 test rows per class, whose 500 seen_train and 300 seen_test rows
+    each cross a 256-row chunk and end in a short ``ROW_BLOCK`` tail."""
+    out = []
+    for spec in (SyntheticSpec(5, 2, 6, 4, 23, 7, 0.3, seed=8),
+                 SyntheticSpec(10, 3, 32, 16, 50, 30, 0.05, seed=7)):
+        ds = generate_synthetic(spec)
+        out.append((ds, train(ds, TrainConfig(epochs=3, seed=spec.seed))[0]))
+    return out
+
+
+def calibration_samples(monkeypatch, mapper, ds, split):
+    """``calibrate``'s threshold set and the ``(d_l, msd)`` samples it drew them from."""
+    samples = []
     original = gates.calibrate_from_samples
 
     def capture(d_l, msd, lam, l):
-        seen_samples["msd"] = np.array(msd)
+        samples.append((np.array(d_l), np.array(msd)))
         return original(d_l, msd, lam, l)
 
     monkeypatch.setattr(gates, "calibrate_from_samples", capture)
-    calibrate(mapper, ds, split=split)
-    proj = forward_batch(mapper, getattr(ds, f"{split}_x"))
-    per_row = np.concatenate([min_semantic_distance(p[None, :], ds.seen_emb) for p in proj])
-    assert per_row.shape[0] > ROW_BLOCK
-    assert np.array_equal(seen_samples["msd"], per_row)
+    th = calibrate(mapper, ds, split=split)
+    monkeypatch.undo()
+    return th, samples[0]
+
+
+@pytest.mark.parametrize("split", ["seen_train", "seen_test"])
+def test_calibration_msd_equals_min_semantic_distance_bit_for_bit(monkeypatch, split,
+                                                                   calibration_fixtures):
+    for ds, mapper in calibration_fixtures:
+        _, (d_l, msd) = calibration_samples(monkeypatch, mapper, ds, split)
+        proj = project_in_blocks(mapper, getattr(ds, f"{split}_x"))
+        assert proj.shape[0] > ROW_BLOCK and proj.shape[0] % ROW_BLOCK
+        # one row per call: gate_statistics is length_gaps and min_semantic_distance
+        per_row = [gate_statistics(p[None, :], ds.seen_emb, ds.unified_norm) for p in proj]
+        assert np.array_equal(d_l, np.concatenate([row[0] for row in per_row]))
+        assert np.array_equal(msd, np.concatenate([row[1] for row in per_row]))
+
+
+@pytest.mark.parametrize("split", ["seen_train", "seen_test"])
+def test_calibration_statistics_equal_the_evaluation_pass_bit_for_bit(monkeypatch, split,
+                                                                     calibration_fixtures):
+    ds, mapper = calibration_fixtures[1]
+    xs = getattr(ds, f"{split}_x")
+    assert xs.shape[0] > 256
+    th, (d_l, msd) = calibration_samples(monkeypatch, mapper, ds, split)
+    seen = []
+
+    def capture(d_l, msd, t):
+        seen.append((d_l.copy(), msd.copy()))
+        return d_l < t.r_ol
+
+    predict(mapper, th, "ol", xs, ds.seen_emb, ds.unseen_emb, gate_fn=capture)
+    assert np.array_equal(d_l, seen[0][0])
+    assert np.array_equal(msd, seen[0][1])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -259,6 +260,14 @@ class TestDatasetIO:
         (root / "meta.json").write_text(json.dumps(meta))
         loaded = load_dataset(root)
         assert type(loaded.unified_norm) is float and loaded.unified_norm == 1.0
+
+    @pytest.mark.parametrize("side", ["seen", "unseen"])
+    def test_nan_embedding_row_rejected(self, side):
+        ds = generate_synthetic(SMALL_SPEC)
+        emb = getattr(ds, f"{side}_emb").copy()
+        emb[0, 0] = np.nan
+        with pytest.raises(ValidationError, match=f"{side}_emb: row 0 has norm"):
+            dataclasses.replace(ds, **{f"{side}_emb": emb}).validate()
 
     def test_zero_embedding_row_rejected(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)

@@ -24,7 +24,7 @@ GOLDEN_SHA256 = {
     "report_nogate.kv": "b2cd0cecbfb5edf983885b1396f2b7853f0e707b37b14b588972ad327b354128",
     "report_ol.kv": "dce8fa2642f5f99ef366e5cc494dd79d4bd7c7654c2ae50ecb11fff44d65a4e7",
     "report_ws.kv": "3aa572f94530aed5665ace1af1fdc62d76448ce3fe7378601f8dc35322287af0",
-    "thresholds.kv": "4ed05353b0612d522b3b70ccfa268f6d6205cf1e5880cf794ffa0f0ad2ae57a2",
+    "thresholds.kv": "b320bc2bb51fcf2125df8d985850d88773d8f8a72981c7a0663274e20e8d109f",
     "sweep.csv": "a2552833dc2fcccc10f5a18cca8afbf6b1a2acf73e731bc1d7edac1a48c2e4d1",
 }
 
