@@ -164,7 +164,8 @@ class GzslDataset:
             if off.size and not off.max() <= 1e-9:  # a NaN norm fails this too
                 bad = int(off.argmax())
                 raise ValidationError(
-                    f"{side}_emb: row {bad} has norm {norms[bad]!r}, expected {self.unified_norm!r}"
+                    f"{side}_emb: row {bad} has norm {float(norms[bad])!r}, "
+                    f"expected {float(self.unified_norm)!r}"
                 )
         # loaded/generated datasets are shared read-only across threads
         for arr in (

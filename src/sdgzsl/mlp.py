@@ -14,11 +14,22 @@ each step's gradients into views of a second flat vector of the same layout.
 So a step updates with two calls, ``grad *= lr; flat -= grad``, which apply
 the per-array formula to every entry, and every product is still checked for
 finiteness before it is used.
+
+When the per-epoch full-set loss is large (at least ``_OVERLAP_MACS``
+multiply-adds in its forward) and two CPUs are usable, ``train`` runs two
+threads: once epoch e's steps finish, ``flat`` is copied into a snapshot, a
+worker thread runs epoch e+1's steps on ``flat`` and the calling thread
+computes epoch e's loss on views of the snapshot.  Each product is the same
+call on the same operands as on one thread, so parameters and losses keep
+their bits, and a divergence names the same epoch.  Smaller problems run both
+on the calling thread, where the hand-offs would cost more than they hide.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,11 +238,62 @@ def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
     return grad_w, grad_b
 
 
+# Fewest loss-forward multiply-adds (rows x sum of layer out x in) at which
+# ``train`` overlaps each epoch's loss with the next epoch's steps; below it
+# the thread hand-offs cost more than the loss they hide.
+_OVERLAP_MACS = 2**23
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _overlaps(n: int, shapes) -> bool:
+    """Whether ``train`` runs each epoch's steps beside the previous epoch's loss."""
+    return n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _usable_cpus() >= 2
+
+
+class _Worker(threading.Thread):
+    """Runs ``fn()`` on its own thread; ``result`` joins it and re-raises what it raised.
+
+    The thread blocks once after it starts, so the interpreter lock goes back
+    to the caller, which keeps it until its next product.  That product then
+    takes OpenBLAS's first free buffer, the one the caller's earlier products
+    used.  Were a product of ``fn`` first, a 4 MB loss product would land in a
+    second buffer and stay resident for the rest of the process.
+    """
+
+    def __init__(self, fn):
+        super().__init__(name="sdgzsl-train-steps")
+        self.fn, self.error, self._go = fn, None, threading.Event()
+        self.start()
+        self._go.set()
+
+    def run(self) -> None:
+        self._go.wait()
+        try:
+            self.fn()
+        except BaseException as exc:  # handed to the caller by ``result``
+            self.error = exc
+
+    def result(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
+
+
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     """Mini-batch SGD on seen training instances against their class embeddings.
 
     Returns the trained parameters and the per-epoch full-training-set
-    loss history (length ``cfg.epochs``).
+    loss history (length ``cfg.epochs``).  Raises ``DivergenceError`` naming
+    the first epoch whose steps or loss are not finite.  When ``_overlaps``
+    holds, epoch e's loss is computed on a snapshot of the parameters while
+    a worker thread runs epoch e+1's steps; the results are the same bits,
+    and the worker is joined before ``train`` returns or raises.
     """
     cfg.validate()
     xs = dataset.seen_train_x
@@ -249,26 +311,47 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
     grad = np.empty_like(flat)
     grad_w, grad_b = _views(shapes, grad)
     n = xs.shape[0]
-    history: list[float] = []
-    for epoch in range(cfg.epochs):
+
+    def steps() -> None:  # one epoch
         perm = rng.permutation(n)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, n, cfg.batch_size):
-                    idx = perm[start : start + cfg.batch_size]
-                    _gradient(params, xs[idx], zs[idx], grad_w, grad_b)
-                    grad *= cfg.learning_rate
-                    flat -= grad
-                loss = mse_loss(params, xs, zs)
-        except DomainError:
-            # overflow inside a product surfaces as a substrate finiteness error
-            loss = float("nan")
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite training loss at epoch {epoch} "
-                f"(learning_rate={cfg.learning_rate}); reduce the learning rate"
-            )
-        history.append(loss)
+        with np.errstate(over="ignore", invalid="ignore"):  # set per thread
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                _gradient(params, xs[idx], zs[idx], grad_w, grad_b)
+                np.multiply(grad, cfg.learning_rate, out=grad)  # grad *= lr
+                np.subtract(flat, grad, out=flat)  # flat -= grad
+
+    overlap = _overlaps(n, shapes)
+    snapshot = np.empty_like(flat) if overlap else None
+    at_snapshot = MlpParams(*_views(shapes, snapshot), params.activations) if overlap else params
+    history: list[float] = []
+    worker = None  # the thread running this epoch's steps, if they are under way
+    try:
+        for epoch in range(cfg.epochs):
+            try:
+                if worker is None:
+                    steps()
+                else:
+                    worker.result()
+                    worker = None
+                if overlap:
+                    snapshot[...] = flat
+                    if epoch + 1 < cfg.epochs:
+                        worker = _Worker(steps)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss = mse_loss(at_snapshot, xs, zs)
+            except DomainError:
+                # overflow inside a product surfaces as a substrate finiteness error
+                loss = float("nan")
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite training loss at epoch {epoch} "
+                    f"(learning_rate={cfg.learning_rate}); reduce the learning rate"
+                )
+            history.append(loss)
+    finally:
+        if worker is not None:
+            worker.join()
     return params.validate().freeze(), history
 
 

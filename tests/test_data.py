@@ -269,6 +269,17 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match=f"{side}_emb: row 0 has norm"):
             dataclasses.replace(ds, **{f"{side}_emb": emb}).validate()
 
+    @pytest.mark.parametrize("scale", [np.nan, 2.0])
+    def test_norm_message_prints_plain_floats(self, scale):
+        ds = generate_synthetic(SMALL_SPEC)
+        emb = ds.seen_emb.copy()
+        emb[0] *= scale
+        shown = repr(float(np.sqrt((emb[0] * emb[0]).sum())))
+        assert shown == "nan" or shown.startswith(("1.99", "2.0"))
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(ds, seen_emb=emb).validate()
+        assert str(info.value) == f"seen_emb: row 0 has norm {shown}, expected 1.0"
+
     def test_zero_embedding_row_rejected(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
         root = save_dataset(ds, tmp_path / "d")

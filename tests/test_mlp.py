@@ -1,4 +1,8 @@
 import json
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +94,13 @@ def reference_train(dataset, cfg):
 
 def bits(arrays):
     return [np.asarray(a).tobytes() for a in arrays]
+
+
+def force_overlap(monkeypatch, on: bool) -> None:
+    """Make ``train`` overlap each epoch's loss with the next epoch's steps, or
+    not, whatever the problem size and the CPU count."""
+    monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0 if on else float("inf"))
+    monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2 if on else 1)
 
 
 def linear_net(w, b):
@@ -353,6 +364,12 @@ class TestCheckpoint:
 
 
 class TestTrainMatchesReferenceSgd:
+    overlap = False
+
+    @pytest.fixture(autouse=True)
+    def _overlap(self, monkeypatch):
+        force_overlap(monkeypatch, self.overlap)
+
     @pytest.fixture(scope="class")
     def small_dataset(self):
         return generate_synthetic(SMALL_SPEC)
@@ -394,6 +411,111 @@ class TestTrainMatchesReferenceSgd:
         assert first_non_finite == ["sdgzsl.mlp"]
 
 
+class TestTrainMatchesReferenceSgdOverlapped(TestTrainMatchesReferenceSgd):
+    """The same checks with each epoch's loss computed beside the next epoch's steps."""
+
+    overlap = True
+
+
+OVERFLOW_SPEC = SyntheticSpec(5, 2, 8, 8, 40, 10, 0.0, seed=11)  # at learning rate 2.0,
+# epoch 1's steps overflow in a weight-gradient product (see the test above)
+
+
+class TestOverlappedTrain:
+    """``train`` with a worker thread running epoch e+1's steps during epoch e's loss."""
+
+    @pytest.fixture(autouse=True)
+    def _overlap(self, monkeypatch):
+        force_overlap(monkeypatch, True)
+
+    @pytest.fixture()
+    def workers(self, monkeypatch):
+        started = []
+
+        class Counted(sdgzsl.mlp._Worker):
+            def __init__(self, fn):
+                started.append(self)
+                super().__init__(fn)
+
+        monkeypatch.setattr(sdgzsl.mlp, "_Worker", Counted)
+        return started
+
+    def test_both_paths_give_the_same_bytes(self, bench_dataset, bench_mapper, workers):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+        try:
+            params, history = train(bench_dataset, TrainConfig())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(workers) == TrainConfig().epochs - 1
+        assert not any(w.is_alive() for w in workers)
+        inline, inline_history = bench_mapper
+        assert bits(params.weights + params.biases) == bits(inline.weights + inline.biases)
+        assert bits(history) == bits(inline_history)
+
+    def test_size_and_cpu_count_select_the_overlap(self, monkeypatch):
+        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 2**23)
+        train_heavy = [(256, 256), (64, 256)]
+        assert sdgzsl.mlp._overlaps(2000, train_heavy)
+        assert not sdgzsl.mlp._overlaps(600, [(32, 32), (32, 32)])  # eval_heavy
+        assert not sdgzsl.mlp._overlaps(500, [(32, 32), (16, 32)])  # the CLI defaults
+        monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 1)
+        assert not sdgzsl.mlp._overlaps(2000, train_heavy)
+
+    def test_below_the_threshold_no_thread_is_started(self, monkeypatch, workers):
+        force_overlap(monkeypatch, False)
+        train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=3))
+        assert workers == []
+
+    def test_no_thread_outlives_a_returning_train(self, workers):
+        before = threading.active_count()
+        train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=5, batch_size=7))
+        assert len(workers) == 4
+        assert threading.active_count() == before
+
+    def test_divergence_in_the_workers_steps_names_its_epoch(self, workers):
+        before = threading.active_count()
+        with pytest.raises(DivergenceError, match="at epoch 1 "):
+            train(generate_synthetic(OVERFLOW_SPEC), TrainConfig(learning_rate=2.0, epochs=30))
+        assert len(workers) == 1 and isinstance(workers[0].error, DomainError)
+        assert threading.active_count() == before
+
+    def test_a_non_finite_loss_names_its_epoch_whatever_the_next_steps_do(
+            self, monkeypatch, workers):
+        ds = generate_synthetic(SMALL_SPEC)
+        batches = -(-ds.seen_train_x.shape[0] // 7)
+        losses, gradients = [], []
+        mse, gradient = sdgzsl.mlp.mse_loss, sdgzsl.mlp._gradient
+
+        def nan_at_epoch_1(*args):
+            losses.append(mse(*args))
+            return float("nan") if len(losses) == 2 else losses[-1]
+
+        def overflow_in_epoch_2(*args):
+            gradients.append(None)
+            if len(gradients) > 2 * batches:
+                time.sleep(0.2)  # still running when epoch 1's loss is found non-finite
+                raise DomainError("matmul result: non-finite values")
+            return gradient(*args)
+
+        monkeypatch.setattr(sdgzsl.mlp, "mse_loss", nan_at_epoch_1)
+        monkeypatch.setattr(sdgzsl.mlp, "_gradient", overflow_in_epoch_2)
+        before = threading.active_count()
+        with pytest.raises(DivergenceError, match="at epoch 1 "):
+            train(ds, TrainConfig(epochs=5, batch_size=7))
+        assert len(workers) == 2 and not workers[1].is_alive()
+        assert isinstance(workers[1].error, DomainError)  # epoch 2's steps failed too
+        assert threading.active_count() == before
+
+    def test_overflow_on_the_worker_is_an_error_not_a_warning(self, workers):
+        ds = generate_synthetic(OVERFLOW_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's errstate is per thread
+            with pytest.raises(DivergenceError, match="at epoch 1 "):
+                train(ds, TrainConfig(learning_rate=2.0, epochs=30))
+        assert len(workers) == 1
+
+
 class TestInputsAreNotModified:
     """The in-place steps must only touch arrays the step itself created."""
 
@@ -411,11 +533,13 @@ class TestInputsAreNotModified:
             g[...] = 123.0
         assert bits([xs, zs] + params.weights + params.biases) == before
 
-    def test_train_leaves_the_dataset_alone(self):
+    def test_train_leaves_the_dataset_alone(self, monkeypatch):
         ds = generate_synthetic(SMALL_SPEC)
         fields = [ds.seen_train_x, ds.seen_train_y, ds.seen_test_x, ds.seen_test_y,
                   ds.unseen_test_x, ds.unseen_test_y, ds.seen_emb, ds.unseen_emb]
         before = bits(fields)
-        train(ds, TrainConfig(epochs=3, batch_size=7, hidden_sizes=[4]))
-        train(ds, TrainConfig(epochs=3, batch_size=1000, hidden_sizes=[]))
+        for overlap in (False, True):
+            force_overlap(monkeypatch, overlap)
+            train(ds, TrainConfig(epochs=3, batch_size=7, hidden_sizes=[4]))
+            train(ds, TrainConfig(epochs=3, batch_size=1000, hidden_sizes=[]))
         assert bits(fields) == before
