@@ -269,8 +269,10 @@ class _Worker(threading.Thread):
     def __init__(self, fn):
         super().__init__(name="sdgzsl-train-steps")
         self.fn, self.error, self._go = fn, None, threading.Event()
-        self.start()
-        self._go.set()
+        try:
+            self.start()
+        finally:  # never leave the thread waiting, not even on an interrupt
+            self._go.set()
 
     def run(self) -> None:
         self._go.wait()
