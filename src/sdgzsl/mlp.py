@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -260,10 +261,12 @@ class _Worker(threading.Thread):
     """Runs ``fn()`` on its own thread; ``result`` joins it and re-raises what it raised.
 
     The thread blocks once after it starts, so the interpreter lock goes back
-    to the caller, which keeps it until its next product.  That product then
-    takes OpenBLAS's first free buffer, the one the caller's earlier products
-    used.  Were a product of ``fn`` first, a 4 MB loss product would land in a
-    second buffer and stay resident for the rest of the process.
+    to the caller, which keeps it until its next product; once the thread has
+    the lock again it yields its CPU once, so the caller, even if the thread
+    displaced it, gets into that product first.  The product then takes
+    OpenBLAS's first free buffer, the one the caller's earlier products used.
+    Were a product of ``fn`` first, a 4 MB loss product would land in a second
+    buffer and stay resident for the rest of the process.
     """
 
     def __init__(self, fn):
@@ -276,6 +279,7 @@ class _Worker(threading.Thread):
 
     def run(self) -> None:
         self._go.wait()
+        time.sleep(0)
         try:
             self.fn()
         except BaseException as exc:  # handed to the caller by ``result``
