@@ -16,13 +16,17 @@ the per-array formula to every entry, and every product is still checked for
 finiteness before it is used.
 
 When the per-epoch full-set loss is large (at least ``_OVERLAP_MACS``
-multiply-adds in its forward) and two CPUs are usable, ``train`` runs two
+multiply-adds in its forward), BLAS runs on one thread (``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` is 1) and two CPUs are usable, ``train`` runs two
 threads: once epoch e's steps finish, ``flat`` is copied into a snapshot, a
 worker thread runs epoch e+1's steps on ``flat`` and the calling thread
 computes epoch e's loss on views of the snapshot.  Each product is the same
 call on the same operands as on one thread, so parameters and losses keep
-their bits, and a divergence names the same epoch.  Smaller problems run both
-on the calling thread, where the hand-offs would cost more than they hide.
+their bits, and a divergence names the same epoch.  Otherwise both run on the
+calling thread: for a small loss the hand-offs cost more than they hide, and
+with BLAS on every core two callers only share the same cores.  A caller that
+has wrapped one of the functions the threads call (a tracer) also gets one
+thread.
 """
 
 from __future__ import annotations
@@ -241,8 +245,10 @@ def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
 
 # Fewest loss-forward multiply-adds (rows x sum of layer out x in) at which
 # ``train`` overlaps each epoch's loss with the next epoch's steps; below it
-# the thread hand-offs cost more than the loss they hide.
-_OVERLAP_MACS = 2**23
+# the thread hand-offs cost more than the loss they hide.  On a 2-core x86-64
+# box with BLAS on one thread, at 1000, 2000 and 4000 rows, 8.4M and 12M were
+# 3-5% slower with the overlap and 14M to 24M were 3-14% faster.
+_OVERLAP_MACS = 2**24
 
 
 def _usable_cpus() -> int:
@@ -252,9 +258,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blas_on_one_thread() -> bool:
+    """Whether BLAS runs each product on one thread, read as OpenBLAS (numpy's own
+    BLAS) reads it when it loads: the first of these variables that holds a
+    positive integer.  With none set, OpenBLAS runs on every core."""
+    for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(key, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+def _wrapped() -> bool:
+    """Whether a function that ``train``'s threads call has been replaced by a
+    wrapper (``functools.wraps`` leaves ``__wrapped__``), such as a tracer's,
+    whose state need not be safe on two threads."""
+    return any(hasattr(fn, "__wrapped__") for fn in (
+        mse_loss, forward_batch, _layers, _gradient, check_finite, matmul, SplitMix64.permutation))
+
+
 def _overlaps(n: int, shapes) -> bool:
-    """Whether ``train`` runs each epoch's steps beside the previous epoch's loss."""
-    return n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _usable_cpus() >= 2
+    """Whether ``train`` runs each epoch's steps beside the previous epoch's loss:
+    only for a large loss, with BLAS on one thread, a second CPU for the second
+    caller, and no wrapped function on either thread."""
+    return (n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _blas_on_one_thread()
+            and _usable_cpus() >= 2 and not _wrapped())
 
 
 class _Worker(threading.Thread):
@@ -262,11 +290,13 @@ class _Worker(threading.Thread):
 
     The thread blocks once after it starts, so the interpreter lock goes back
     to the caller, which keeps it until its next product; once the thread has
-    the lock again it yields its CPU once, so the caller, even if the thread
-    displaced it, gets into that product first.  The product then takes
-    OpenBLAS's first free buffer, the one the caller's earlier products used.
-    Were a product of ``fn`` first, a 4 MB loss product would land in a second
-    buffer and stay resident for the rest of the process.
+    the lock again it yields its CPU once, so the caller usually gets into that
+    product first.  The product then takes OpenBLAS's first free buffer, the
+    one the caller's earlier products used.  This makes the order likely, not
+    certain: OpenBLAS gives a product the first buffer no other product holds,
+    and a loss product that finds the first one held by a product of ``fn``
+    packs its 4 MB operand into a second buffer, which stays resident for the
+    rest of the process.
     """
 
     def __init__(self, fn):
@@ -297,7 +327,8 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
     Returns the trained parameters and the per-epoch full-training-set
     loss history (length ``cfg.epochs``).  Raises ``DivergenceError`` naming
     the first epoch whose steps or loss are not finite.  When ``_overlaps``
-    holds, epoch e's loss is computed on a snapshot of the parameters while
+    holds (a large loss, BLAS on one thread, two usable CPUs, no wrapped
+    callee), epoch e's loss is computed on a snapshot of the parameters while
     a worker thread runs epoch e+1's steps; the results are the same bits,
     and the worker is joined before ``train`` returns or raises.
     """

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 import threading
@@ -98,8 +99,9 @@ def bits(arrays):
 
 def force_overlap(monkeypatch, on: bool) -> None:
     """Make ``train`` overlap each epoch's loss with the next epoch's steps, or
-    not, whatever the problem size and the CPU count."""
+    not, whatever the problem size, the BLAS thread count and the CPU count."""
     monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0 if on else float("inf"))
+    monkeypatch.setattr(sdgzsl.mlp, "_blas_on_one_thread", lambda: on)
     monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2 if on else 1)
 
 
@@ -454,13 +456,47 @@ class TestOverlappedTrain:
         assert bits(history) == bits(inline_history)
 
     def test_size_and_cpu_count_select_the_overlap(self, monkeypatch):
-        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 2**23)
+        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 2**24)
         train_heavy = [(256, 256), (64, 256)]
         assert sdgzsl.mlp._overlaps(2000, train_heavy)
+        assert sdgzsl.mlp._overlaps(1000, [(116, 116), (29, 116)])  # 16.8M multiply-adds
+        assert not sdgzsl.mlp._overlaps(1000, [(97, 97), (24, 97)])  # 11.7M
         assert not sdgzsl.mlp._overlaps(600, [(32, 32), (32, 32)])  # eval_heavy
         assert not sdgzsl.mlp._overlaps(500, [(32, 32), (16, 32)])  # the CLI defaults
         monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 1)
         assert not sdgzsl.mlp._overlaps(2000, train_heavy)
+
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),  # OpenBLAS runs on every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS's own first
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),  # 0 is skipped, as there
+        ({"OPENBLAS_NUM_THREADS": "one"}, False),
+    ])
+    def test_blas_threads_select_the_overlap(self, monkeypatch, env, one):
+        monkeypatch.undo()  # the class fixture's forcing, the BLAS check included
+        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0)
+        monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2)
+        for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert sdgzsl.mlp._blas_on_one_thread() is one
+        assert sdgzsl.mlp._overlaps(2000, [(256, 256), (64, 256)]) is one
+
+    def test_a_wrapped_callee_keeps_one_thread(self, monkeypatch, workers):
+        calls = []
+
+        @functools.wraps(sdgzsl.mlp.check_finite)
+        def traced(*args):
+            calls.append(threading.get_ident())
+            return traced.__wrapped__(*args)
+
+        monkeypatch.setattr(sdgzsl.mlp, "check_finite", traced)
+        train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=3, batch_size=7))
+        assert workers == [] and set(calls) == {threading.get_ident()}
 
     def test_below_the_threshold_no_thread_is_started(self, monkeypatch, workers):
         force_overlap(monkeypatch, False)
