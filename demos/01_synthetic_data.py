@@ -55,4 +55,4 @@ with tempfile.TemporaryDirectory() as td:
     )
     files = sorted(p.name for p in out.iterdir())
     print(f"wrote {files}")
-    print(f"largest save->load difference: {diff:.3g} (f32 rows are chosen so this is exact)")
+    print(f"largest save->load difference: {diff:.3g} (exact: both sides use normalize_embeddings)")

@@ -149,19 +149,23 @@ class GzslDataset:
                 raise ValidationError(f"{name}: feature dim {x.shape[1]} != {d}")
             if y.shape != (x.shape[0],):
                 raise ValidationError(f"{name}: {y.shape[0]} labels for {x.shape[0]} rows")
-            if not np.all(np.isfinite(x)):
-                bad = int(np.where(~np.isfinite(x).all(axis=1))[0][0])
-                raise ValidationError(f"{name}: non-finite feature at row {bad}")
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                raise ValidationError(f"{name}: non-finite feature at row {int(finite.argmin())}")
             n_classes = self.n_unseen_classes if name == "unseen_test" else self.n_seen_classes
-            if y.size and (y.min() < 0 or y.max() >= n_classes):
-                raise ValidationError(f"{name}: label outside 0..{n_classes - 1}")
+            outside = (y < 0) | (y >= n_classes)
+            if outside.any():
+                bad = int(outside.argmax())
+                raise ValidationError(
+                    f"{name}: label {y[bad]} at row {bad} outside 0..{n_classes - 1}")
         for side, emb in (("seen", self.seen_emb), ("unseen", self.unseen_emb)):
             as_matrix(emb, f"{side}_emb")
             if emb.shape[1] != s:
                 raise ValidationError(f"{side}_emb: semantic dim {emb.shape[1]} != {s}")
             norms = np.sqrt((emb * emb).sum(axis=1))
             off = np.abs(norms - self.unified_norm)
-            if off.size and not off.max() <= 1e-9:  # a NaN norm fails this too
+            # relative to l, so any norm in (0, inf) can pass; a NaN norm fails too
+            if off.size and not off.max() <= 1e-9 * self.unified_norm:
                 bad = int(off.argmax())
                 raise ValidationError(
                     f"{side}_emb: row {bad} has norm {float(norms[bad])!r}, "
@@ -182,31 +186,31 @@ def normalize_embeddings(raw, l: float) -> np.ndarray:
     if not l > 0:
         raise DomainError(f"unified norm must be > 0, got {l}")
     norms = np.sqrt((raw * raw).sum(axis=1))
-    if np.any(norms == 0.0):
-        bad = int(np.where(norms == 0.0)[0][0])
-        raise DomainError(f"embedding row {bad} is the zero vector and has no direction")
+    finite = np.isfinite(norms)
+    if not finite.all():
+        raise DomainError(f"embedding row {int(finite.argmin())} has no finite norm")
+    if not norms.all():  # the first zero is the first minimum of these finite norms >= 0
+        raise DomainError(f"embedding row {int(norms.argmin())} is the zero vector and has no direction")
     return raw * (l / norms)[:, None]
 
 
 def _f32_stable_unit_rows(raw: np.ndarray, l: float) -> np.ndarray:
     """Normalize rows to norm l such that float32 storage round-trips exactly.
 
-    Iterates quantize -> renormalize until the float32 image is a fixed
-    point, so ``renormalize(load(save(row))) == row`` bit-for-bit.
+    Iterates quantize -> ``normalize_embeddings`` until every row is a fixed
+    point, which is what ``load_dataset`` rebuilds from the file bit for bit;
+    raises ``DomainError`` when a row has none within 64 rounds.
     """
-    rows = normalize_embeddings(raw, l)
-    out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        v = row
-        for _ in range(64):
-            q = v.astype(np.float32).astype(np.float64)
-            w = q * (l / np.sqrt(q @ q))
-            if np.array_equal(w.astype(np.float32).astype(np.float64), q):
-                v = w
-                break
-            v = w
-        out[i] = v
-    return out
+    v = normalize_embeddings(raw, l)
+    for _ in range(64):
+        w = normalize_embeddings(v.astype(np.float32).astype(np.float64), l)
+        if np.array_equal(w, v):
+            return v
+        v = w
+    raise DomainError(
+        f"an embedding row reaches no float32 fixed point at unified norm {l} "
+        "within 64 rounds; try another seed or norm"
+    )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
@@ -254,17 +258,14 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
 
     def draw_split(centers: np.ndarray, per_class: int) -> tuple[np.ndarray, np.ndarray]:
         n_classes = centers.shape[0]
-        x = np.empty((n_classes * per_class, spec.feature_dim))
-        # one draw per class (its rows are consecutive in the stream), scaled and
+        # one draw per split (its classes are consecutive in the stream), scaled and
         # shifted in place: the same values as center + spread * noise, no temporaries
-        for c in range(n_classes):
-            rows = x[c * per_class : (c + 1) * per_class]
-            rows[...] = noise_rng.gauss_array((per_class, spec.feature_dim))
-            rows *= spec.cluster_spread
-            rows += centers[c]
+        x = noise_rng.gauss_array((n_classes, per_class, spec.feature_dim))
+        x *= spec.cluster_spread
+        x += centers[:, None, :]
         y = np.repeat(np.arange(n_classes), per_class)
         # features live on the f32 grid so disk round-trips are exact
-        return x.astype(np.float32).astype(np.float64), y
+        return x.reshape(-1, spec.feature_dim).astype(np.float32).astype(np.float64), y
 
     seen_train_x, seen_train_y = draw_split(seen_centers, spec.per_class_train)
     seen_test_x, seen_test_y = draw_split(seen_centers, spec.per_class_test)
@@ -355,7 +356,8 @@ def load_dataset(path) -> GzslDataset:
     """Read and fully validate a dataset directory.
 
     Embedding rows are re-normalized to the header's unified norm after
-    the float32 widening.
+    the float32 widening.  A format error, or a value that
+    ``GzslDataset.validate`` rejects, raises ``DatasetLoadError``.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -393,20 +395,9 @@ def load_dataset(path) -> GzslDataset:
             raise DatasetLoadError(
                 f"{fpath}: shape {x.shape} does not match header ({counts[split]}, {meta['d']})"
             )
-        if not np.all(np.isfinite(x)):
-            bad = int(np.where(~np.isfinite(x).all(axis=1))[0][0])
-            raise DatasetLoadError(f"{fpath}: non-finite value at row {bad}")
-        y = _read_labels(root / LABEL_FILES[split], x.shape[0])
-        n_classes = meta["C_u"] if split == "unseen_test" else meta["C_s"]
-        if y.size and y.max() >= n_classes:
-            bad = int(np.argmax(y >= n_classes))
-            raise DatasetLoadError(
-                f"{root / LABEL_FILES[split]}: label {y[bad]} at row {bad} outside 0..{n_classes - 1}"
-            )
         arrays[f"{split}_x"] = x
-        arrays[f"{split}_y"] = y
+        arrays[f"{split}_y"] = _read_labels(root / LABEL_FILES[split], x.shape[0])
 
-    embs = {}
     for side, fname in EMBEDDING_FILES.items():
         fpath = root / fname
         e = _read_matrix(fpath)
@@ -415,25 +406,15 @@ def load_dataset(path) -> GzslDataset:
             raise DatasetLoadError(
                 f"{fpath}: shape {e.shape} does not match header ({n_classes}, {meta['S']})"
             )
-        if not np.all(np.isfinite(e)):
-            bad = int(np.where(~np.isfinite(e).all(axis=1))[0][0])
-            raise DatasetLoadError(f"{fpath}: non-finite value at row {bad}")
         try:
-            embs[side] = normalize_embeddings(e, meta["l"])
+            arrays[f"{side}_emb"] = normalize_embeddings(e, meta["l"])
         except DomainError as exc:
             raise DatasetLoadError(f"{fpath}: {exc}") from exc
 
-    return GzslDataset(
-        seen_train_x=arrays["seen_train_x"],
-        seen_train_y=arrays["seen_train_y"],
-        seen_test_x=arrays["seen_test_x"],
-        seen_test_y=arrays["seen_test_y"],
-        unseen_test_x=arrays["unseen_test_x"],
-        unseen_test_y=arrays["unseen_test_y"],
-        seen_emb=embs["seen"],
-        unseen_emb=embs["unseen"],
-        unified_norm=float(meta["l"]),
-    ).validate()
+    try:
+        return GzslDataset(**arrays, unified_norm=float(meta["l"])).validate()
+    except ValidationError as exc:
+        raise DatasetLoadError(f"{root}: {exc}") from exc
 
 
 def summarize(ds: GzslDataset) -> str:

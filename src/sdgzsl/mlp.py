@@ -16,8 +16,9 @@ the per-array formula to every entry, and every product is still checked for
 finiteness before it is used.
 
 When the per-epoch full-set loss is large (at least ``_OVERLAP_MACS``
-multiply-adds in its forward), BLAS runs on one thread (``OPENBLAS_NUM_THREADS``
-or ``OMP_NUM_THREADS`` is 1) and two CPUs are usable, ``train`` runs two
+multiply-adds in its forward), BLAS runs on one thread (the first of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that
+holds a positive integer is 1) and two CPUs are usable, ``train`` runs two
 threads: once epoch e's steps finish, ``flat`` is copied into a snapshot, a
 worker thread runs epoch e+1's steps on ``flat`` and the calling thread
 computes epoch e's loss on views of the snapshot.  Each product is the same

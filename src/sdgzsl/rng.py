@@ -15,7 +15,7 @@ Draw conventions, fixed forever:
   the sine variate is cached for the next call.
 * ``below(n)`` is ``next_u64() % n`` (the modulo bias at 2**-64 is
   irrelevant at these ranges and keeps the recipe one line).
-* ``shuffle`` is a backward Fisher-Yates using ``below``.
+* ``permutation(n)`` is a backward Fisher-Yates using ``below``.
 * ``split()`` seeds a child stream with one u64 from the parent.
 
 Array draws come from uint64 blocks and equal the scalar sequence bit

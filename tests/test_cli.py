@@ -96,6 +96,12 @@ class TestGen:
         assert err == "error: out of memory: Unable to allocate 116. TiB\n"
         assert not (tmp_path / "x").exists()
 
+    def test_large_norm_generates_and_reloads(self, tmp_path):
+        assert run_cli("gen", *GEN_FLAGS, "--norm", "1e7", "--out", tmp_path / "x") == 0
+        ds = load_dataset(tmp_path / "x")
+        norms = np.sqrt((ds.seen_emb * ds.seen_emb).sum(axis=1))
+        assert ds.unified_norm == 1e7 and np.abs(norms - 1e7).max() <= 1e-2
+
     def test_config_int_accepted_where_float_expected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sigma": 0, "norm": 2}))

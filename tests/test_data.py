@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -45,9 +46,13 @@ class TestNormalizeEmbeddings:
         twice = normalize_embeddings(once, 1.5)
         assert twice == pytest.approx(once, abs=1e-12)
 
-    def test_zero_row_names_class_index(self):
-        raw = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DomainError, match="row 1"):
+    @pytest.mark.parametrize("row, what", [
+        ([0.0, 0.0], "is the zero vector"), ([np.nan, 1.0], "has no finite norm"),
+        ([0.0, -np.inf], "has no finite norm"),
+    ])
+    def test_zero_or_non_finite_row_names_class_index(self, row, what):
+        raw = np.array([[1.0, 0.0], row, [0.0, 1.0]])
+        with pytest.raises(DomainError, match=f"row 1 {what}"):
             normalize_embeddings(raw, 1.0)
 
     def test_direction_preserved(self, np_rng):
@@ -153,11 +158,37 @@ class TestGenerateSynthetic:
             d = ((centers - x) ** 2).sum(axis=1)
             assert int(np.argmin(d)) == 6 + int(y)
 
+    @pytest.mark.parametrize("semantic_dim", [2, 3, 16, 64])
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 3.0, 1e3, 1e5, 1e7])
+    def test_every_generated_dataset_round_trips_bit_for_bit(self, tmp_path, semantic_dim, norm):
+        # a row with no float32 fixed point is an error, never a row that moves on load
+        checked = 0
+        for seed in range(8):
+            spec = SyntheticSpec(10, 5, 8, semantic_dim, 2, 2, 0.05, seed, unified_norm=norm)
+            try:
+                ds = generate_synthetic(spec)
+            except DomainError:
+                continue
+            assert_round_trips_exactly(ds, tmp_path / "d")
+            checked += 1
+        assert checked >= 4
+
+    def test_eval_heavy_shape_round_trips_bit_for_bit(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec(60, 20, 32, 32, 10, 100, 0.05, seed=1))
+        assert_round_trips_exactly(ds, tmp_path / "d")
+
     def test_custom_unified_norm(self):
         spec = SyntheticSpec(4, 2, 8, 4, 3, 2, 0.1, seed=2, unified_norm=2.5)
         ds = generate_synthetic(spec)
         norms = np.sqrt((ds.seen_emb**2).sum(axis=1))
         assert np.abs(norms - 2.5).max() < 1e-9
+
+
+def assert_round_trips_exactly(ds, path):
+    loaded = load_dataset(save_dataset(ds, path))
+    for f in dataclasses.fields(ds):
+        a, b = getattr(ds, f.name), getattr(loaded, f.name)
+        assert np.array_equal(a, b), f"{f.name} moved on the disk round trip"
 
 
 class TestDatasetIO:
@@ -279,6 +310,19 @@ class TestDatasetIO:
         with pytest.raises(ValidationError) as info:
             dataclasses.replace(ds, seen_emb=emb).validate()
         assert str(info.value) == f"seen_emb: row 0 has norm {shown}, expected 1.0"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_file_names_the_row(self, tmp_path, value):
+        root = save_dataset(generate_synthetic(SMALL_SPEC), tmp_path / "d")
+        f = root / "unseen_emb.f32"
+        blob = bytearray(f.read_bytes())
+        offset = 16 + (2 * 16 + 5) * 4  # row 2, column 5
+        blob[offset : offset + 4] = struct.pack("<f", value)
+        f.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DatasetLoadError, match=r"unseen_emb\.f32: embedding row 2 has no finite norm"):
+                load_dataset(root)
 
     def test_zero_embedding_row_rejected(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
