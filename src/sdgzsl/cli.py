@@ -107,7 +107,7 @@ def _parse_hidden(text: str, parser) -> list[int] | None:
     if text == "linear":
         return []
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",")]  # an empty size ("4,,5") fails here
     except ValueError:
         parser.error(f"--hidden expects 'default', 'linear', or comma-separated ints, got {text!r}")
 

@@ -15,27 +15,26 @@ So a step updates with two calls, ``grad *= lr; flat -= grad``, which apply
 the per-array formula to every entry, and every product is still checked for
 finiteness before it is used.
 
-When the per-epoch full-set loss is large (at least ``_OVERLAP_MACS``
+Each epoch's full-set loss is computed on a snapshot of ``flat`` taken once
+the epoch's steps finish.  When that loss is large (at least ``_OVERLAP_MACS``
 multiply-adds in its forward), BLAS runs on one thread (the first of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that
-holds a positive integer is 1) and two CPUs are usable, ``train`` runs two
-threads: once epoch e's steps finish, ``flat`` is copied into a snapshot, a
-worker thread runs epoch e+1's steps on ``flat`` and the calling thread
-computes epoch e's loss on views of the snapshot.  Each product is the same
-call on the same operands as on one thread, so parameters and losses keep
-their bits, and a divergence names the same epoch.  Otherwise both run on the
-calling thread: for a small loss the hand-offs cost more than they hide, and
-with BLAS on every core two callers only share the same cores.  A caller that
-has wrapped one of the functions the threads call (a tracer) also gets one
-thread.
+holds a positive integer is 1) and two CPUs are usable, ``train`` runs every
+epoch's steps on a pool of one thread: epoch e+1's steps are submitted right
+after epoch e's snapshot and run on ``flat`` while the calling thread computes
+epoch e's loss.  Each product is the same call on the same operands as on one
+thread, so parameters and losses keep their bits, and a divergence names the
+same epoch.  Otherwise the same loop runs the steps on the calling thread: for
+a small loss the hand-offs cost more than they hide, and with BLAS on every
+core two callers only share the same cores.  A caller that has wrapped one of
+the functions the threads call (a tracer) also gets one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -286,52 +285,19 @@ def _overlaps(n: int, shapes) -> bool:
             and _usable_cpus() >= 2 and not _wrapped())
 
 
-class _Worker(threading.Thread):
-    """Runs ``fn()`` on its own thread; ``result`` joins it and re-raises what it raised.
-
-    The thread blocks once after it starts, so the interpreter lock goes back
-    to the caller, which keeps it until its next product; once the thread has
-    the lock again it yields its CPU once, so the caller usually gets into that
-    product first.  The product then takes OpenBLAS's first free buffer, the
-    one the caller's earlier products used.  This makes the order likely, not
-    certain: OpenBLAS gives a product the first buffer no other product holds,
-    and a loss product that finds the first one held by a product of ``fn``
-    packs its 4 MB operand into a second buffer, which stays resident for the
-    rest of the process.
-    """
-
-    def __init__(self, fn):
-        super().__init__(name="sdgzsl-train-steps")
-        self.fn, self.error, self._go = fn, None, threading.Event()
-        try:
-            self.start()
-        finally:  # never leave the thread waiting, not even on an interrupt
-            self._go.set()
-
-    def run(self) -> None:
-        self._go.wait()
-        time.sleep(0)
-        try:
-            self.fn()
-        except BaseException as exc:  # handed to the caller by ``result``
-            self.error = exc
-
-    def result(self) -> None:
-        self.join()
-        if self.error is not None:
-            raise self.error
-
-
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     """Mini-batch SGD on seen training instances against their class embeddings.
 
     Returns the trained parameters and the per-epoch full-training-set
     loss history (length ``cfg.epochs``).  Raises ``DivergenceError`` naming
-    the first epoch whose steps or loss are not finite.  When ``_overlaps``
-    holds (a large loss, BLAS on one thread, two usable CPUs, no wrapped
-    callee), epoch e's loss is computed on a snapshot of the parameters while
-    a worker thread runs epoch e+1's steps; the results are the same bits,
-    and the worker is joined before ``train`` returns or raises.
+    the first epoch whose steps or loss are not finite.  Each loss is computed
+    on a snapshot of the parameters.  When ``_overlaps`` holds (a large loss,
+    BLAS on one thread, two usable CPUs, no wrapped callee), the steps run on a
+    one-thread pool, epoch e+1's beside epoch e's loss.  The pool runs epoch
+    0's steps too, so its thread already waits on its queue when the first
+    loss starts, and the caller's loss product usually reaches OpenBLAS before
+    the steps' first product does.  The results are the same bits, and the
+    pool's thread is joined before ``train`` returns or raises.
     """
     cfg.validate()
     xs = dataset.seen_train_x
@@ -360,22 +326,19 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                 np.subtract(flat, grad, out=flat)  # flat -= grad
 
     overlap = _overlaps(n, shapes)
-    snapshot = np.empty_like(flat) if overlap else None
-    at_snapshot = MlpParams(*_views(shapes, snapshot), params.activations) if overlap else params
+    snapshot = np.empty_like(flat)
+    at_snapshot = MlpParams(*_views(shapes, snapshot), params.activations)
     history: list[float] = []
-    worker = None  # the thread running this epoch's steps, if they are under way
-    try:
+    if overlap:  # not imported at start-up: with numpy loaded it still takes milliseconds
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, "sdgzsl-train-steps") if overlap else contextlib.nullcontext() as pool:
+        pending = None if pool is None else pool.submit(steps)  # this epoch's steps on the pool
         for epoch in range(cfg.epochs):
             try:
-                if worker is None:
-                    steps()
-                else:
-                    worker.result()
-                    worker = None
-                if overlap:
-                    snapshot[...] = flat
-                    if epoch + 1 < cfg.epochs:
-                        worker = _Worker(steps)
+                steps() if pending is None else pending.result()
+                snapshot[...] = flat
+                if pool is not None and epoch + 1 < cfg.epochs:
+                    pending = pool.submit(steps)
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss = mse_loss(at_snapshot, xs, zs)
             except DomainError:
@@ -387,30 +350,34 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                     f"(learning_rate={cfg.learning_rate}); reduce the learning rate"
                 )
             history.append(loss)
-    finally:
-        if worker is not None:
-            worker.join()
     return params.validate().freeze(), history
 
 
 def save_checkpoint(params: MlpParams, path, seed: int | None = None,
                     unified_norm: float | None = None) -> Path:
-    """Text header (shapes, activations, seed, norm) + f64 LE parameter blob."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    """Text header (shapes, activations, seed, norm) + f64 LE parameter blob.
+
+    The seed is checked as ``load_checkpoint`` checks it, and the header is
+    built before the file is opened, so a bad seed leaves an existing file alone.
+    """
+    if seed is not None and not _is_integer(seed):
+        raise ValidationError(f"save_checkpoint: seed must be an integer or None, got {seed!r}")
     header = {
         "layers": [[int(w.shape[0]), int(w.shape[1])] for w in params.weights],
         "activations": list(params.activations),
-        "seed": seed,
+        "seed": None if seed is None else int(seed),  # a numpy integer as a JSON int
         "l": unified_norm,
     }
+    line = json.dumps(header, sort_keys=True).encode() + b"\n"
     blob = b"".join(
         np.ascontiguousarray(a, dtype="<f8").tobytes()
         for w, b in zip(params.weights, params.biases)
         for a in (w, b)
     )
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(line)
         fh.write(blob)
     return out
 

@@ -183,6 +183,27 @@ class TestTrain:
         params, _ = load_checkpoint(tmp_path / "r" / "model.ckpt")
         assert params.layer_sizes() == [32, 5, 16]
 
+    @pytest.mark.parametrize("hidden", ["", ",", "4,,5", "4,", " ", "4, ,5"])
+    def test_an_empty_hidden_size_is_usage_error(self, workspace, tmp_path, hidden):
+        data, _ = workspace
+        assert run_cli("train", "--data", data, "--out", tmp_path / "r", "--hidden", hidden,
+                       "--epochs", 1) == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["--hidden", "linear"], [32, 16]),
+        (["--hidden", " 4, 5"], [32, 4, 5, 16]),  # spaces around a size are allowed
+        (["--config", {"hidden": []}], [32, 16]),
+    ])
+    def test_hidden_sizes_from_the_flag_or_the_config(self, workspace, tmp_path, argv, sizes):
+        data, _ = workspace
+        if argv[0] == "--config":
+            (tmp_path / "cfg.json").write_text(json.dumps(argv[1]))
+            argv = ["--config", tmp_path / "cfg.json"]
+        assert run_cli("train", "--data", data, "--out", tmp_path / "r", *argv,
+                       "--epochs", 1) == 0
+        assert load_checkpoint(tmp_path / "r" / "model.ckpt")[0].layer_sizes() == sizes
+
 
 class TestEval:
     def test_strategy_all_writes_everything(self, workspace, tmp_path):

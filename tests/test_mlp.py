@@ -1,9 +1,14 @@
+import concurrent.futures
 import functools
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +330,23 @@ class TestCheckpoint:
         x = np_rng.normal(size=6)
         assert np.array_equal(forward(params, x), forward(loaded, x))
 
+    def test_a_numpy_integer_seed_is_written_as_a_json_int(self, tmp_path):
+        path = save_checkpoint(init_params(3, [], 2, SplitMix64(4)), tmp_path / "m.ckpt",
+                               seed=np.int64(3))
+        assert load_checkpoint(path)[1]["seed"] == 3
+
+    @pytest.mark.parametrize("seed", ["3", True, 3.0, np.float64(3.0), np.bool_(True), [3]])
+    def test_a_seed_that_load_rejects_is_not_written(self, tmp_path, seed):
+        params = init_params(3, [], 2, SplitMix64(4))
+        path = save_checkpoint(params, tmp_path / "m.ckpt", seed=1)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="seed must be an integer or None"):
+            save_checkpoint(params, path, seed=seed)
+        assert path.read_bytes() == before  # not truncated
+        with pytest.raises(ValidationError):
+            save_checkpoint(params, tmp_path / "new" / "m.ckpt", seed=seed)
+        assert not (tmp_path / "new").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetLoadError, match="missing checkpoint"):
             load_checkpoint(tmp_path / "nope.ckpt")
@@ -424,7 +446,7 @@ OVERFLOW_SPEC = SyntheticSpec(5, 2, 8, 8, 40, 10, 0.0, seed=11)  # at learning r
 
 
 class TestOverlappedTrain:
-    """``train`` with a worker thread running epoch e+1's steps during epoch e's loss."""
+    """``train`` with a pool thread running epoch e+1's steps during epoch e's loss."""
 
     @pytest.fixture(autouse=True)
     def _overlap(self, monkeypatch):
@@ -432,15 +454,20 @@ class TestOverlappedTrain:
 
     @pytest.fixture()
     def workers(self, monkeypatch):
-        started = []
+        """The future of every call submitted to ``train``'s pool, and the threads that ran them."""
+        record = types.SimpleNamespace(futures=[], threads=set())
 
-        class Counted(sdgzsl.mlp._Worker):
-            def __init__(self, fn):
-                started.append(self)
-                super().__init__(fn)
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, fn):
+                def run():
+                    record.threads.add(threading.current_thread())
+                    return fn()
 
-        monkeypatch.setattr(sdgzsl.mlp, "_Worker", Counted)
-        return started
+                record.futures.append(super().submit(run))
+                return record.futures[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        return record
 
     def test_both_paths_give_the_same_bytes(self, bench_dataset, bench_mapper, workers):
         interval = sys.getswitchinterval()
@@ -449,8 +476,8 @@ class TestOverlappedTrain:
             params, history = train(bench_dataset, TrainConfig())
         finally:
             sys.setswitchinterval(interval)
-        assert len(workers) == TrainConfig().epochs - 1
-        assert not any(w.is_alive() for w in workers)
+        assert len(workers.futures) == TrainConfig().epochs
+        assert len(workers.threads) == 1 and not any(t.is_alive() for t in workers.threads)
         inline, inline_history = bench_mapper
         assert bits(params.weights + params.biases) == bits(inline.weights + inline.biases)
         assert bits(history) == bits(inline_history)
@@ -496,24 +523,33 @@ class TestOverlappedTrain:
 
         monkeypatch.setattr(sdgzsl.mlp, "check_finite", traced)
         train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=3, batch_size=7))
-        assert workers == [] and set(calls) == {threading.get_ident()}
+        assert workers.futures == [] and set(calls) == {threading.get_ident()}
 
     def test_below_the_threshold_no_thread_is_started(self, monkeypatch, workers):
         force_overlap(monkeypatch, False)
         train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=3))
-        assert workers == []
+        assert workers.futures == []
 
-    def test_no_thread_outlives_a_returning_train(self, workers):
+    def test_no_thread_outlives_a_returning_train(self, monkeypatch, workers):
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
         before = threading.active_count()
         train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=5, batch_size=7))
-        assert len(workers) == 4
+        assert len(workers.futures) == 5  # epoch 0's steps run on the pool too
+        assert len(started) == 1 and workers.threads == set(started)  # one, not one per epoch
         assert threading.active_count() == before
 
     def test_divergence_in_the_workers_steps_names_its_epoch(self, workers):
         before = threading.active_count()
         with pytest.raises(DivergenceError, match="at epoch 1 "):
             train(generate_synthetic(OVERFLOW_SPEC), TrainConfig(learning_rate=2.0, epochs=30))
-        assert len(workers) == 1 and isinstance(workers[0].error, DomainError)
+        assert len(workers.futures) == 2  # epoch 0's steps, then epoch 1's
+        assert isinstance(workers.futures[1].exception(timeout=0), DomainError)
         assert threading.active_count() == before
 
     def test_a_non_finite_loss_names_its_epoch_whatever_the_next_steps_do(
@@ -539,8 +575,9 @@ class TestOverlappedTrain:
         before = threading.active_count()
         with pytest.raises(DivergenceError, match="at epoch 1 "):
             train(ds, TrainConfig(epochs=5, batch_size=7))
-        assert len(workers) == 2 and not workers[1].is_alive()
-        assert isinstance(workers[1].error, DomainError)  # epoch 2's steps failed too
+        assert len(workers.futures) == 3
+        # epoch 2's steps failed too, and had finished when train raised
+        assert isinstance(workers.futures[2].exception(timeout=0), DomainError)
         assert threading.active_count() == before
 
     def test_overflow_on_the_worker_is_an_error_not_a_warning(self, workers):
@@ -549,7 +586,23 @@ class TestOverlappedTrain:
             warnings.simplefilter("error")  # numpy's errstate is per thread
             with pytest.raises(DivergenceError, match="at epoch 1 "):
                 train(ds, TrainConfig(learning_rate=2.0, epochs=30))
-        assert len(workers) == 1
+        assert len(workers.futures) == 2
+        assert isinstance(workers.futures[1].exception(timeout=0), DomainError)
+
+
+def test_a_train_below_the_threshold_leaves_the_pool_unimported():
+    """Only a call that overlaps imports ``concurrent.futures``, which CLI start-up skips."""
+    src = str(Path(sdgzsl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, sdgzsl\n"
+            "ds = sdgzsl.generate_synthetic(sdgzsl.SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3))\n"
+            "sdgzsl.train(ds, sdgzsl.TrainConfig(epochs=2))\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 class TestInputsAreNotModified:
