@@ -9,10 +9,15 @@ Two statistics of each projected row drive every rule:
 
 One statistics pass, ``_split_stats``, computes both for calibration,
 evaluation and ``predict``, so a row's ``d_l`` and ``msd`` are the same
-bits wherever they are read.  It projects a split in ``_CHUNK_ROWS``-row
-chunks of ``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``) and
-screens each embedding table it is given once per chunk: the seen table
-for ``calibrate``, both tables for evaluation.  ``gate_statistics`` gives
+bits wherever they are read.  It projects a split in chunks of
+``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``), sized by
+``_CHUNK_VALUES`` over the network's widest layer, and screens each
+embedding table it is given once per chunk: the seen table for
+``calibrate``, both tables for evaluation.  With two chunks or more and
+``mlp._two_threads`` holding (BLAS on one thread, two usable CPUs, no
+wrapped callee), a pool's one thread runs the odd chunks beside the
+caller's even ones.  Each chunk writes only its own rows, and neither the
+chunk size nor the thread changes a bit.  ``gate_statistics`` gives
 the same two vectors for rows already projected.  Thresholds are the mean
 plus population standard deviation of a statistic over seen instances
 alone, so no manual tuning is involved.
@@ -27,6 +32,7 @@ threshold gates UNSEEN.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
@@ -36,13 +42,18 @@ import numpy as np
 
 from .data import GzslDataset
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
-from .linalg import _prepare, _screen, as_matrix, as_table, as_vector, mean_and_popstd, nearest
-from .mlp import MlpParams, _forward_blocks
+from .linalg import (ROW_BLOCK, _prepare, _screen, as_matrix, as_table, as_vector,
+                     mean_and_popstd, nearest)
+from .mlp import MlpParams, _forward_blocks, _two_threads
 
-# Rows projected per chunk of a statistics pass.  A chunk holds only its
-# own projections: projecting each whole split at once raised eval_heavy's
-# peak RSS by about 3 MB, and 512-row chunks ran no faster than 256-row ones.
-_CHUNK_ROWS = 256
+# Values per chunk of a statistics pass, over the network's widest layer: a
+# chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
+# holds at most this many, 1024 rows at width 32 and 128 at width 256.  A
+# chunk holds only its own projections: projecting each whole split at once
+# raised eval_heavy's peak RSS by about 3 MB.  Fewer, larger chunks make
+# fewer numpy calls, and on two threads fewer of them contend for the
+# interpreter lock.
+_CHUNK_VALUES = 2**15
 
 
 class Domain(Enum):
@@ -112,20 +123,59 @@ def _tables(mapper: MlpParams, *embs) -> tuple:
                  for emb, side in zip(embs, ("seen", "unseen")))
 
 
+def _chunk_rows(mapper: MlpParams) -> int:
+    """Rows per chunk of a statistics pass through ``mapper``."""
+    return max(1, _CHUNK_VALUES // (max(mapper.layer_sizes()) * ROW_BLOCK)) * ROW_BLOCK
+
+
 def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, *tables) -> tuple[np.ndarray, ...]:
     """The statistics pass over the feature rows ``xs``: ``d_l``, then the
     nearest distance and index in each ``_tables`` table, so ``(d_l, msd,
-    nearest seen index[, nearest unseen distance, its index])``."""
+    nearest seen index[, nearest unseen distance, its index])``.
+
+    Each chunk writes only its own rows of the preallocated vectors, so with
+    two chunks or more and ``mlp._two_threads`` holding, ``_alternate`` runs
+    them on two threads.
+    """
     n = xs.shape[0]
     d_l = np.empty(n)
     scans = [(np.empty(n), np.empty(n, dtype=np.intp)) for _ in tables]
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    step = _chunk_rows(mapper)
+
+    def chunk(start: int) -> None:
+        rows = slice(start, start + step)
         proj = _forward_blocks(mapper, xs[rows])
         d_l[rows] = length_gaps(proj, l)
         for (dist, index), table in zip(scans, tables):
             dist[rows], index[rows] = _screen(proj, table)
+
+    starts = range(0, n, step)
+    if len(starts) >= 2 and _two_threads(_forward_blocks, length_gaps, _screen):
+        _alternate(chunk, starts)
+    else:
+        for start in starts:
+            chunk(start)
     return (d_l, *(v for scan in scans for v in scan))
+
+
+def _alternate(chunk, starts: range) -> None:
+    """``chunk(start)`` for every start: the odd ones on a pool's one thread,
+    each in a copy of the caller's context (numpy's errstate is a context
+    variable), the even ones on the caller.  The first chunk in order that
+    fails raises, the queued chunks are cancelled, and the pool is joined
+    before this returns or raises."""
+    # not imported at start-up: with numpy loaded it still takes milliseconds
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(1, "sdgzsl-stats")
+    try:
+        pending = [pool.submit(contextvars.copy_context().run, chunk, start)
+                   for start in starts[1::2]]
+        for k, start in enumerate(starts[::2]):
+            chunk(start)
+            if k < len(pending):
+                pending[k].result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # the queued chunks never run
 
 
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:

@@ -16,9 +16,16 @@ from .errors import DomainError, ShapeError
 # is a ROW_BLOCK-row product whatever the split size.
 ROW_BLOCK = 32
 
-# Rows screened together by ``nearest``: one BLAS product and a few
-# (SCREEN_BLOCK, table rows) arrays of a few hundred kB per block.
-SCREEN_BLOCK = 256
+# Values in each (rows, table rows) array of one ``nearest`` screen block: a
+# block is one BLAS product and a few such arrays of up to 512 kB.  The
+# benchmark's 20- to 80-row tables screen a whole statistics chunk at a time,
+# a 1000-row table 65 rows at a time.
+_SCREEN_VALUES = 2**16
+
+
+def _screen_rows(table_rows: int) -> int:
+    """Points screened together against a table of ``table_rows`` rows."""
+    return max(1, _SCREEN_VALUES // table_rows)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -44,8 +51,9 @@ def as_table(emb, dim: int, name: str = "embedding table") -> np.ndarray:
     return t
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    # the method skips the Python wrapper of ``np.all``: about a third off a small product's check
-    if not np.isfinite(a).all():
+    # the ufunc reduction skips the Python wrappers of both ``np.all`` and
+    # ``ndarray.all`` (numpy's ``_methods._all``): 1.84 against 2.69 us on 64x32
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise DomainError(f"{name}: non-finite entries")
     return a
 
@@ -66,7 +74,7 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Every returned distance is the plain sum ``np.add.reduce((p - e)**2)``
     over the last axis, so a row's result is bit-for-bit the same whichever
     rows share the call.  Only candidate table rows are summed that way.
-    A screen, ``SCREEN_BLOCK`` points at a time, computes
+    A screen, ``_screen_rows(table rows)`` points at a time, computes
     ``q_j = p.(-2 e_j) + |e_j|^2`` for every table row with one product
     (``-2 table.T``, ``|e|^2`` and ``E`` below are formed once per table,
     by ``_prepare``) and keeps row
@@ -125,8 +133,9 @@ def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray
     dist, index = np.empty(n), np.empty(n, dtype=np.intp)
     g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
     floor = 3.0 * (dim + 2) * 2.0 ** -1074
-    for start in range(0, n, SCREEN_BLOCK):
-        rows = slice(start, start + SCREEN_BLOCK)
+    block = _screen_rows(table.shape[0])
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
         p = points[rows]
         with np.errstate(all="ignore"):
             q = p @ w
@@ -139,14 +148,19 @@ def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray
             m += floor
             m += q[np.arange(k.size), k]
             drop = q > m[:, None]  # NaN on either side keeps the row
+        del q
         if np.count_nonzero(drop) == drop.size - k.size:
             # one row per point, so it is the one attaining min q
-            dist[rows], index[rows] = np.add.reduce((p - table[k]) ** 2, axis=1), k
+            d = p - table[k]
+            d *= d  # the same bits as ** 2
+            dist[rows], index[rows] = np.add.reduce(d, axis=1), k
             continue
         r, c = np.divmod(np.flatnonzero(~drop), drop.shape[1])  # faster than 2-D nonzero
-        d = np.full(drop.shape, np.inf)
-        d[r, c] = np.add.reduce((p[r] - table[c]) ** 2, axis=1)
-        dist[rows], index[rows] = d.min(axis=1), d.argmin(axis=1)
+        d = p[r] - table[c]
+        d *= d
+        b = np.full(drop.shape, np.inf)
+        b[r, c] = np.add.reduce(d, axis=1)
+        dist[rows], index[rows] = b.min(axis=1), b.argmin(axis=1)
     return dist, index
 
 

@@ -27,7 +27,9 @@ thread, so parameters and losses keep their bits, and a divergence names the
 same epoch.  Otherwise the same loop runs the steps on the calling thread: for
 a small loss the hand-offs cost more than they hide, and with BLAS on every
 core two callers only share the same cores.  A caller that has wrapped one of
-the functions the threads call (a tracer) also gets one thread.
+the functions the threads call (a tracer) also gets one thread.  The statistics
+pass of ``gates`` asks the same question, ``_two_threads``, before it runs
+chunks on a second thread.
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
     diff = forward_batch(params, xs)
     diff -= zs
     diff *= diff
-    return float(np.mean(np.sum(diff, axis=1)))
+    # numpy's ``_mean`` is this sum over the count: the same bits without the wrappers
+    return float(np.add.reduce(np.add.reduce(diff, axis=1)) / xs.shape[0])
 
 
 def _gradient(params: MlpParams, xs: np.ndarray, zs: np.ndarray,
@@ -269,20 +272,27 @@ def _blas_on_one_thread() -> bool:
     return False
 
 
-def _wrapped() -> bool:
-    """Whether a function that ``train``'s threads call has been replaced by a
-    wrapper (``functools.wraps`` leaves ``__wrapped__``), such as a tracer's,
-    whose state need not be safe on two threads."""
+def _wrapped(*callees) -> bool:
+    """Whether ``callees``, or a function that ``train``'s threads call, has been
+    replaced by a wrapper (``functools.wraps`` leaves ``__wrapped__``), such as
+    a tracer's, whose state need not be safe on two threads."""
     return any(hasattr(fn, "__wrapped__") for fn in (
-        mse_loss, forward_batch, _layers, _gradient, check_finite, matmul, SplitMix64.permutation))
+        mse_loss, forward_batch, _layers, _gradient, check_finite, matmul,
+        SplitMix64.permutation, *callees))
+
+
+def _two_threads(*callees) -> bool:
+    """Whether a second thread can share a caller's work: BLAS runs on one
+    thread, a second CPU is usable for the second caller, and neither
+    ``callees`` nor ``train``'s own callees are wrapped.  ``train`` and the
+    statistics pass of ``gates`` both ask this."""
+    return _blas_on_one_thread() and _usable_cpus() >= 2 and not _wrapped(*callees)
 
 
 def _overlaps(n: int, shapes) -> bool:
     """Whether ``train`` runs each epoch's steps beside the previous epoch's loss:
-    only for a large loss, with BLAS on one thread, a second CPU for the second
-    caller, and no wrapped function on either thread."""
-    return (n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _blas_on_one_thread()
-            and _usable_cpus() >= 2 and not _wrapped())
+    only for a large loss, and when ``_two_threads`` holds."""
+    return n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _two_threads()
 
 
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
@@ -357,16 +367,20 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
                     unified_norm: float | None = None) -> Path:
     """Text header (shapes, activations, seed, norm) + f64 LE parameter blob.
 
-    The seed is checked as ``load_checkpoint`` checks it, and the header is
-    built before the file is opened, so a bad seed leaves an existing file alone.
+    The seed and norm are checked as ``load_checkpoint`` checks them, and the
+    header is built before the file is opened, so a bad value leaves an
+    existing file alone.
     """
     if seed is not None and not _is_integer(seed):
         raise ValidationError(f"save_checkpoint: seed must be an integer or None, got {seed!r}")
+    if unified_norm is not None and not _is_norm(unified_norm):
+        raise ValidationError("save_checkpoint: unified_norm must be a finite number > 0 or "
+                              f"None, got {unified_norm!r}")
     header = {
         "layers": [[int(w.shape[0]), int(w.shape[1])] for w in params.weights],
         "activations": list(params.activations),
         "seed": None if seed is None else int(seed),  # a numpy integer as a JSON int
-        "l": unified_norm,
+        "l": None if unified_norm is None else float(unified_norm),  # a numpy float too
     }
     line = json.dumps(header, sort_keys=True).encode() + b"\n"
     blob = b"".join(
@@ -380,6 +394,10 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
         fh.write(line)
         fh.write(blob)
     return out
+
+
+def _is_norm(l) -> bool:
+    return _is_real(l) and 0 < l < np.inf  # NaN fails both
 
 
 def _is_shape(pair) -> bool:
@@ -415,6 +433,9 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     # the seed is copied into report provenance, where a string could forge lines
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise DatasetLoadError(f"{p}: checkpoint 'seed' must be an integer or null, got {seed!r}")
+    l = header.get("l")
+    if l is not None and not _is_norm(l):
+        raise DatasetLoadError(f"{p}: checkpoint 'l' must be a finite number > 0 or null, got {l!r}")
     expected = sum(o * i + o for o, i in layers) * 8
     if len(body) != expected:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")

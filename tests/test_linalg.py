@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdgzsl import DomainError, ShapeError, matmul, mean_and_popstd, min_semantic_distance
-from sdgzsl.linalg import SCREEN_BLOCK, _prepare, _screen, check_finite, nearest
+from sdgzsl.linalg import _prepare, _screen, _screen_rows, check_finite, nearest
 
 
 def naive_matmul(a, b):
@@ -159,22 +159,32 @@ def nearest_case(rng, n, c, s, scale):
     return points * scale, table * scale
 
 
-SCREEN_ROWS = (0, 1, SCREEN_BLOCK - 1, SCREEN_BLOCK, SCREEN_BLOCK + 1, 600)
+# point counts at the edges of a table's screen block, as (whole blocks,
+# points more): none, one, a block less one, a block, a block and one, and
+# several blocks with a ragged tail
+SCREEN_ROWS = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 5))
+# (rows, width) of each table; the 1000-row one screens fewer points per
+# block than a statistics chunk of the benchmark's shapes holds
+SCREEN_TABLES = ((1, 1), (1, 9), (7, 1), (3, 2), (12, 17), (40, 33), (1000, 3))
 
 
 class TestNearest:
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1.0, 1e155])
-    @pytest.mark.parametrize("n", SCREEN_ROWS)
-    def test_matches_the_broadcast_bit_for_bit(self, n, scale):
-        rng = np.random.default_rng(n + 7)
-        for c, s in ((1, 1), (1, 9), (7, 1), (3, 2), (12, 17), (40, 33)):
+    @pytest.mark.parametrize("blocks, more", SCREEN_ROWS)
+    def test_matches_the_broadcast_bit_for_bit(self, blocks, more, scale):
+        rng = np.random.default_rng([blocks, more + 1, 7])
+        for c, s in SCREEN_TABLES:
+            n = blocks * _screen_rows(c) + more
             assert_same_bits(*nearest_case(rng, n, c, s, scale))
+
+    def test_a_wide_table_screens_in_blocks_smaller_than_a_chunk(self):
+        assert _screen_rows(1000) < 128 < 1024 <= _screen_rows(60)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e155])
     def test_non_finite_table_entry_matches_the_broadcast(self, bad, scale):
         rng = np.random.default_rng(11)
-        points, table = nearest_case(rng, SCREEN_BLOCK + 1, 6, 5, scale)
+        points, table = nearest_case(rng, _screen_rows(6) + 1, 6, 5, scale)
         table[2, 3] = bad
         assert_same_bits(points, table)
         table[:, 0] = bad
@@ -251,7 +261,7 @@ class TestNearest:
         rng = np.random.default_rng(18)
         table = rng.normal(size=(6, 4))
         table[5] = table[2]
-        points = table[[0, 1, 3, 4]][rng.integers(0, 4, size=2 * SCREEN_BLOCK)]
+        points = table[[0, 1, 3, 4]][rng.integers(0, 4, size=2 * _screen_rows(6))]
         points += 1e-3 * rng.normal(size=points.shape)
         points[7] = table[2]
         dist, index = nearest(points, table)

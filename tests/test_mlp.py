@@ -230,6 +230,14 @@ class TestMseLoss:
         with pytest.raises(ShapeError):
             mse_loss(params, np_rng.normal(size=(5, 4)), np_rng.normal(size=(4, 3)))
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 130, 2000])  # around numpy's 8-way unrolled sums
+    def test_bits_equal_the_mean_of_row_sums(self, np_rng, n):
+        params = init_params(6, [9], 5, SplitMix64(n))
+        xs, zs = np_rng.normal(size=(n, 6)), np_rng.normal(size=(n, 5))
+        diff = forward_batch(params, xs) - zs
+        want = float(np.mean(np.sum(diff * diff, axis=1)))
+        assert mse_loss(params, xs, zs).hex() == want.hex()
+
 
 class TestBackward:
     def test_zero_gradient_at_perfect_fit(self, np_rng):
@@ -346,6 +354,30 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             save_checkpoint(params, tmp_path / "new" / "m.ckpt", seed=seed)
         assert not (tmp_path / "new").exists()
+
+    def test_a_numpy_float_norm_is_written_as_a_plain_float(self, tmp_path):
+        path = save_checkpoint(init_params(3, [], 2, SplitMix64(4)), tmp_path / "m.ckpt",
+                               unified_norm=np.float32(1.5))
+        assert b'"l": 1.5,' in path.read_bytes()
+        assert load_checkpoint(path)[1]["l"] == 1.5
+
+    @pytest.mark.parametrize("norm", ["x", "1.0", True, 0, -1.0, float("nan"), float("inf"),
+                                      np.float64(-0.0), [1.0]])
+    def test_a_norm_that_load_rejects_is_not_written(self, tmp_path, norm):
+        params = init_params(3, [], 2, SplitMix64(4))
+        path = save_checkpoint(params, tmp_path / "m.ckpt", unified_norm=2.0)
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="unified_norm must be a finite number > 0"):
+            save_checkpoint(params, path, unified_norm=norm)
+        assert path.read_bytes() == before  # not truncated
+
+    @pytest.mark.parametrize("l", [b'"x"', b"NaN", b"Infinity", b"0", b"-1.0", b"true", b"[1.0]"])
+    def test_a_bad_norm_is_a_load_error(self, tmp_path, l):
+        path = save_checkpoint(init_params(3, [], 2, SplitMix64(4)), tmp_path / "m.ckpt",
+                               unified_norm=2.0)
+        path.write_bytes(path.read_bytes().replace(b'"l": 2.0', b'"l": ' + l, 1))
+        with pytest.raises(DatasetLoadError, match="checkpoint 'l' must be a finite number > 0"):
+            load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetLoadError, match="missing checkpoint"):

@@ -1,0 +1,227 @@
+"""The statistics pass of ``sdgzsl.gates`` on one thread and on two.
+
+With BLAS on one thread, two usable CPUs, no wrapped callee and two chunks
+or more, a pool's one thread runs the odd chunks while the caller runs the
+even ones.  These tests force that path whatever the machine, and check it
+against the one-thread pass byte for byte.
+"""
+
+import dataclasses
+import functools
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import sdgzsl.gates
+import sdgzsl.mlp
+from sdgzsl import DomainError, STRATEGIES, calibrate, evaluate_sweep, predict
+from sdgzsl.gates import _chunk_rows, _split_stats, _tables
+from sdgzsl.linalg import ROW_BLOCK
+from sdgzsl.pipeline import render_report_kv
+
+
+def force_two_threads(monkeypatch, on: bool) -> None:
+    """Let the pass (and ``train``) use a second thread, or not, whatever the
+    BLAS thread count and the CPU count."""
+    monkeypatch.setattr(sdgzsl.mlp, "_blas_on_one_thread", lambda: on)
+    monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2 if on else 1)
+
+
+def chunk_rows(monkeypatch, mapper, rows: int) -> None:
+    """Make the pass take ``rows`` rows per chunk through ``mapper``."""
+    monkeypatch.setattr(sdgzsl.gates, "_CHUNK_VALUES", rows * max(mapper.layer_sizes()))
+    assert _chunk_rows(mapper) == rows
+
+
+CALLER, POOL = threading.current_thread().name, "sdgzsl-stats_0"
+
+
+def record_threads(monkeypatch) -> set:
+    """The names of the threads that run a chunk's ``length_gaps``, through a
+    plain (unwrapped) stand-in that leaves two threads allowed.  Each pass
+    starts its own pool, whose one thread has the same name."""
+    threads, original = set(), sdgzsl.gates.length_gaps
+
+    def spy(proj, l):
+        threads.add(threading.current_thread().name)
+        return original(proj, l)
+
+    monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
+    return threads
+
+
+def bits(arrays):
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+# rows per chunk -> chunks of the 200-row seen_test split of ``bench_dataset``:
+# 1 (1024 rows), 2 (128 + 72) and 7 (six of 32, a ragged tail of 8)
+CHUNKS = {1024: 1, 128: 2, ROW_BLOCK: 7}
+
+
+@pytest.fixture(scope="module")
+def one_thread(bench_dataset, bench_mapper):
+    """Everything the tests compare, from the one-thread pass at the default chunks."""
+    mapper, _ = bench_mapper
+    ds = bench_dataset
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_two_threads(monkeypatch, False)
+        th = calibrate(mapper, ds)
+        return {
+            "stats": bits(_split_stats(mapper, ds.unified_norm, ds.seen_test_x,
+                                       *_tables(mapper, ds.seen_emb, ds.unseen_emb))),
+            "thresholds": dataclasses.astuple(th),
+            "sweep": [render_report_kv(r) for r in evaluate_sweep(mapper, th, ds)],
+            "predict": {tag: bits(predict(mapper, th, tag, ds.seen_test_x, ds.seen_emb,
+                                          ds.unseen_emb)) for tag in STRATEGIES},
+        }
+
+
+class TestSameBitsOnTwoThreads:
+    @pytest.fixture(autouse=True)
+    def _two(self, monkeypatch):
+        force_two_threads(monkeypatch, True)
+
+    @pytest.mark.parametrize("rows", CHUNKS)
+    def test_the_five_vectors(self, monkeypatch, bench_dataset, bench_mapper, one_thread, rows):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, rows)
+        threads = record_threads(monkeypatch)
+        before = threading.active_count()
+        got = _split_stats(mapper, ds.unified_norm, ds.seen_test_x,
+                           *_tables(mapper, ds.seen_emb, ds.unseen_emb))
+        assert bits(got) == one_thread["stats"]
+        assert threads == ({CALLER} if CHUNKS[rows] == 1 else {CALLER, POOL})
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows", CHUNKS)
+    def test_calibrate_sweep_and_predict(self, monkeypatch, bench_dataset, bench_mapper,
+                                         one_thread, rows):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, rows)
+        threads = record_threads(monkeypatch)
+        th = calibrate(mapper, ds)  # 500 seen_train rows: 1, 4 and 16 chunks
+        assert dataclasses.astuple(th) == one_thread["thresholds"]
+        assert [render_report_kv(r) for r in evaluate_sweep(mapper, th, ds)] == one_thread["sweep"]
+        for tag in STRATEGIES:
+            assert bits(predict(mapper, th, tag, ds.seen_test_x, ds.seen_emb,
+                                ds.unseen_emb)) == one_thread["predict"][tag]
+        assert threads == ({CALLER} if CHUNKS[rows] == 1 else {CALLER, POOL})
+
+
+class TestFailuresOnTwoThreads:
+    @pytest.fixture(autouse=True)
+    def _two(self, monkeypatch, bench_mapper):
+        force_two_threads(monkeypatch, True)
+        chunk_rows(monkeypatch, bench_mapper[0], ROW_BLOCK)
+
+    def test_a_nan_weight_raises_and_leaves_no_thread(self, bench_dataset, bench_mapper):
+        mapper, _ = bench_mapper
+        bad = dataclasses.replace(mapper, weights=[w.copy() for w in mapper.weights])
+        bad.weights[0][3, 5] = np.nan
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="non-finite"):
+            calibrate(bad, bench_dataset)
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_sweep(bad, calibrate(mapper, bench_dataset), bench_dataset)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({1}, 1),  # the pool's first chunk
+        ({2}, 2),  # the caller's second
+        ({1, 2}, 1),  # both: the first in row order
+        ({2, 3}, 2),
+        ({6}, 6),  # the ragged tail
+    ])
+    def test_the_first_failing_chunk_in_row_order_raises(self, monkeypatch, bench_dataset,
+                                                         bench_mapper, failing, raised):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        xs = ds.seen_test_x.copy()
+        xs[:, 0] = np.arange(xs.shape[0])  # each chunk's first row names its start
+        ran, forward_blocks = [], sdgzsl.gates._forward_blocks
+
+        def failing_forward(params, x):
+            chunk = int(x[0, 0]) // ROW_BLOCK
+            ran.append(chunk)
+            if chunk in failing:
+                raise DomainError(f"chunk {chunk}")
+            return forward_blocks(params, x)
+
+        monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match=f"^chunk {raised}$"):
+            _split_stats(mapper, ds.unified_norm, xs, *_tables(mapper, ds.seen_emb))
+        assert threading.active_count() == before
+        assert set(range(raised)) <= set(ran)  # every earlier chunk ran
+
+    def test_queued_chunks_are_cancelled(self, monkeypatch, bench_dataset, bench_mapper):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        xs = ds.seen_train_x.copy()  # 500 rows: 16 chunks
+        xs[:, 0] = np.arange(xs.shape[0])
+        ran, forward_blocks = [], sdgzsl.gates._forward_blocks
+
+        def failing_forward(params, x):
+            chunk = int(x[0, 0]) // ROW_BLOCK
+            ran.append(chunk)
+            if chunk == 1:
+                raise DomainError("chunk 1")
+            if chunk == 3:
+                time.sleep(0.5)  # the pool is still here when the caller sees chunk 1 fail
+            return forward_blocks(params, x)
+
+        monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
+        with pytest.raises(DomainError, match="chunk 1"):
+            _split_stats(mapper, ds.unified_norm, xs, *_tables(mapper, ds.seen_emb))
+        assert {0, 1} <= set(ran) <= {0, 1, 3}  # chunks 5, 7, ... were cancelled
+
+
+class TestWhenTwoThreadsRun:
+    @pytest.mark.parametrize("name", ["_forward_blocks", "length_gaps", "_screen"])
+    def test_a_wrapped_callee_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper,
+                                               name):
+        force_two_threads(monkeypatch, True)
+        mapper, _ = bench_mapper
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)
+        calls, original = [], getattr(sdgzsl.gates, name)
+
+        @functools.wraps(original)
+        def traced(*args):
+            calls.append(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(sdgzsl.gates, name, traced)
+        calibrate(mapper, bench_dataset)
+        assert len(calls) >= 16 and set(calls) == {threading.get_ident()}
+
+    def test_one_cpu_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper):
+        force_two_threads(monkeypatch, False)
+        chunk_rows(monkeypatch, bench_mapper[0], ROW_BLOCK)
+        threads = record_threads(monkeypatch)
+        calibrate(bench_mapper[0], bench_dataset)
+        assert threads == {CALLER}
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy's errstate is a context variable from numpy 2.0 on")
+    def test_the_callers_errstate_holds_in_pooled_chunks(self, monkeypatch, bench_dataset,
+                                                         bench_mapper):
+        force_two_threads(monkeypatch, True)
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)
+        threads = record_threads(monkeypatch)
+        xs = ds.seen_test_x.copy()
+        xs[ROW_BLOCK : 2 * ROW_BLOCK] *= 1e160  # chunk 1: finite projections whose squares overflow
+        tables = _tables(mapper, ds.seen_emb)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            _split_stats(mapper, ds.unified_norm, xs, *tables)
+        assert threads == {CALLER, POOL}
+        with np.errstate(over="ignore"):
+            d_l, _, _ = _split_stats(mapper, ds.unified_norm, xs, *tables)
+        assert np.isinf(d_l[ROW_BLOCK : 2 * ROW_BLOCK]).all()
+        assert np.isfinite(np.delete(d_l, np.s_[ROW_BLOCK : 2 * ROW_BLOCK])).all()
