@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ from .data import (
     FEATURE_FILES,
     LABEL_FILES,
     SyntheticSpec,
+    _is_finite,
     _is_integer,
     generate_synthetic,
     load_dataset,
@@ -68,10 +68,7 @@ def _config_value(key: str, value, default):
         return value if _is_integer(value) else None
     if isinstance(value, float):
         return value
-    try:
-        return float(value) if _is_integer(value) else None
-    except OverflowError:  # an int beyond the float range
-        return None
+    return float(value) if _is_integer(value) and _is_finite(value) else None
 
 
 def _merge(defaults: dict, args: argparse.Namespace, parser) -> dict:
@@ -203,7 +200,7 @@ def cmd_eval(args, parser) -> int:
         parser.error(f"--strategy must be one of {STRATEGIES + ('all',)}, got {cfg['strategy']!r}")
     if cfg["calibration_split"] not in ("train", "test"):
         parser.error(f"--calibration-split must be 'train' or 'test', got {cfg['calibration_split']!r}")
-    if not (math.isfinite(cfg["lam"]) and cfg["lam"] >= 0):
+    if not (_is_finite(cfg["lam"]) and cfg["lam"] >= 0):
         parser.error(f"--lam must be a finite number >= 0, got {cfg['lam']!r}")
 
     dataset = load_dataset(args.data)

@@ -58,6 +58,13 @@ def _is_real(v) -> bool:  # nor is it a rate, spread or norm
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:  # a real that a float holds: no NaN, no infinity, no 10**400
+    try:
+        return _is_real(v) and math.isfinite(v)
+    except OverflowError:  # an integer (or fraction) beyond the float range
+        return False
+
+
 def _integer_problems(obj, lows) -> list[str]:
     """A problem for each ``(name, low)`` of ``lows`` whose field is not an integer >= ``low``."""
     problems = []
@@ -88,10 +95,9 @@ class SyntheticSpec:
         problems = _integer_problems(self, (
             ("n_seen_classes", 2), ("n_unseen_classes", 1), ("feature_dim", 1), ("semantic_dim", 1),
             ("per_class_train", 1), ("per_class_test", 1), ("seed", -math.inf)))
-        # NaN fails every comparison, and a bounded comparison takes any integer
-        if not (_is_real(self.cluster_spread) and 0.0 <= self.cluster_spread < math.inf):
+        if not (_is_finite(self.cluster_spread) and self.cluster_spread >= 0.0):
             problems.append(f"cluster_spread must be finite and >= 0, got {self.cluster_spread!r}")
-        if not (_is_real(self.unified_norm) and 0.0 < self.unified_norm < math.inf):
+        if not (_is_finite(self.unified_norm) and self.unified_norm > 0.0):
             problems.append(f"unified_norm must be finite and > 0, got {self.unified_norm!r}")
         if not problems:
             # every generated array must be addressable: its float64 byte size fits np.intp
@@ -377,7 +383,7 @@ def load_dataset(path) -> GzslDataset:
         if isinstance(v, bool) or not isinstance(v, int) or v < low:
             raise DatasetLoadError(f"{meta_path}: {key!r} must be an integer >= {low}, got {v!r}")
     l = meta["l"]
-    if isinstance(l, bool) or not isinstance(l, (int, float)) or not (math.isfinite(l) and l > 0):
+    if not (_is_finite(l) and l > 0):
         raise DatasetLoadError(f"{meta_path}: 'l' must be a finite number > 0, got {l!r}")
     if meta.get("endianness", "little") != "little":
         raise DatasetLoadError(f"{meta_path}: unsupported endianness {meta['endianness']!r}")

@@ -13,14 +13,15 @@ bits wherever they are read.  It projects a split in chunks of
 ``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``), sized by
 ``_CHUNK_VALUES`` over the network's widest layer, and screens each
 embedding table it is given once per chunk: the seen table for
-``calibrate``, both tables for evaluation.  With two chunks or more and
-``mlp._two_threads`` holding (BLAS on one thread, two usable CPUs, no
-wrapped callee), a pool's one thread runs the odd chunks beside the
-caller's even ones.  Each chunk writes only its own rows, and neither the
-chunk size nor the thread changes a bit.  ``gate_statistics`` gives
-the same two vectors for rows already projected.  Thresholds are the mean
-plus population standard deviation of a statistic over seen instances
-alone, so no manual tuning is involved.
+``calibrate``, both tables for evaluation.  One pass takes every split of
+a call, so ``_evaluate`` makes one pass over both test splits.  When some
+split has two chunks or more and ``_threads.second_thread`` gives the pass
+a second thread (see that module for when), that thread runs every other
+chunk of the call beside the caller's.  Each chunk writes only its own
+rows, and neither the chunk size nor the thread changes a bit.
+``gate_statistics`` gives the same two vectors for rows already projected.
+Thresholds are the mean plus population standard deviation of a statistic
+over seen instances alone, so no manual tuning is involved.
 
 Each rule (``gate_ol`` / ``gate_dl`` / ``gate_ws``, by strategy tag in
 ``GATE_FUNCTIONS``) is ``(d_l, msd, thresholds) -> seen``, one comparison
@@ -32,19 +33,18 @@ threshold gates UNSEEN.
 
 from __future__ import annotations
 
-import contextvars
-import math
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .data import GzslDataset
+from ._threads import second_thread
+from .data import GzslDataset, _is_finite
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
 from .linalg import (ROW_BLOCK, _prepare, _screen, as_matrix, as_table, as_vector,
                      mean_and_popstd, nearest)
-from .mlp import MlpParams, _forward_blocks, _two_threads
+from .mlp import MlpParams, _forward_blocks
 
 # Values per chunk of a statistics pass, over the network's widest layer: a
 # chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
@@ -79,7 +79,7 @@ class ThresholdSet:
     l: float
 
     def validate(self) -> "ThresholdSet":
-        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        bad = [f.name for f in fields(self) if not _is_finite(getattr(self, f.name))]
         if bad:
             raise CalibrationError(f"non-finite threshold fields {bad}")
         if self.lam < 0:
@@ -128,59 +128,44 @@ def _chunk_rows(mapper: MlpParams) -> int:
     return max(1, _CHUNK_VALUES // (max(mapper.layer_sizes()) * ROW_BLOCK)) * ROW_BLOCK
 
 
-def _split_stats(mapper: MlpParams, l: float, xs: np.ndarray, *tables) -> tuple[np.ndarray, ...]:
-    """The statistics pass over the feature rows ``xs``: ``d_l``, then the
-    nearest distance and index in each ``_tables`` table, so ``(d_l, msd,
-    nearest seen index[, nearest unseen distance, its index])``.
+def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.ndarray, ...]]:
+    """The statistics pass over each matrix of feature rows in ``splits``:
+    for each, ``d_l``, then the nearest distance and index in each
+    ``_tables`` table, so ``(d_l, msd, nearest seen index[, nearest unseen
+    distance, its index])``.
 
-    Each chunk writes only its own rows of the preallocated vectors, so with
-    two chunks or more and ``mlp._two_threads`` holding, ``_alternate`` runs
-    them on two threads.
+    Each split is chunked on its own, and each chunk writes only its own rows
+    of its split's preallocated vectors.  With a second thread, the pool runs
+    the odd chunks of the call in order, the caller the even ones; the first
+    chunk in order that fails raises, and the queued chunks are cancelled.
     """
-    n = xs.shape[0]
-    d_l = np.empty(n)
-    scans = [(np.empty(n), np.empty(n, dtype=np.intp)) for _ in tables]
     step = _chunk_rows(mapper)
+    out, chunks = [], []
+    for xs in splits:
+        n = xs.shape[0]
+        d_l = np.empty(n)
+        scans = [(np.empty(n), np.empty(n, dtype=np.intp)) for _ in tables]
+        out.append((d_l, *(v for scan in scans for v in scan)))
+        chunks += [(xs, slice(start, start + step), d_l, scans) for start in range(0, n, step)]
 
-    def chunk(start: int) -> None:
-        rows = slice(start, start + step)
+    def chunk(xs: np.ndarray, rows: slice, d_l: np.ndarray, scans) -> None:
         proj = _forward_blocks(mapper, xs[rows])
         d_l[rows] = length_gaps(proj, l)
         for (dist, index), table in zip(scans, tables):
             dist[rows], index[rows] = _screen(proj, table)
 
-    starts = range(0, n, step)
-    if len(starts) >= 2 and _two_threads(_forward_blocks, length_gaps, _screen):
-        _alternate(chunk, starts)
-    else:
-        for start in starts:
-            chunk(start)
-    return (d_l, *(v for scan in scans for v in scan))
-
-
-def _alternate(chunk, starts: range) -> None:
-    """``chunk(start)`` for every start: the odd ones on a pool's one thread,
-    each in a copy of the caller's context (numpy's errstate is a context
-    variable), the even ones on the caller.  The first chunk in order that
-    fails raises, the queued chunks are cancelled, and the pool is joined
-    before this returns or raises."""
-    # not imported at start-up: with numpy loaded it still takes milliseconds
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(1, "sdgzsl-stats")
-    try:
-        pending = [pool.submit(contextvars.copy_context().run, chunk, start)
-                   for start in starts[1::2]]
-        for k, start in enumerate(starts[::2]):
-            chunk(start)
+    with second_thread("sdgzsl-stats", any(xs.shape[0] > step for xs in splits)) as submit:
+        pending = [] if submit is None else [submit(chunk, *c) for c in chunks[1::2]]
+        for k, c in enumerate(chunks if submit is None else chunks[::2]):
+            chunk(*c)
             if k < len(pending):
                 pending[k].result()
-    finally:
-        pool.shutdown(cancel_futures=True)  # the queued chunks never run
+    return out
 
 
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:
     """Build a ThresholdSet from raw per-instance statistic samples."""
-    if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
+    if not (_is_finite(lam) and lam >= 0):
         raise CalibrationError(f"lam must be a finite number >= 0, got {lam!r}")
     d_l_samples = as_vector(d_l_samples, "d_l samples")
     msd_samples = as_vector(msd_samples, "msd samples")
@@ -220,7 +205,7 @@ def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
     if xs.shape[0] == 0:
         raise CalibrationError(f"calibration split {split!r} is empty")
     l = dataset.unified_norm
-    d_l, msd, _ = _split_stats(mapper, l, xs, *_tables(mapper, dataset.seen_emb))
+    d_l, msd, _ = _split_stats(mapper, l, [xs], *_tables(mapper, dataset.seen_emb))[0]
     return calibrate_from_samples(d_l, msd, lam, l)
 
 

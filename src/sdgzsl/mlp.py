@@ -16,33 +16,24 @@ the per-array formula to every entry, and every product is still checked for
 finiteness before it is used.
 
 Each epoch's full-set loss is computed on a snapshot of ``flat`` taken once
-the epoch's steps finish.  When that loss is large (at least ``_OVERLAP_MACS``
-multiply-adds in its forward), BLAS runs on one thread (the first of
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` that
-holds a positive integer is 1) and two CPUs are usable, ``train`` runs every
-epoch's steps on a pool of one thread: epoch e+1's steps are submitted right
-after epoch e's snapshot and run on ``flat`` while the calling thread computes
-epoch e's loss.  Each product is the same call on the same operands as on one
-thread, so parameters and losses keep their bits, and a divergence names the
-same epoch.  Otherwise the same loop runs the steps on the calling thread: for
-a small loss the hand-offs cost more than they hide, and with BLAS on every
-core two callers only share the same cores.  A caller that has wrapped one of
-the functions the threads call (a tracer) also gets one thread.  The statistics
-pass of ``gates`` asks the same question, ``_two_threads``, before it runs
-chunks on a second thread.
+the epoch's steps finish.  ``train`` runs every epoch's steps on a second
+thread when ``_threads`` gives it one (see that module for when): epoch e+1's
+steps are submitted right after epoch e's snapshot and run on ``flat`` while
+the calling thread computes epoch e's loss.  Each product is the same call on
+the same operands as on one thread, so parameters and losses keep their bits,
+and a divergence names the same epoch.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import GzslDataset, _integer_problems, _is_integer, _is_real
+from ._threads import second_thread
+from .data import GzslDataset, _integer_problems, _is_finite, _is_integer
 from .errors import DatasetLoadError, DivergenceError, DomainError, ShapeError, ValidationError
 from .linalg import ROW_BLOCK, check_finite, matmul
 from .rng import SplitMix64
@@ -104,7 +95,7 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         problems = _integer_problems(self, (("epochs", 1), ("batch_size", 1), ("seed", -np.inf)))
-        if not (_is_real(self.learning_rate) and 0 < self.learning_rate < np.inf):  # NaN fails both
+        if not (_is_finite(self.learning_rate) and self.learning_rate > 0):
             problems.append(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         if self.hidden_sizes is not None and not all(_is_integer(h) and h >= 1
                                                      for h in self.hidden_sizes):
@@ -254,60 +245,20 @@ def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
 _OVERLAP_MACS = 2**24
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _blas_on_one_thread() -> bool:
-    """Whether BLAS runs each product on one thread, read as OpenBLAS (numpy's own
-    BLAS) reads it when it loads: the first of these variables that holds a
-    positive integer.  With none set, OpenBLAS runs on every core."""
-    for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(key, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
-
-
-def _wrapped(*callees) -> bool:
-    """Whether ``callees``, or a function that ``train``'s threads call, has been
-    replaced by a wrapper (``functools.wraps`` leaves ``__wrapped__``), such as
-    a tracer's, whose state need not be safe on two threads."""
-    return any(hasattr(fn, "__wrapped__") for fn in (
-        mse_loss, forward_batch, _layers, _gradient, check_finite, matmul,
-        SplitMix64.permutation, *callees))
-
-
-def _two_threads(*callees) -> bool:
-    """Whether a second thread can share a caller's work: BLAS runs on one
-    thread, a second CPU is usable for the second caller, and neither
-    ``callees`` nor ``train``'s own callees are wrapped.  ``train`` and the
-    statistics pass of ``gates`` both ask this."""
-    return _blas_on_one_thread() and _usable_cpus() >= 2 and not _wrapped(*callees)
-
-
-def _overlaps(n: int, shapes) -> bool:
-    """Whether ``train`` runs each epoch's steps beside the previous epoch's loss:
-    only for a large loss, and when ``_two_threads`` holds."""
-    return n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS and _two_threads()
-
-
 def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     """Mini-batch SGD on seen training instances against their class embeddings.
 
     Returns the trained parameters and the per-epoch full-training-set
     loss history (length ``cfg.epochs``).  Raises ``DivergenceError`` naming
     the first epoch whose steps or loss are not finite.  Each loss is computed
-    on a snapshot of the parameters.  When ``_overlaps`` holds (a large loss,
-    BLAS on one thread, two usable CPUs, no wrapped callee), the steps run on a
-    one-thread pool, epoch e+1's beside epoch e's loss.  The pool runs epoch
-    0's steps too, so its thread already waits on its queue when the first
-    loss starts, and the caller's loss product usually reaches OpenBLAS before
-    the steps' first product does.  The results are the same bits, and the
-    pool's thread is joined before ``train`` returns or raises.
+    on a snapshot of the parameters.  When the loss forward has at least
+    ``_OVERLAP_MACS`` multiply-adds and ``_threads.second_thread`` gives
+    ``train`` a second thread, the steps run there, epoch e+1's beside epoch
+    e's loss.  The pool runs epoch 0's steps too, so its thread already
+    waits on its queue when the first loss starts, and the caller's loss
+    product usually reaches OpenBLAS before the steps' first product does.
+    The results are the same bits, and the pool's thread is joined before
+    ``train`` returns or raises.
     """
     cfg.validate()
     xs = dataset.seen_train_x
@@ -335,20 +286,18 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                 np.multiply(grad, cfg.learning_rate, out=grad)  # grad *= lr
                 np.subtract(flat, grad, out=flat)  # flat -= grad
 
-    overlap = _overlaps(n, shapes)
     snapshot = np.empty_like(flat)
     at_snapshot = MlpParams(*_views(shapes, snapshot), params.activations)
     history: list[float] = []
-    if overlap:  # not imported at start-up: with numpy loaded it still takes milliseconds
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, "sdgzsl-train-steps") if overlap else contextlib.nullcontext() as pool:
-        pending = None if pool is None else pool.submit(steps)  # this epoch's steps on the pool
+    wanted = n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS
+    with second_thread("sdgzsl-train-steps", wanted) as submit:
+        pending = None if submit is None else submit(steps)  # this epoch's steps on the pool
         for epoch in range(cfg.epochs):
             try:
                 steps() if pending is None else pending.result()
                 snapshot[...] = flat
-                if pool is not None and epoch + 1 < cfg.epochs:
-                    pending = pool.submit(steps)
+                if submit is not None and epoch + 1 < cfg.epochs:
+                    pending = submit(steps)
                 with np.errstate(over="ignore", invalid="ignore"):
                     loss = mse_loss(at_snapshot, xs, zs)
             except DomainError:
@@ -373,7 +322,7 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
     """
     if seed is not None and not _is_integer(seed):
         raise ValidationError(f"save_checkpoint: seed must be an integer or None, got {seed!r}")
-    if unified_norm is not None and not _is_norm(unified_norm):
+    if unified_norm is not None and not (_is_finite(unified_norm) and unified_norm > 0):
         raise ValidationError("save_checkpoint: unified_norm must be a finite number > 0 or "
                               f"None, got {unified_norm!r}")
     header = {
@@ -394,10 +343,6 @@ def save_checkpoint(params: MlpParams, path, seed: int | None = None,
         fh.write(line)
         fh.write(blob)
     return out
-
-
-def _is_norm(l) -> bool:
-    return _is_real(l) and 0 < l < np.inf  # NaN fails both
 
 
 def _is_shape(pair) -> bool:
@@ -434,7 +379,7 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise DatasetLoadError(f"{p}: checkpoint 'seed' must be an integer or null, got {seed!r}")
     l = header.get("l")
-    if l is not None and not _is_norm(l):
+    if l is not None and not (_is_finite(l) and l > 0):
         raise DatasetLoadError(f"{p}: checkpoint 'l' must be a finite number > 0 or null, got {l!r}")
     expected = sum(o * i + o for o, i in layers) * 8
     if len(body) != expected:

@@ -12,8 +12,8 @@ distance and its index, with the bits calibration sees for each row.  No
 vector depends on the strategy, so a strategy is only a boolean mask over
 them and a class pick ``np.where(seen, nearest seen, nearest unseen)``; the
 no-gate baseline is the mask ``msd <= nearest unseen distance``.
-One evaluation body, ``_evaluate``, makes that pass once per test split
-and scores each ``(tag, rule)`` it is given from the same vectors:
+One evaluation body, ``_evaluate``, makes that pass once, over both test
+splits, and scores each ``(tag, rule)`` it is given from the same vectors:
 ``evaluate`` and ``evaluate_baseline`` hand it one rule, ``evaluate_sweep``
 the three gates and the baseline.  ``_route`` turns a rule and a split's
 vectors into the gated mask and class indices, for ``_evaluate`` and
@@ -198,7 +198,7 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
     rule = _gate_rule(strategy, thresholds, gate_fn)
     xs = as_matrix(xs, "feature rows")
     tables = _tables(mapper, seen_emb, unseen_emb)
-    return _route(rule, _split_stats(mapper, thresholds.l, xs, *tables), xs, tables,
+    return _route(rule, _split_stats(mapper, thresholds.l, [xs], *tables)[0], xs, tables,
                   seen_classifier, unseen_classifier)
 
 
@@ -249,12 +249,12 @@ def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationRepo
 def _evaluate(rules, mapper: MlpParams, l: float, dataset: GzslDataset,
               seen_classifier=None, unseen_classifier=None) -> list[EvaluationReport]:
     """One report per ``(tag, rule)`` of ``rules``, all from one statistics
-    pass over each test split; every report's ``runtime`` is the wall time
+    pass over both test splits; every report's ``runtime`` is the wall time
     of the whole call."""
     splits = _test_splits(dataset)
     t0 = time.perf_counter()
     tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
-    stats = [_split_stats(mapper, l, xs, *tables) for xs in splits]
+    stats = _split_stats(mapper, l, splits, *tables)
     reports = []
     for tag, rule in rules:
         masks, predictions = zip(*(_route(rule, s, xs, tables, seen_classifier, unseen_classifier)
@@ -287,7 +287,7 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
 def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
                    dataset: GzslDataset) -> list[EvaluationReport]:
     """``evaluate`` for each of ``STRATEGIES``, then ``evaluate_baseline``,
-    from one pass over each test split.
+    from one pass over both test splits.
 
     The reports equal those of the separate calls, field for field, apart
     from ``runtime``: each split is projected and scanned once, and every

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sdgzsl._threads
+import sdgzsl.mlp
 from sdgzsl import SyntheticSpec, TrainConfig, generate_synthetic, train
 from sdgzsl.mlp import backward, init_params, mse_loss
 from sdgzsl.rng import SplitMix64
@@ -15,6 +17,15 @@ BENCH_SPEC = SyntheticSpec(
     cluster_spread=0.05,
     seed=7,
 )
+
+
+def force_two_threads(monkeypatch, on: bool) -> None:
+    """Give every caller that wants a second thread one (``train`` at any size),
+    or give none, whatever the BLAS thread count and the CPU count.  A wrapped
+    callee still keeps one thread."""
+    monkeypatch.setattr(sdgzsl._threads, "_blas_on_one_thread", lambda: on)
+    monkeypatch.setattr(sdgzsl._threads, "_usable_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0 if on else float("inf"))
 
 
 def sample_gradcheck_case(seed: int):

@@ -112,6 +112,7 @@ class TestGenerateSynthetic:
         ("cluster_spread", float("inf")), ("cluster_spread", float("nan")),
         ("unified_norm", float("inf")), ("unified_norm", float("nan")),
         ("cluster_spread", "0.1"), ("cluster_spread", False), ("unified_norm", None),
+        ("cluster_spread", 10**400), ("unified_norm", 10**400),  # beyond the float range
     ])
     def test_non_finite_spread_or_norm_is_rejected(self, field, value):
         spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
@@ -262,7 +263,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("key, value", [
         ("l", "abc"), ("l", True), ("l", None), ("l", 0), ("l", -1.0), ("l", float("nan")),
-        ("l", float("inf")), ("l", [1.0]),
+        ("l", float("inf")), ("l", [1.0]), ("l", 10**400),
         ("n_seen_train", "500"), ("n_seen_test", 3.0), ("n_unseen_test", -1),
         ("n_seen_train", True), ("d", 0), ("S", "16"), ("C_s", 0), ("C_u", False),
         ("C_u", 3.5), ("d", None),

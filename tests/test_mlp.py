@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import max_gradient_relative_error, sample_gradcheck_case
+from conftest import force_two_threads, max_gradient_relative_error, sample_gradcheck_case
 
 from sdgzsl import (
     DatasetLoadError,
@@ -33,6 +33,7 @@ from sdgzsl import (
     save_checkpoint,
     train,
 )
+import sdgzsl._threads
 import sdgzsl.linalg
 import sdgzsl.mlp
 from sdgzsl.linalg import ROW_BLOCK
@@ -100,14 +101,6 @@ def reference_train(dataset, cfg):
 
 def bits(arrays):
     return [np.asarray(a).tobytes() for a in arrays]
-
-
-def force_overlap(monkeypatch, on: bool) -> None:
-    """Make ``train`` overlap each epoch's loss with the next epoch's steps, or
-    not, whatever the problem size, the BLAS thread count and the CPU count."""
-    monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0 if on else float("inf"))
-    monkeypatch.setattr(sdgzsl.mlp, "_blas_on_one_thread", lambda: on)
-    monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2 if on else 1)
 
 
 def linear_net(w, b):
@@ -287,6 +280,7 @@ class TestTrain:
         ("epochs", 2.5), ("epochs", True), ("batch_size", 8.0), ("seed", 1.5), ("seed", "1"),
         ("hidden_sizes", [4.0]), ("hidden_sizes", [True]),
         ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", None),
+        ("learning_rate", 10**400),
     ])
     def test_non_numbers_rejected(self, noiseless_dataset, field, value):
         cfg = TrainConfig(**{"epochs": 1, field: value})
@@ -362,7 +356,7 @@ class TestCheckpoint:
         assert load_checkpoint(path)[1]["l"] == 1.5
 
     @pytest.mark.parametrize("norm", ["x", "1.0", True, 0, -1.0, float("nan"), float("inf"),
-                                      np.float64(-0.0), [1.0]])
+                                      np.float64(-0.0), [1.0], 10**400])
     def test_a_norm_that_load_rejects_is_not_written(self, tmp_path, norm):
         params = init_params(3, [], 2, SplitMix64(4))
         path = save_checkpoint(params, tmp_path / "m.ckpt", unified_norm=2.0)
@@ -371,7 +365,8 @@ class TestCheckpoint:
             save_checkpoint(params, path, unified_norm=norm)
         assert path.read_bytes() == before  # not truncated
 
-    @pytest.mark.parametrize("l", [b'"x"', b"NaN", b"Infinity", b"0", b"-1.0", b"true", b"[1.0]"])
+    @pytest.mark.parametrize("l", [b'"x"', b"NaN", b"Infinity", b"0", b"-1.0", b"true", b"[1.0]",
+                                   b"1" + b"0" * 400])
     def test_a_bad_norm_is_a_load_error(self, tmp_path, l):
         path = save_checkpoint(init_params(3, [], 2, SplitMix64(4)), tmp_path / "m.ckpt",
                                unified_norm=2.0)
@@ -424,7 +419,7 @@ class TestTrainMatchesReferenceSgd:
 
     @pytest.fixture(autouse=True)
     def _overlap(self, monkeypatch):
-        force_overlap(monkeypatch, self.overlap)
+        force_two_threads(monkeypatch, self.overlap)
 
     @pytest.fixture(scope="class")
     def small_dataset(self):
@@ -473,6 +468,31 @@ class TestTrainMatchesReferenceSgdOverlapped(TestTrainMatchesReferenceSgd):
     overlap = True
 
 
+def gives_a_thread() -> bool:
+    """Whether ``second_thread`` gives a caller that wants a second thread one."""
+    with sdgzsl._threads.second_thread("sdgzsl-test", True) as submit:
+        return submit is not None
+
+
+class Asked(Exception):
+    pass
+
+
+def train_wants_a_thread(monkeypatch, n: int, shapes) -> bool:
+    """Whether ``train`` on ``n`` rows through layers of ``(out, in)`` ``shapes``
+    wants a second thread, read from its one call to ``second_thread``."""
+    def asked(name, wanted):
+        raise Asked(wanted)
+
+    monkeypatch.setattr(sdgzsl.mlp, "second_thread", asked)
+    d, s = shapes[0][1], shapes[-1][0]
+    ds = types.SimpleNamespace(seen_train_x=np.zeros((n, d)), seen_train_y=np.zeros(n, dtype=int),
+                               seen_emb=np.zeros((1, s)), feature_dim=d, semantic_dim=s)
+    with pytest.raises(Asked) as info:
+        train(ds, TrainConfig(epochs=1, hidden_sizes=[o for o, _ in shapes[:-1]]))
+    return info.value.args[0]
+
+
 OVERFLOW_SPEC = SyntheticSpec(5, 2, 8, 8, 40, 10, 0.0, seed=11)  # at learning rate 2.0,
 # epoch 1's steps overflow in a weight-gradient product (see the test above)
 
@@ -482,7 +502,7 @@ class TestOverlappedTrain:
 
     @pytest.fixture(autouse=True)
     def _overlap(self, monkeypatch):
-        force_overlap(monkeypatch, True)
+        force_two_threads(monkeypatch, True)
 
     @pytest.fixture()
     def workers(self, monkeypatch):
@@ -490,10 +510,10 @@ class TestOverlappedTrain:
         record = types.SimpleNamespace(futures=[], threads=set())
 
         class Counted(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, fn):
+            def submit(self, fn, *args):
                 def run():
                     record.threads.add(threading.current_thread())
-                    return fn()
+                    return fn(*args)
 
                 record.futures.append(super().submit(run))
                 return record.futures[-1]
@@ -517,13 +537,14 @@ class TestOverlappedTrain:
     def test_size_and_cpu_count_select_the_overlap(self, monkeypatch):
         monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 2**24)
         train_heavy = [(256, 256), (64, 256)]
-        assert sdgzsl.mlp._overlaps(2000, train_heavy)
-        assert sdgzsl.mlp._overlaps(1000, [(116, 116), (29, 116)])  # 16.8M multiply-adds
-        assert not sdgzsl.mlp._overlaps(1000, [(97, 97), (24, 97)])  # 11.7M
-        assert not sdgzsl.mlp._overlaps(600, [(32, 32), (32, 32)])  # eval_heavy
-        assert not sdgzsl.mlp._overlaps(500, [(32, 32), (16, 32)])  # the CLI defaults
-        monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 1)
-        assert not sdgzsl.mlp._overlaps(2000, train_heavy)
+        assert train_wants_a_thread(monkeypatch, 2000, train_heavy)
+        assert train_wants_a_thread(monkeypatch, 1000, [(116, 116), (29, 116)])  # 16.8M
+        assert not train_wants_a_thread(monkeypatch, 1000, [(97, 97), (24, 97)])  # 11.7M
+        assert not train_wants_a_thread(monkeypatch, 600, [(32, 32), (32, 32)])  # eval_heavy
+        assert not train_wants_a_thread(monkeypatch, 500, [(32, 32), (16, 32)])  # CLI defaults
+        assert gives_a_thread()
+        monkeypatch.setattr(sdgzsl._threads, "_usable_cpus", lambda: 1)
+        assert not gives_a_thread()
 
     @pytest.mark.parametrize("env, one", [
         ({}, False),  # OpenBLAS runs on every core
@@ -536,14 +557,13 @@ class TestOverlappedTrain:
     ])
     def test_blas_threads_select_the_overlap(self, monkeypatch, env, one):
         monkeypatch.undo()  # the class fixture's forcing, the BLAS check included
-        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", 0)
-        monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sdgzsl._threads, "_usable_cpus", lambda: 2)
         for key in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(key, raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        assert sdgzsl.mlp._blas_on_one_thread() is one
-        assert sdgzsl.mlp._overlaps(2000, [(256, 256), (64, 256)]) is one
+        assert sdgzsl._threads._blas_on_one_thread() is one
+        assert gives_a_thread() is one
 
     def test_a_wrapped_callee_keeps_one_thread(self, monkeypatch, workers):
         calls = []
@@ -558,7 +578,7 @@ class TestOverlappedTrain:
         assert workers.futures == [] and set(calls) == {threading.get_ident()}
 
     def test_below_the_threshold_no_thread_is_started(self, monkeypatch, workers):
-        force_overlap(monkeypatch, False)
+        monkeypatch.setattr(sdgzsl.mlp, "_OVERLAP_MACS", float("inf"))
         train(generate_synthetic(SMALL_SPEC), TrainConfig(epochs=3))
         assert workers.futures == []
 
@@ -588,16 +608,20 @@ class TestOverlappedTrain:
             self, monkeypatch, workers):
         ds = generate_synthetic(SMALL_SPEC)
         batches = -(-ds.seen_train_x.shape[0] // 7)
-        losses, gradients = [], []
+        losses, gradients, epoch_2_started = [], [], threading.Event()
         mse, gradient = sdgzsl.mlp.mse_loss, sdgzsl.mlp._gradient
 
         def nan_at_epoch_1(*args):
             losses.append(mse(*args))
-            return float("nan") if len(losses) == 2 else losses[-1]
+            if len(losses) != 2:
+                return losses[-1]
+            # returns once epoch 2's steps run, so that exiting the pool cannot cancel them
+            return float("nan") if epoch_2_started.wait(timeout=60) else losses[-1]
 
         def overflow_in_epoch_2(*args):
             gradients.append(None)
             if len(gradients) > 2 * batches:
+                epoch_2_started.set()
                 time.sleep(0.2)  # still running when epoch 1's loss is found non-finite
                 raise DomainError("matmul result: non-finite values")
             return gradient(*args)
@@ -660,7 +684,7 @@ class TestInputsAreNotModified:
                   ds.unseen_test_x, ds.unseen_test_y, ds.seen_emb, ds.unseen_emb]
         before = bits(fields)
         for overlap in (False, True):
-            force_overlap(monkeypatch, overlap)
+            force_two_threads(monkeypatch, overlap)
             train(ds, TrainConfig(epochs=3, batch_size=7, hidden_sizes=[4]))
             train(ds, TrainConfig(epochs=3, batch_size=1000, hidden_sizes=[]))
         assert bits(fields) == before

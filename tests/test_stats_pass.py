@@ -1,32 +1,33 @@
 """The statistics pass of ``sdgzsl.gates`` on one thread and on two.
 
-With BLAS on one thread, two usable CPUs, no wrapped callee and two chunks
-or more, a pool's one thread runs the odd chunks while the caller runs the
-even ones.  These tests force that path whatever the machine, and check it
-against the one-thread pass byte for byte.
+When some split of a pass has two chunks or more and ``sdgzsl._threads``
+gives the pass a second thread, a pool's one thread runs the odd chunks of
+the call while the caller runs the even ones.  These tests force that path
+whatever the machine, and check it against the one-thread pass byte for
+byte.
 """
 
+import concurrent.futures
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_two_threads
 
 import sdgzsl.gates
 import sdgzsl.mlp
-from sdgzsl import DomainError, STRATEGIES, calibrate, evaluate_sweep, predict
+from sdgzsl import (DomainError, STRATEGIES, SplitMix64, TrainConfig, calibrate, evaluate,
+                    evaluate_baseline, evaluate_sweep, predict, train)
 from sdgzsl.gates import _chunk_rows, _split_stats, _tables
 from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.pipeline import render_report_kv
-
-
-def force_two_threads(monkeypatch, on: bool) -> None:
-    """Let the pass (and ``train``) use a second thread, or not, whatever the
-    BLAS thread count and the CPU count."""
-    monkeypatch.setattr(sdgzsl.mlp, "_blas_on_one_thread", lambda: on)
-    monkeypatch.setattr(sdgzsl.mlp, "_usable_cpus", lambda: 2 if on else 1)
 
 
 def chunk_rows(monkeypatch, mapper, rows: int) -> None:
@@ -70,8 +71,8 @@ def one_thread(bench_dataset, bench_mapper):
         force_two_threads(monkeypatch, False)
         th = calibrate(mapper, ds)
         return {
-            "stats": bits(_split_stats(mapper, ds.unified_norm, ds.seen_test_x,
-                                       *_tables(mapper, ds.seen_emb, ds.unseen_emb))),
+            "stats": bits(_split_stats(mapper, ds.unified_norm, [ds.seen_test_x],
+                                       *_tables(mapper, ds.seen_emb, ds.unseen_emb))[0]),
             "thresholds": dataclasses.astuple(th),
             "sweep": [render_report_kv(r) for r in evaluate_sweep(mapper, th, ds)],
             "predict": {tag: bits(predict(mapper, th, tag, ds.seen_test_x, ds.seen_emb,
@@ -91,11 +92,24 @@ class TestSameBitsOnTwoThreads:
         chunk_rows(monkeypatch, mapper, rows)
         threads = record_threads(monkeypatch)
         before = threading.active_count()
-        got = _split_stats(mapper, ds.unified_norm, ds.seen_test_x,
-                           *_tables(mapper, ds.seen_emb, ds.unseen_emb))
+        [got] = _split_stats(mapper, ds.unified_norm, [ds.seen_test_x],
+                             *_tables(mapper, ds.seen_emb, ds.unseen_emb))
         assert bits(got) == one_thread["stats"]
         assert threads == ({CALLER} if CHUNKS[rows] == 1 else {CALLER, POOL})
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows", CHUNKS)
+    def test_one_pass_over_two_splits_is_two_passes(self, monkeypatch, bench_dataset,
+                                                    bench_mapper, rows):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, rows)
+        tables = _tables(mapper, ds.seen_emb, ds.unseen_emb)
+        splits = [ds.seen_test_x, ds.unseen_test_x]  # 200 and 60 rows
+        both = _split_stats(mapper, ds.unified_norm, splits, *tables)
+        force_two_threads(monkeypatch, False)
+        assert [bits(s) for s in both] == [
+            bits(_split_stats(mapper, ds.unified_norm, [xs], *tables)[0]) for xs in splits]
 
     @pytest.mark.parametrize("rows", CHUNKS)
     def test_calibrate_sweep_and_predict(self, monkeypatch, bench_dataset, bench_mapper,
@@ -155,7 +169,7 @@ class TestFailuresOnTwoThreads:
         monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
         before = threading.active_count()
         with pytest.raises(DomainError, match=f"^chunk {raised}$"):
-            _split_stats(mapper, ds.unified_norm, xs, *_tables(mapper, ds.seen_emb))
+            _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))
         assert threading.active_count() == before
         assert set(range(raised)) <= set(ran)  # every earlier chunk ran
 
@@ -177,27 +191,58 @@ class TestFailuresOnTwoThreads:
 
         monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
         with pytest.raises(DomainError, match="chunk 1"):
-            _split_stats(mapper, ds.unified_norm, xs, *_tables(mapper, ds.seen_emb))
+            _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))
         assert {0, 1} <= set(ran) <= {0, 1, 3}  # chunks 5, 7, ... were cancelled
 
 
+def count_thread_starts(monkeypatch) -> list:
+    """The name of every thread started from now on."""
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+# the pass's own callees, then the functions that the benchmark's tracer wraps
+# and that train or the pass reach: one wrapped keeps both jobs on one thread
+WRAPPABLE = [(sdgzsl.gates, "_forward_blocks"), (sdgzsl.gates, "length_gaps"),
+             (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "forward_batch"),
+             (sdgzsl.mlp, "check_finite"), (sdgzsl.mlp, "matmul"), (sdgzsl.mlp, "mse_loss"),
+             (SplitMix64, "permutation")]
+
+
 class TestWhenTwoThreadsRun:
-    @pytest.mark.parametrize("name", ["_forward_blocks", "length_gaps", "_screen"])
+    @pytest.mark.parametrize("owner, name", WRAPPABLE, ids=[name for _, name in WRAPPABLE])
     def test_a_wrapped_callee_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper,
-                                               name):
+                                               owner, name):
         force_two_threads(monkeypatch, True)
         mapper, _ = bench_mapper
         chunk_rows(monkeypatch, mapper, ROW_BLOCK)
-        calls, original = [], getattr(sdgzsl.gates, name)
+        original = getattr(owner, name)
 
         @functools.wraps(original)
-        def traced(*args):
-            calls.append(threading.get_ident())
-            return original(*args)
+        def traced(*args, **kwargs):
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(sdgzsl.gates, name, traced)
-        calibrate(mapper, bench_dataset)
-        assert len(calls) >= 16 and set(calls) == {threading.get_ident()}
+        monkeypatch.setattr(owner, name, traced)
+        started = count_thread_starts(monkeypatch)
+        train(bench_dataset, TrainConfig(epochs=2))
+        evaluate_sweep(mapper, calibrate(mapper, bench_dataset), bench_dataset)
+        assert started == []
+
+    def test_with_nothing_wrapped_each_job_starts_its_one_thread(self, monkeypatch, bench_dataset,
+                                                                 bench_mapper):
+        force_two_threads(monkeypatch, True)
+        mapper, _ = bench_mapper
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)
+        started = count_thread_starts(monkeypatch)
+        train(bench_dataset, TrainConfig(epochs=2))
+        evaluate_sweep(mapper, calibrate(mapper, bench_dataset), bench_dataset)
+        assert started == ["sdgzsl-train-steps_0", POOL, POOL]
 
     def test_one_cpu_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper):
         force_two_threads(monkeypatch, False)
@@ -219,9 +264,66 @@ class TestWhenTwoThreadsRun:
         xs[ROW_BLOCK : 2 * ROW_BLOCK] *= 1e160  # chunk 1: finite projections whose squares overflow
         tables = _tables(mapper, ds.seen_emb)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            _split_stats(mapper, ds.unified_norm, xs, *tables)
+            _split_stats(mapper, ds.unified_norm, [xs], *tables)
         assert threads == {CALLER, POOL}
         with np.errstate(over="ignore"):
-            d_l, _, _ = _split_stats(mapper, ds.unified_norm, xs, *tables)
+            [(d_l, _, _)] = _split_stats(mapper, ds.unified_norm, [xs], *tables)
         assert np.isinf(d_l[ROW_BLOCK : 2 * ROW_BLOCK]).all()
         assert np.isfinite(np.delete(d_l, np.s_[ROW_BLOCK : 2 * ROW_BLOCK])).all()
+
+
+def count_pools(monkeypatch) -> list:
+    """Every ``ThreadPoolExecutor`` made from now on."""
+    pools = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return pools
+
+
+class TestOnePoolPerEvaluation:
+    @pytest.fixture(autouse=True)
+    def _two(self, monkeypatch):
+        force_two_threads(monkeypatch, True)
+
+    @pytest.mark.parametrize("run", ["evaluate_sweep", "evaluate", "evaluate_baseline"])
+    def test_each_evaluation_starts_one_pool(self, monkeypatch, bench_dataset, bench_mapper,
+                                             run):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        th = calibrate(mapper, ds)
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)  # 7 chunks of seen_test, 2 of unseen_test
+        pools = count_pools(monkeypatch)
+        threads = record_threads(monkeypatch)
+        {"evaluate_sweep": lambda: evaluate_sweep(mapper, th, ds),
+         "evaluate": lambda: evaluate(mapper, th, "dl", ds),
+         "evaluate_baseline": lambda: evaluate_baseline(mapper, ds)}[run]()
+        assert len(pools) == 1 and threads == {CALLER, POOL}
+
+    def test_no_pass_starts_a_pool_at_the_cli_shape(self, monkeypatch, bench_dataset,
+                                                    bench_mapper):
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        assert _chunk_rows(mapper) == 1024  # above every split's rows: 500, 200 and 60
+        pools = count_pools(monkeypatch)
+        th = calibrate(mapper, ds)
+        evaluate_sweep(mapper, th, ds)
+        evaluate(mapper, th, "ws", ds)
+        evaluate_baseline(mapper, ds)
+        predict(mapper, th, "ol", ds.unseen_test_x, ds.seen_emb, ds.unseen_emb)
+        assert pools == []
+
+
+def test_importing_the_package_leaves_the_pool_unimported():
+    src = str(Path(sdgzsl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", "import sys, sdgzsl\n"
+                           "print('concurrent.futures' in sys.modules)\n"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
