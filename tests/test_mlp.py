@@ -647,18 +647,22 @@ class TestOverlappedTrain:
 
 
 def test_a_train_below_the_threshold_leaves_the_pool_unimported():
-    """Only a call that overlaps imports ``concurrent.futures``, which CLI start-up skips."""
+    """Neither ``import sdgzsl`` nor a ``train`` that does not overlap, nor a
+    statistics pass of one chunk per split, imports ``concurrent.futures``,
+    which CLI start-up skips."""
     src = str(Path(sdgzsl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, sdgzsl\n"
+            "print('concurrent.futures' in sys.modules)\n"
             "ds = sdgzsl.generate_synthetic(sdgzsl.SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3))\n"
-            "sdgzsl.train(ds, sdgzsl.TrainConfig(epochs=2))\n"
+            "mapper, _ = sdgzsl.train(ds, sdgzsl.TrainConfig(epochs=2))\n"
+            "sdgzsl.evaluate_sweep(mapper, sdgzsl.calibrate(mapper, ds), ds)\n"
             "print('concurrent.futures' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "False\nFalse\n"
 
 
 class TestInputsAreNotModified:

@@ -10,12 +10,8 @@ byte.
 import concurrent.futures
 import dataclasses
 import functools
-import os
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,13 +313,3 @@ class TestOnePoolPerEvaluation:
         predict(mapper, th, "ol", ds.unseen_test_x, ds.seen_emb, ds.unseen_emb)
         assert pools == []
 
-
-def test_importing_the_package_leaves_the_pool_unimported():
-    src = str(Path(sdgzsl.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", "import sys, sdgzsl\n"
-                           "print('concurrent.futures' in sys.modules)\n"],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
