@@ -5,6 +5,8 @@ their length gap and their minimum distance to the seen table stay small.
 Unseen instances were never part of the regression, so the mapper sends
 them somewhere with the wrong norm and far from every seen embedding.
 The thresholds are simply mean + population std of the seen statistics.
+The statistics shown here are the ones ``evaluate`` gates on, bit for bit:
+``forward_batch`` is the projection of its statistics pass.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ params, _ = train(ds, TrainConfig())
 
 
 def stats_for(xs):
-    """(d_l, msd) of every row of ``xs``, as two vectors."""
+    """(d_l, msd) of every row of ``xs``, as two vectors: the bits ``evaluate`` reads."""
     return gate_statistics(forward_batch(params, xs), ds.seen_emb, ds.unified_norm)
 
 

@@ -54,7 +54,7 @@ def _wrapped() -> bool:
 
     return any(hasattr(fn, "__wrapped__") for fn in (
         mlp.mse_loss, mlp.forward_batch, mlp._layers, mlp._gradient, mlp.check_finite, mlp.matmul,
-        mlp.SplitMix64.permutation, gates._forward_blocks, gates.length_gaps, gates._screen))
+        mlp.SplitMix64.permutation, gates.forward_batch, gates.length_gaps, gates._screen))
 
 
 @contextlib.contextmanager

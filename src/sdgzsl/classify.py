@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import as_matrix, as_table, nearest
-from .mlp import MlpParams, _forward_blocks
+from .mlp import MlpParams, forward_batch
 
 
 class NearestEmbeddingClassifier:
@@ -29,5 +29,5 @@ class NearestEmbeddingClassifier:
 
     def classify(self, rows) -> np.ndarray:
         """Index of the nearest class embedding for each feature row."""
-        proj = _forward_blocks(self.mapper, as_matrix(rows, "feature rows"))
+        proj = forward_batch(self.mapper, as_matrix(rows, "feature rows"))
         return nearest(proj, self.embeddings)[1]

@@ -210,6 +210,10 @@ def cmd_eval(args, parser) -> int:
             f"checkpoint maps {mapper.in_dim}->{mapper.out_dim} but dataset needs "
             f"{dataset.feature_dim}->{dataset.semantic_dim}"
         )
+    l = header.get("l")  # null: saved without a norm, so there is nothing to compare
+    if l is not None and l != dataset.unified_norm:
+        raise ConfigError(f"checkpoint was trained at unified norm {l!r} but dataset has "
+                          f"{dataset.unified_norm!r}")
 
     split = "seen_train" if cfg["calibration_split"] == "train" else "seen_test"
     thresholds = calibrate(mapper, dataset, lam=cfg["lam"], split=split)

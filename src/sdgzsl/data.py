@@ -380,7 +380,7 @@ def load_dataset(path) -> GzslDataset:
             raise DatasetLoadError(f"{meta_path}: missing key {key!r}")
     for key, low in _META_COUNTS.items():
         v = meta[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        if not _is_integer(v) or v < low:
             raise DatasetLoadError(f"{meta_path}: {key!r} must be an integer >= {low}, got {v!r}")
     l = meta["l"]
     if not (_is_finite(l) and l > 0):

@@ -8,20 +8,22 @@ Two statistics of each projected row drive every rule:
   seen-class embedding.
 
 One statistics pass, ``_split_stats``, computes both for calibration,
-evaluation and ``predict``, so a row's ``d_l`` and ``msd`` are the same
-bits wherever they are read.  It projects a split in chunks of
-``linalg.ROW_BLOCK``-row products (``mlp._forward_blocks``), sized by
-``_CHUNK_VALUES`` over the network's widest layer, and screens each
-embedding table it is given once per chunk: the seen table for
-``calibrate``, both tables for evaluation.  One pass takes every split of
-a call, so ``_evaluate`` makes one pass over both test splits.  When some
-split has two chunks or more and ``_threads.second_thread`` gives the pass
-a second thread (see that module for when), that thread runs every other
-chunk of the call beside the caller's.  Each chunk writes only its own
-rows, and neither the chunk size nor the thread changes a bit.
-``gate_statistics`` gives the same two vectors for rows already projected.
-Thresholds are the mean plus population standard deviation of a statistic
-over seen instances alone, so no manual tuning is involved.
+evaluation and ``predict``.  It projects a split in chunks sized by
+``_CHUNK_VALUES`` over the network's widest layer, each through
+``mlp.forward_batch``, the one projection, and screens each embedding
+table it is given once per chunk: the seen table for ``calibrate``, both
+tables for evaluation.  One pass takes every split of a call, so
+``_evaluate`` makes one pass over both test splits.  When some split has
+two chunks or more and ``_threads.second_thread`` gives the pass a second
+thread (see that module for when), that thread runs every other chunk of
+the call beside the caller's.  Each chunk writes only its own rows, and
+neither the chunk size nor the thread changes a bit.
+``gate_statistics`` gives the same two vectors for rows already projected,
+so ``gate_statistics(forward_batch(mapper, x), seen_emb, l)`` is the pass's
+bits for the same matrix ``x``: a row's ``d_l`` and ``msd`` are the same
+wherever they are read.  A ``ThresholdSet`` holds the mean and population
+standard deviation of each statistic over seen instances alone, and derives
+its thresholds from them, so no manual tuning is involved.
 
 Each rule (``gate_ol`` / ``gate_dl`` / ``gate_ws``, by strategy tag in
 ``GATE_FUNCTIONS``) is ``(d_l, msd, thresholds) -> seen``, one comparison
@@ -44,7 +46,7 @@ from .data import GzslDataset, _is_finite
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
 from .linalg import (ROW_BLOCK, _prepare, _screen, as_matrix, as_table, as_vector,
                      mean_and_popstd, nearest)
-from .mlp import MlpParams, _forward_blocks
+from .mlp import MlpParams, forward_batch
 
 # Values per chunk of a statistics pass, over the network's widest layer: a
 # chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
@@ -63,12 +65,13 @@ class Domain(Enum):
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Calibrated gate thresholds plus the statistics they derive from."""
+    """Calibration statistics, with the gate thresholds derived from them.
 
-    r_ol: float
-    r_0: float
-    r_1: float
-    r_ws: float
+    ``r_ol``, ``r_0``, ``r_1`` and ``r_ws`` are each a mean plus one or two
+    standard deviations, computed when read, so no threshold can disagree
+    with the statistics it is defined by.
+    """
+
     lam: float
     m_dl: float
     std_dl: float
@@ -78,23 +81,37 @@ class ThresholdSet:
     std_ws: float
     l: float
 
+    @property
+    def r_ol(self) -> float:
+        return self.m_dl + self.std_dl
+
+    @property
+    def r_0(self) -> float:
+        return self.m_msd + 2.0 * self.std_msd
+
+    @property
+    def r_1(self) -> float:
+        return self.m_msd + self.std_msd
+
+    @property
+    def r_ws(self) -> float:
+        return self.m_ws + self.std_ws
+
     def validate(self) -> "ThresholdSet":
+        """Finite fields, ``lam >= 0`` and each std ``>= 0``, so ``r_0 >= r_1``
+        (rounded addition is monotone); then finite thresholds, which a sum can
+        overflow."""
         bad = [f.name for f in fields(self) if not _is_finite(getattr(self, f.name))]
         if bad:
             raise CalibrationError(f"non-finite threshold fields {bad}")
         if self.lam < 0:
             raise CalibrationError(f"lam must be >= 0, got {self.lam!r}")
-        checks = [
-            ("r_ol", self.r_ol, self.m_dl + self.std_dl),
-            ("r_0", self.r_0, self.m_msd + 2.0 * self.std_msd),
-            ("r_1", self.r_1, self.m_msd + self.std_msd),
-            ("r_ws", self.r_ws, self.m_ws + self.std_ws),
-        ]
-        for name, have, want in checks:
-            if abs(have - want) > 1e-12:
-                raise CalibrationError(f"{name}={have!r} breaks its defining identity ({want!r})")
-        if self.r_0 < self.r_1:
-            raise CalibrationError(f"r_0 ({self.r_0!r}) must be >= r_1 ({self.r_1!r})")
+        negative = [name for name in ("std_dl", "std_msd", "std_ws") if getattr(self, name) < 0]
+        if negative:
+            raise CalibrationError(f"standard deviations must be >= 0, got {negative}")
+        bad = [name for name in _DERIVED if not _is_finite(getattr(self, name))]
+        if bad:
+            raise CalibrationError(f"non-finite thresholds {bad}")
         return self
 
 
@@ -149,7 +166,7 @@ def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.
         chunks += [(xs, slice(start, start + step), d_l, scans) for start in range(0, n, step)]
 
     def chunk(xs: np.ndarray, rows: slice, d_l: np.ndarray, scans) -> None:
-        proj = _forward_blocks(mapper, xs[rows])
+        proj = forward_batch(mapper, xs[rows])
         d_l[rows] = length_gaps(proj, l)
         for (dist, index), table in zip(scans, tables):
             dist[rows], index[rows] = _screen(proj, table)
@@ -176,20 +193,7 @@ def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> Th
     m_dl, std_dl = mean_and_popstd(d_l_samples)
     m_msd, std_msd = mean_and_popstd(msd_samples)
     m_ws, std_ws = mean_and_popstd(d_l_samples + lam * msd_samples)
-    return ThresholdSet(
-        r_ol=m_dl + std_dl,
-        r_0=m_msd + 2.0 * std_msd,
-        r_1=m_msd + std_msd,
-        r_ws=m_ws + std_ws,
-        lam=lam,
-        m_dl=m_dl,
-        std_dl=std_dl,
-        m_msd=m_msd,
-        std_msd=std_msd,
-        m_ws=m_ws,
-        std_ws=std_ws,
-        l=l,
-    ).validate()
+    return ThresholdSet(lam, m_dl, std_dl, m_msd, std_msd, m_ws, std_ws, l).validate()
 
 
 def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
@@ -243,22 +247,25 @@ def gate_ws(d_l, msd, th: ThresholdSet):
 # strategy -> rule over statistics: scalars give a bool, arrays a boolean mask
 GATE_FUNCTIONS = {"ol": gate_ol, "dl": gate_dl, "ws": gate_ws}
 
-# the file keys of ``save_thresholds``, in ``ThresholdSet`` field order
-_THRESHOLD_FIELDS = (
-    "r_ol", "r_0", "r_1", "r_ws", "lambda",
-    "m_dl", "std_dl", "m_msd", "std_msd", "m_ws", "std_ws", "l",
-)
+# the file keys of ``save_thresholds``: the derived thresholds, then the
+# ``ThresholdSet`` fields in order
+_DERIVED = ("r_ol", "r_0", "r_1", "r_ws")
+_THRESHOLD_FIELDS = _DERIVED + (
+    "lambda", "m_dl", "std_dl", "m_msd", "std_msd", "m_ws", "std_ws", "l")
 
 
 def save_thresholds(th: ThresholdSet, path) -> Path:
     """Audit file: one ``key=value`` line per statistic/threshold."""
+    values = [getattr(th, name) for name in _DERIVED] + list(astuple(th))
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(f"{k}={v!r}\n" for k, v in zip(_THRESHOLD_FIELDS, astuple(th))))
+    out.write_text("".join(f"{k}={v!r}\n" for k, v in zip(_THRESHOLD_FIELDS, values)))
     return out
 
 
 def load_thresholds(path) -> ThresholdSet:
+    """A ``save_thresholds`` file: the statistics, whose thresholds must match
+    the file's to 1e-12."""
     p = Path(path)
     if not p.is_file():
         raise DatasetLoadError(f"{p}: missing thresholds file")
@@ -274,4 +281,9 @@ def load_thresholds(path) -> ThresholdSet:
     missing = [f for f in _THRESHOLD_FIELDS if f not in values]
     if missing:
         raise DatasetLoadError(f"{p}: missing keys {missing}")
-    return ThresholdSet(*(values[k] for k in _THRESHOLD_FIELDS)).validate()
+    th = ThresholdSet(*(values[k] for k in _THRESHOLD_FIELDS[len(_DERIVED):])).validate()
+    for name in _DERIVED:
+        have, want = values[name], getattr(th, name)
+        if not abs(have - want) <= 1e-12:  # NaN included
+            raise CalibrationError(f"{p}: {name}={have!r} breaks its defining identity ({want!r})")
+    return th

@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
-# Rows projected by one evaluation product.  A product's last bits depend
-# on how many rows it multiplies at once, so every evaluation projection
-# is a ROW_BLOCK-row product whatever the split size.
+# Rows projected by one product of ``mlp.forward_batch``.  A product's last
+# bits depend on how many rows it multiplies at once, so every projection
+# outside training is a ROW_BLOCK-row product whatever the split size.
 ROW_BLOCK = 32
 
 # Values in each (rows, table rows) array of one ``nearest`` screen block: a

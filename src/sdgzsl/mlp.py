@@ -22,6 +22,12 @@ steps are submitted right after epoch e's snapshot and run on ``flat`` while
 the calling thread computes epoch e's loss.  Each product is the same call on
 the same operands as on one thread, so parameters and losses keep their bits,
 and a divergence names the same epoch.
+
+``forward_batch`` is the one projection outside training: it multiplies
+``linalg.ROW_BLOCK`` rows at a time, as the statistics pass of ``gates`` and
+the default classifier call it, so the same matrix gives the same bits on
+every path.  Training's own products (``_gradient`` and ``mse_loss``) take
+each batch as one product through ``_layers``.
 """
 
 from __future__ import annotations
@@ -144,35 +150,26 @@ def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _as_batch(params: MlpParams, x) -> np.ndarray:
-    """Feature rows as a float64 matrix that fits the network's input."""
+def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Project a batch of feature rows into the semantic space, one
+    ``ROW_BLOCK``-row product per block.
+
+    A product's last bits depend on how many rows it multiplies at once, so
+    every caller gets the blocks the statistics pass uses: the whole blocks go
+    through ``_layers`` as one ``(blocks, ROW_BLOCK, d)`` stack, where
+    ``np.matmul`` runs the same ``ROW_BLOCK``-row product on each block
+    without a Python call per block, and the short tail as one product.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
-    return x
-
-
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Project a batch of feature rows into the semantic space."""
-    return _layers(params, _as_batch(params, x))[-1]
-
-
-def _forward_blocks(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """``forward_batch`` on each ``ROW_BLOCK``-row block of ``x``, concatenated.
-
-    The whole blocks go through ``_layers`` as one ``(blocks, ROW_BLOCK, d)``
-    stack: ``np.matmul`` runs the same ``ROW_BLOCK``-row product on every
-    block that ``forward_batch`` would, so the bits match, without a Python
-    call per block.  The short tail goes through ``forward_batch`` itself.
-    """
-    x = _as_batch(params, x)
     full = x.shape[0] - x.shape[0] % ROW_BLOCK
     if not full:  # as for one-row callers: no per-layer calls on an empty stack
-        return forward_batch(params, x)
+        return _layers(params, x)[-1]
     h = _layers(params, x[:full].reshape(-1, ROW_BLOCK, x.shape[1]))[-1].reshape(full, -1)
     if full == x.shape[0]:
         return h
-    return np.concatenate([h, forward_batch(params, x[full:])])
+    return np.concatenate([h, _layers(params, x[full:])[-1]])
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -198,7 +195,7 @@ def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndar
 def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
     """Mean over instances of the squared projection error."""
     xs, zs = _batch_pair("mse_loss", params, xs, zs)
-    diff = forward_batch(params, xs)
+    diff = _layers(params, xs)[-1]  # one product over all rows, not forward_batch's blocks
     diff -= zs
     diff *= diff
     # numpy's ``_mean`` is this sum over the count: the same bits without the wrappers
@@ -376,7 +373,7 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
                                f"{len(layers)} strings, got {acts!r}")
     seed = header.get("seed")
     # the seed is copied into report provenance, where a string could forge lines
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+    if seed is not None and not _is_integer(seed):
         raise DatasetLoadError(f"{p}: checkpoint 'seed' must be an integer or null, got {seed!r}")
     l = header.get("l")
     if l is not None and not (_is_finite(l) and l > 0):
@@ -385,5 +382,8 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
     if len(body) != expected:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")
     weights, biases = _views(layers, np.frombuffer(body, dtype="<f8").copy())
-    params = MlpParams(weights, biases, list(acts)).validate().freeze()
-    return params, header
+    try:
+        params = MlpParams(weights, biases, list(acts)).validate()
+    except ValidationError as exc:  # an unknown activation, layers that do not chain, NaN
+        raise DatasetLoadError(f"{p}: invalid checkpoint parameters ({exc})") from exc
+    return params.freeze(), header

@@ -3,10 +3,10 @@
 The oracle takes one row at a time: its length gap and a nearest-embedding
 loop are written here, it gates the row by applying ``GATE_FUNCTIONS`` (or
 a caller's ``gate_fn``) to two floats, asks a stub classifier about that
-one row, and counts the gate confusion and per-class hits.  Projection is the
-one step it shares with the core: a product's last bits depend on how
-many rows it multiplies at once, so the oracle projects the same
-``ROW_BLOCK``-row blocks and every count must then match exactly.
+one row, and counts the gate confusion and per-class hits.  A product's last
+bits depend on how many rows it multiplies at once, so the oracle projects
+the same ``ROW_BLOCK``-row blocks as the core, each with plain numpy, and
+every count must then match exactly.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from sdgzsl import (
     calibrate,
     evaluate,
     evaluate_baseline,
-    forward_batch,
     gate_statistics,
     generate_synthetic,
     predict,
@@ -36,8 +35,17 @@ from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.mlp import init_params
 
 
+def plain_forward(mapper, xs):
+    h = xs
+    for w, b, act in zip(mapper.weights, mapper.biases, mapper.activations):
+        h = h @ w.T + b
+        if act == "relu":
+            h = np.maximum(h, 0.0)
+    return h
+
+
 def project_in_blocks(mapper, xs):
-    return np.concatenate([forward_batch(mapper, xs[i : i + ROW_BLOCK])
+    return np.concatenate([plain_forward(mapper, xs[i : i + ROW_BLOCK])
                            for i in range(0, xs.shape[0], ROW_BLOCK)])
 
 

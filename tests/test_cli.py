@@ -323,6 +323,29 @@ class TestEval:
         assert run_cli("eval", "--data", other, "--ckpt", run / "model.ckpt",
                        "--out", tmp_path / "e2") == 1
 
+    def test_checkpoint_of_another_norm_is_runtime_error(self, tmp_path, capsys):
+        small = ["--seen", 4, "--unseen", 2, "--dim", 8, "--sem", 4, "--sigma", 0.05,
+                 "--seed", 3, "--train-per-class", 5, "--test-per-class", 2]
+        for norm in (1, 2):
+            assert run_cli("gen", *small, "--norm", norm, "--out", tmp_path / f"l{norm}") == 0
+        assert run_cli("train", "--data", tmp_path / "l2", "--epochs", 2,
+                       "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--data", tmp_path / "l1", "--ckpt", tmp_path / "run" / "model.ckpt",
+                       "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unified norm 2.0" in err[0] and "1.0" in err[0]
+        assert not (tmp_path / "e").exists()
+
+    def test_checkpoint_without_a_norm_is_accepted(self, workspace, tmp_path):
+        data, run = workspace
+        ckpt = tmp_path / "model.ckpt"
+        blob = (run / "model.ckpt").read_bytes()
+        assert b'"l": 1.0' in blob
+        ckpt.write_bytes(blob.replace(b'"l": 1.0', b'"l": null', 1))
+        assert run_cli("eval", "--data", data, "--ckpt", ckpt, "--out", tmp_path / "e",
+                       "--strategy", "ol") == 0
+
     def test_kv_h_consistency(self, workspace, tmp_path):
         data, run = workspace
         out = tmp_path / "eval_kv"

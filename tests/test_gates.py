@@ -31,11 +31,8 @@ from sdgzsl.mlp import forward_batch, init_params
 
 def make_thresholds(m_dl=0.0, std_dl=0.0, m_msd=0.0, std_msd=0.0, m_ws=0.0, std_ws=0.0,
                     lam=1.0, l=1.0):
-    return ThresholdSet(
-        r_ol=m_dl + std_dl, r_0=m_msd + 2 * std_msd, r_1=m_msd + std_msd,
-        r_ws=m_ws + std_ws, lam=lam, m_dl=m_dl, std_dl=std_dl,
-        m_msd=m_msd, std_msd=std_msd, m_ws=m_ws, std_ws=std_ws, l=l,
-    ).validate()
+    return ThresholdSet(lam=lam, m_dl=m_dl, std_dl=std_dl, m_msd=m_msd, std_msd=std_msd,
+                        m_ws=m_ws, std_ws=std_ws, l=l).validate()
 
 
 def identity_fit_dataset():
@@ -166,18 +163,28 @@ class TestCalibration:
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=0.0, l=1.0)
         assert th.lam == 0.0 and th.r_ws == th.r_ol
 
-    @pytest.mark.parametrize("field", ["r_ol", "m_msd", "l"])
+    @pytest.mark.parametrize("field", ["std_dl", "m_msd", "l"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400])
     def test_non_finite_field_rejected(self, field, value):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
         with pytest.raises(CalibrationError, match="non-finite"):
             dataclasses.replace(th, **{field: value}).validate()
 
-    def test_broken_identity_rejected(self):
-        with pytest.raises(CalibrationError):
-            ThresholdSet(r_ol=1.0, r_0=0.0, r_1=0.0, r_ws=0.0, lam=1.0,
-                         m_dl=0.0, std_dl=0.0, m_msd=0.0, std_msd=0.0,
-                         m_ws=0.0, std_ws=0.0, l=1.0).validate()
+    @pytest.mark.parametrize("field", ["std_dl", "std_msd", "std_ws"])
+    def test_negative_std_rejected(self, field):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        with pytest.raises(CalibrationError, match=f"standard deviations must be >= 0.*{field}"):
+            dataclasses.replace(th, **{field: -1e-300}).validate()
+
+    def test_a_threshold_that_overflows_is_rejected(self):
+        with pytest.raises(CalibrationError, match=r"non-finite thresholds \['r_0', 'r_1'\]"):
+            make_thresholds(m_msd=1e308, std_msd=1e308)
+
+    def test_the_thresholds_are_derived_not_stored(self):
+        assert [f.name for f in dataclasses.fields(ThresholdSet)] == [
+            "lam", "m_dl", "std_dl", "m_msd", "std_msd", "m_ws", "std_ws", "l"]
+        for name in ("r_ol", "r_0", "r_1", "r_ws"):
+            assert isinstance(getattr(ThresholdSet, name), property)
 
 
 class TestGateRules:
@@ -283,8 +290,8 @@ class TestThresholdFile:
     def test_keys_follow_the_field_order(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4, 0.9], [0.2, 0.5, 0.3], lam=0.5, l=2.0)
         lines = save_thresholds(th, tmp_path / "th.kv").read_text().splitlines()
-        assert lines == [f"{'lambda' if f.name == 'lam' else f.name}={getattr(th, f.name)!r}"
-                         for f in dataclasses.fields(ThresholdSet)]
+        keys = ["r_ol", "r_0", "r_1", "r_ws"] + [f.name for f in dataclasses.fields(ThresholdSet)]
+        assert lines == [f"{'lambda' if k == 'lam' else k}={getattr(th, k)!r}" for k in keys]
 
     def test_nan_lambda_in_file_rejected(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
@@ -292,6 +299,21 @@ class TestThresholdFile:
         path.write_text(path.read_text().replace("lambda=1.0", "lambda=nan"))
         with pytest.raises(CalibrationError, match="non-finite"):
             load_thresholds(path)
+
+    @pytest.mark.parametrize("r_0", ["0.0", "nan", "inf"])
+    def test_an_edited_threshold_breaks_its_identity(self, tmp_path, r_0):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        path = save_thresholds(th, tmp_path / "th.kv")
+        text = path.read_text()
+        path.write_text(text.replace(f"r_0={th.r_0!r}", f"r_0={r_0}"))
+        with pytest.raises(CalibrationError, match="r_0=.* breaks its defining identity"):
+            load_thresholds(path)
+
+    def test_a_threshold_within_the_tolerance_loads_as_its_formula(self, tmp_path):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        path = save_thresholds(th, tmp_path / "th.kv")
+        path.write_text(path.read_text().replace(f"r_0={th.r_0!r}", f"r_0={th.r_0 + 1e-13!r}"))
+        assert load_thresholds(path).r_0 == th.r_0
 
     def test_missing_key_rejected(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)

@@ -37,7 +37,7 @@ import sdgzsl._threads
 import sdgzsl.linalg
 import sdgzsl.mlp
 from sdgzsl.linalg import ROW_BLOCK
-from sdgzsl.mlp import _forward_blocks, init_params
+from sdgzsl.mlp import init_params
 
 SMALL_SPEC = SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3)  # 40 training rows
 
@@ -151,12 +151,23 @@ class TestForward:
         assert batched == pytest.approx(single, abs=1e-12)
 
 
+def plain_forward(params, xs):
+    """The network as plain numpy on a 2-D batch: one product per layer over every row."""
+    h = xs
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        h = h @ w.T + b
+        if act == "relu":
+            h = np.maximum(h, 0.0)
+    return h
+
+
 class TestForwardBlocks:
-    """The stacked projection against ``forward_batch`` on each ``ROW_BLOCK``-row block."""
+    """``forward_batch``'s stacked projection against a plain 2-D product on
+    each ``ROW_BLOCK``-row block."""
 
     @staticmethod
     def per_block(params, xs):
-        return np.concatenate([forward_batch(params, xs[i : i + ROW_BLOCK])
+        return np.concatenate([plain_forward(params, xs[i : i + ROW_BLOCK])
                                for i in range(0, xs.shape[0], ROW_BLOCK)])
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 255, 256, 257])
@@ -168,7 +179,7 @@ class TestForwardBlocks:
         params = init_params(d, [max(d, s)] if hidden is None else hidden, s, SplitMix64(n + d))
         xs = rng.normal(size=(n, d))
         before = xs.tobytes()
-        got = _forward_blocks(params, xs)
+        got = forward_batch(params, xs)
         want = self.per_block(params, xs)
         assert got.shape == want.shape == (n, s)
         # int64 views compare the sign of zero too
@@ -181,21 +192,20 @@ class TestForwardBlocks:
         params = init_params(6, [5], 4, SplitMix64(2))
         params.weights[layer][0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="matmul result"):
-            _forward_blocks(params, np_rng.normal(size=(n, 6)))
+            forward_batch(params, np_rng.normal(size=(n, 6)))
 
     def test_dimension_mismatch(self):
         params = init_params(6, [5], 4, SplitMix64(2))
         with pytest.raises(ShapeError):
-            _forward_blocks(params, np.ones((40, 7)))
+            forward_batch(params, np.ones((40, 7)))
 
     @pytest.mark.parametrize("n", [3, 40])
-    @pytest.mark.parametrize("project", [forward_batch, _forward_blocks])
-    def test_non_conforming_layers_raise_shape_error(self, n, project):
+    def test_non_conforming_layers_raise_shape_error(self, n):
         # never validated: layer 1 takes 7 inputs after a 5-wide layer 0
         params = MlpParams([np.ones((5, 6)), np.ones((4, 7))], [np.zeros(5), np.zeros(4)],
                            ["relu", "linear"])
         with pytest.raises(ShapeError, match="layer 1 takes 7 inputs, got 5"):
-            project(params, np.ones((n, 6)))
+            forward_batch(params, np.ones((n, 6)))
 
 
 class TestMseLoss:
@@ -227,7 +237,7 @@ class TestMseLoss:
     def test_bits_equal_the_mean_of_row_sums(self, np_rng, n):
         params = init_params(6, [9], 5, SplitMix64(n))
         xs, zs = np_rng.normal(size=(n, 6)), np_rng.normal(size=(n, 5))
-        diff = forward_batch(params, xs) - zs
+        diff = plain_forward(params, xs) - zs
         want = float(np.mean(np.sum(diff * diff, axis=1)))
         assert mse_loss(params, xs, zs).hex() == want.hex()
 
@@ -404,14 +414,26 @@ class TestCheckpoint:
         {"layers": [[2, 3]], "activations": ["linear"], "seed": "7\nacc_s=1.0"},
         {"layers": [[2, 3]], "activations": ["linear"], "seed": 1.5},
         {"layers": [[2, 3]], "activations": ["linear"], "seed": True},
+        {"layers": [[2, 3]], "activations": ["tanh"]},
+        # 1*2+1 + 1*4+1 = 8 values, as in the blob, but layer 1 takes 4 inputs after 1
+        {"layers": [[1, 2], [1, 4]], "activations": ["relu", "linear"]},
     ])
     def test_malformed_header_is_a_load_error(self, tmp_path, header):
         params = init_params(3, [], 2, SplitMix64(4))
         path = save_checkpoint(params, tmp_path / "m.ckpt")
         blob = path.read_bytes()
         path.write_bytes(json.dumps(header).encode() + blob[blob.find(b"\n"):])
-        with pytest.raises(DatasetLoadError, match="checkpoint"):
+        with pytest.raises(DatasetLoadError, match="checkpoint") as info:
             load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_a_non_finite_blob_is_a_load_error(self, tmp_path):
+        path = save_checkpoint(init_params(3, [], 2, SplitMix64(4)), tmp_path / "m.ckpt")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: blob.find(b"\n") + 1] + np.full(8, np.nan).astype("<f8").tobytes())
+        with pytest.raises(DatasetLoadError, match="non-finite parameters") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 class TestTrainMatchesReferenceSgd:

@@ -19,8 +19,9 @@ from conftest import force_two_threads
 
 import sdgzsl.gates
 import sdgzsl.mlp
-from sdgzsl import (DomainError, STRATEGIES, SplitMix64, TrainConfig, calibrate, evaluate,
-                    evaluate_baseline, evaluate_sweep, predict, train)
+from sdgzsl import (DomainError, STRATEGIES, SplitMix64, SyntheticSpec, TrainConfig, calibrate,
+                    calibrate_from_samples, evaluate, evaluate_baseline, evaluate_sweep,
+                    forward_batch, gate_statistics, generate_synthetic, predict, train)
 from sdgzsl.gates import _chunk_rows, _split_stats, _tables
 from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.pipeline import render_report_kv
@@ -123,6 +124,43 @@ class TestSameBitsOnTwoThreads:
         assert threads == ({CALLER} if CHUNKS[rows] == 1 else {CALLER, POOL})
 
 
+# the benchmark's three shapes: the README quick start and its default train,
+# then eval_heavy and train_heavy (at 2 of its 60 epochs: the shapes are the same)
+SHAPES = {
+    "cli_default": (SyntheticSpec(10, 3, 32, 16, 50, 20, 0.05, seed=7), TrainConfig()),
+    "eval_heavy": (SyntheticSpec(60, 20, 32, 32, 10, 100, 0.05, seed=1),
+                   TrainConfig(epochs=20, seed=2)),
+    "train_heavy": (SyntheticSpec(20, 5, 256, 64, 100, 20, 0.05, seed=1),
+                    TrainConfig(epochs=2, seed=2)),
+}
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def shape_run(request):
+    spec, cfg = SHAPES[request.param]
+    ds = generate_synthetic(spec)
+    return ds, train(ds, cfg)[0]
+
+
+class TestThePublicPathIsThePass:
+    """``forward_batch`` then ``gate_statistics`` give the statistics the gates read."""
+
+    @pytest.mark.parametrize("split", ["seen_test", "unseen_test"])
+    def test_the_same_d_l_and_msd(self, shape_run, split):
+        ds, mapper = shape_run
+        xs = getattr(ds, f"{split}_x")
+        d_l, msd, _ = _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))[0]
+        public = gate_statistics(forward_batch(mapper, xs), ds.seen_emb, ds.unified_norm)
+        assert np.array_equal(public[0], d_l)
+        assert np.array_equal(public[1], msd)
+
+    def test_the_same_thresholds(self, shape_run):
+        ds, mapper = shape_run
+        d_l, msd = gate_statistics(forward_batch(mapper, ds.seen_train_x), ds.seen_emb,
+                                   ds.unified_norm)
+        assert calibrate_from_samples(d_l, msd, 1.0, ds.unified_norm) == calibrate(mapper, ds)
+
+
 class TestFailuresOnTwoThreads:
     @pytest.fixture(autouse=True)
     def _two(self, monkeypatch, bench_mapper):
@@ -153,16 +191,16 @@ class TestFailuresOnTwoThreads:
         ds = bench_dataset
         xs = ds.seen_test_x.copy()
         xs[:, 0] = np.arange(xs.shape[0])  # each chunk's first row names its start
-        ran, forward_blocks = [], sdgzsl.gates._forward_blocks
+        ran, original = [], sdgzsl.gates.forward_batch
 
         def failing_forward(params, x):
             chunk = int(x[0, 0]) // ROW_BLOCK
             ran.append(chunk)
             if chunk in failing:
                 raise DomainError(f"chunk {chunk}")
-            return forward_blocks(params, x)
+            return original(params, x)
 
-        monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", failing_forward)
         before = threading.active_count()
         with pytest.raises(DomainError, match=f"^chunk {raised}$"):
             _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))
@@ -174,7 +212,7 @@ class TestFailuresOnTwoThreads:
         ds = bench_dataset
         xs = ds.seen_train_x.copy()  # 500 rows: 16 chunks
         xs[:, 0] = np.arange(xs.shape[0])
-        ran, forward_blocks = [], sdgzsl.gates._forward_blocks
+        ran, original = [], sdgzsl.gates.forward_batch
 
         def failing_forward(params, x):
             chunk = int(x[0, 0]) // ROW_BLOCK
@@ -183,9 +221,9 @@ class TestFailuresOnTwoThreads:
                 raise DomainError("chunk 1")
             if chunk == 3:
                 time.sleep(0.5)  # the pool is still here when the caller sees chunk 1 fail
-            return forward_blocks(params, x)
+            return original(params, x)
 
-        monkeypatch.setattr(sdgzsl.gates, "_forward_blocks", failing_forward)
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", failing_forward)
         with pytest.raises(DomainError, match="chunk 1"):
             _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))
         assert {0, 1} <= set(ran) <= {0, 1, 3}  # chunks 5, 7, ... were cancelled
@@ -205,14 +243,16 @@ def count_thread_starts(monkeypatch) -> list:
 
 # the pass's own callees, then the functions that the benchmark's tracer wraps
 # and that train or the pass reach: one wrapped keeps both jobs on one thread
-WRAPPABLE = [(sdgzsl.gates, "_forward_blocks"), (sdgzsl.gates, "length_gaps"),
+WRAPPABLE = [(sdgzsl.gates, "forward_batch"), (sdgzsl.gates, "length_gaps"),
              (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "forward_batch"),
              (sdgzsl.mlp, "check_finite"), (sdgzsl.mlp, "matmul"), (sdgzsl.mlp, "mse_loss"),
              (SplitMix64, "permutation")]
 
 
 class TestWhenTwoThreadsRun:
-    @pytest.mark.parametrize("owner, name", WRAPPABLE, ids=[name for _, name in WRAPPABLE])
+    @pytest.mark.parametrize("owner, name", WRAPPABLE,
+                             ids=[f"{owner.__name__.rpartition('.')[2]}.{name}"
+                                  for owner, name in WRAPPABLE])
     def test_a_wrapped_callee_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper,
                                                owner, name):
         force_two_threads(monkeypatch, True)
