@@ -200,12 +200,33 @@ def normalize_embeddings(raw, l: float) -> np.ndarray:
     return raw * (l / norms)[:, None]
 
 
+def _settle_creeping_row(row: np.ndarray, l: float) -> None:
+    """Move a float32 row, in place, to a float32 fixed point of norm ``l``.
+
+    Its coordinates, largest first, each move by whole float32 ulps to the
+    value that brings the norm nearest ``l``, until the norm error is below
+    the smallest relative half-ulp of the row, where quantizing the
+    normalized row gives the row back.  The largest coordinate alone is too
+    coarse when it holds nearly all of the norm (3-dimensional rows, say);
+    each smaller one refines the norm in finer steps.
+    """
+    for k in np.argsort(-np.abs(row), kind="stable"):
+        if not row[k] or np.array_equal(normalize_embeddings(row[None], l).astype(np.float32)[0], row):
+            return
+        others = np.delete(row, k).astype(np.float64)
+        row[k] = math.copysign(math.sqrt(max(l * l - others @ others, 0.0)), row[k])
+
+
 def _f32_stable_unit_rows(raw: np.ndarray, l: float) -> np.ndarray:
     """Normalize rows to norm l such that float32 storage round-trips exactly.
 
     Iterates quantize -> ``normalize_embeddings`` until every row is a fixed
-    point, which is what ``load_dataset`` rebuilds from the file bit for bit;
-    raises ``DomainError`` when a row has none within 64 rounds.
+    point, which is what ``load_dataset`` rebuilds from the file bit for bit.
+    A row still moving after 64 rounds creeps: its float32 image misses norm
+    ``l`` by more than the smallest relative half-ulp of its coordinates,
+    and each round moves one small coordinate by one ulp.  Such a row is
+    settled by ``_settle_creeping_row``; rows already fixed stay where they
+    are.  Raises ``DomainError`` when a row is still no fixed point.
     """
     v = normalize_embeddings(raw, l)
     for _ in range(64):
@@ -213,9 +234,15 @@ def _f32_stable_unit_rows(raw: np.ndarray, l: float) -> np.ndarray:
         if np.array_equal(w, v):
             return v
         v = w
+    v32 = v.astype(np.float32)
+    for i in np.flatnonzero((normalize_embeddings(v32, l) != v).any(axis=1)):
+        _settle_creeping_row(v32[i], l)
+    v = normalize_embeddings(v32, l)
+    if np.array_equal(normalize_embeddings(v.astype(np.float32), l), v):
+        return v
     raise DomainError(
-        f"an embedding row reaches no float32 fixed point at unified norm {l} "
-        "within 64 rounds; try another seed or norm"
+        f"an embedding row reaches no float32 fixed point at unified norm {l}; "
+        "try another seed or norm"
     )
 
 

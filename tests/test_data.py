@@ -162,17 +162,19 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("semantic_dim", [2, 3, 16, 64])
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 3.0, 1e3, 1e5, 1e7])
     def test_every_generated_dataset_round_trips_bit_for_bit(self, tmp_path, semantic_dim, norm):
-        # a row with no float32 fixed point is an error, never a row that moves on load
-        checked = 0
+        # every row reaches a float32 fixed point, so no row moves on load
         for seed in range(8):
             spec = SyntheticSpec(10, 5, 8, semantic_dim, 2, 2, 0.05, seed, unified_norm=norm)
-            try:
-                ds = generate_synthetic(spec)
-            except DomainError:
-                continue
-            assert_round_trips_exactly(ds, tmp_path / "d")
-            checked += 1
-        assert checked >= 4
+            assert_round_trips_exactly(generate_synthetic(spec), tmp_path / "d")
+
+    @pytest.mark.parametrize("shape, norm, seeds", [((10, 3, 32, 16), 1.0, 1000),
+                                                    ((10, 5, 8, 3), 1e-3, 500)])
+    def test_creeping_rows_settle_on_a_fixed_point(self, tmp_path, shape, norm, seeds):
+        # 64 rounds of quantize and normalize leave a row creeping at seeds 479 and 812 of
+        # the README quick-start shape, and at 50 of these 500 seeds at norm 1e-3
+        for seed in range(seeds):
+            spec = SyntheticSpec(*shape, 2, 1, 0.05, seed, unified_norm=norm)
+            assert_round_trips_exactly(generate_synthetic(spec), tmp_path / "d")
 
     def test_eval_heavy_shape_round_trips_bit_for_bit(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(60, 20, 32, 32, 10, 100, 0.05, seed=1))
