@@ -38,13 +38,7 @@ from .data import (
 from .errors import ConfigError, GzslError, ValidationError
 from .gates import calibrate, save_thresholds
 from .mlp import TrainConfig, load_checkpoint, save_checkpoint, train
-from .pipeline import (
-    STRATEGIES,
-    evaluate,
-    evaluate_sweep,
-    render_report_kv,
-    render_report_text,
-)
+from .pipeline import STRATEGIES, evaluate_sweep, render_report_kv, render_report_text
 
 _GEN_DEFAULTS = {
     "seen": 10, "unseen": 3, "dim": 32, "sem": 16, "sigma": 0.05, "seed": 7,
@@ -231,10 +225,9 @@ def cmd_eval(args, parser) -> int:
     }
 
     run_sweep = bool(cfg["sweep"]) or cfg["strategy"] == "all"
-    if run_sweep:
-        reports = evaluate_sweep(mapper, thresholds, dataset)
-    else:
-        reports = [evaluate(mapper, thresholds, cfg["strategy"], dataset)]
+    reports = evaluate_sweep(mapper, thresholds, dataset)
+    if not run_sweep:
+        reports = [r for r in reports if r.strategy == cfg["strategy"]]
     print(f"evaluated {len(reports)} reports in {reports[0].runtime:.2f}s")
 
     for report in reports:

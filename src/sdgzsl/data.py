@@ -323,7 +323,8 @@ def _write_matrix(path: Path, m: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
 
 
-def _read_matrix(path: Path) -> np.ndarray:
+def _read_matrix(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix file at ``path``, whose header must read ``shape``."""
     if not path.is_file():
         raise DatasetLoadError(f"{path}: missing file")
     blob = path.read_bytes()
@@ -337,6 +338,8 @@ def _read_matrix(path: Path) -> np.ndarray:
         raise DatasetLoadError(
             f"{path}: expected {expected} bytes for {rows}x{cols} f32 matrix, got {len(blob)}"
         )
+    if (rows, cols) != shape:
+        raise DatasetLoadError(f"{path}: shape {(rows, cols)} does not match header {shape}")
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
     return data.reshape(rows, cols).astype(np.float64)
 
@@ -375,8 +378,8 @@ def save_dataset(ds: GzslDataset, path) -> Path:
     for split, fname in FEATURE_FILES.items():
         _write_matrix(out / fname, getattr(ds, f"{split}_x"))
         _write_labels(out / LABEL_FILES[split], getattr(ds, f"{split}_y"))
-    _write_matrix(out / EMBEDDING_FILES["seen"], ds.seen_emb)
-    _write_matrix(out / EMBEDDING_FILES["unseen"], ds.unseen_emb)
+    for side, fname in EMBEDDING_FILES.items():
+        _write_matrix(out / fname, getattr(ds, f"{side}_emb"))
     return out
 
 
@@ -388,6 +391,9 @@ _META_COUNTS = {"d": 1, "S": 1, "C_s": 1, "C_u": 1,
 def load_dataset(path) -> GzslDataset:
     """Read and fully validate a dataset directory.
 
+    ``meta.json`` is checked here; each matrix file is checked by
+    ``_read_matrix`` against the shape ``meta.json`` gives it, and each
+    labels file by ``_read_labels`` against its split's row count.
     Embedding rows are re-normalized to the header's unified norm after
     the float32 widening.  A format error, or a value that
     ``GzslDataset.validate`` rejects, raises ``DatasetLoadError``.
@@ -415,30 +421,15 @@ def load_dataset(path) -> GzslDataset:
     if meta.get("endianness", "little") != "little":
         raise DatasetLoadError(f"{meta_path}: unsupported endianness {meta['endianness']!r}")
 
-    counts = {
-        "seen_train": meta["n_seen_train"],
-        "seen_test": meta["n_seen_test"],
-        "unseen_test": meta["n_unseen_test"],
-    }
     arrays = {}
     for split, fname in FEATURE_FILES.items():
-        fpath = root / fname
-        x = _read_matrix(fpath)
-        if x.shape != (counts[split], meta["d"]):
-            raise DatasetLoadError(
-                f"{fpath}: shape {x.shape} does not match header ({counts[split]}, {meta['d']})"
-            )
+        x = _read_matrix(root / fname, (meta[f"n_{split}"], meta["d"]))
         arrays[f"{split}_x"] = x
         arrays[f"{split}_y"] = _read_labels(root / LABEL_FILES[split], x.shape[0])
 
     for side, fname in EMBEDDING_FILES.items():
         fpath = root / fname
-        e = _read_matrix(fpath)
-        n_classes = meta["C_s"] if side == "seen" else meta["C_u"]
-        if e.shape != (n_classes, meta["S"]):
-            raise DatasetLoadError(
-                f"{fpath}: shape {e.shape} does not match header ({n_classes}, {meta['S']})"
-            )
+        e = _read_matrix(fpath, (meta["C_s"] if side == "seen" else meta["C_u"], meta["S"]))
         try:
             arrays[f"{side}_emb"] = normalize_embeddings(e, meta["l"])
         except DomainError as exc:

@@ -98,14 +98,16 @@ class ThresholdSet:
         return self.m_ws + self.std_ws
 
     def validate(self) -> "ThresholdSet":
-        """Finite fields, ``lam >= 0`` and each std ``>= 0``, so ``r_0 >= r_1``
-        (rounded addition is monotone); then finite thresholds, which a sum can
-        overflow."""
+        """Finite fields, ``lam >= 0``, ``l > 0`` and each std ``>= 0``, so
+        ``r_0 >= r_1`` (rounded addition is monotone); then finite thresholds,
+        which a sum can overflow."""
         bad = [f.name for f in fields(self) if not _is_finite(getattr(self, f.name))]
         if bad:
             raise CalibrationError(f"non-finite threshold fields {bad}")
         if self.lam < 0:
             raise CalibrationError(f"lam must be >= 0, got {self.lam!r}")
+        if not self.l > 0:
+            raise CalibrationError(f"unified norm l must be > 0, got {self.l!r}")
         negative = [name for name in ("std_dl", "std_msd", "std_ws") if getattr(self, name) < 0]
         if negative:
             raise CalibrationError(f"standard deviations must be >= 0, got {negative}")

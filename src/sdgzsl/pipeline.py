@@ -246,15 +246,22 @@ def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationRepo
     )
 
 
-def _evaluate(rules, mapper: MlpParams, l: float, dataset: GzslDataset,
+def _check_norm(thresholds: ThresholdSet, dataset: GzslDataset) -> None:
+    """``thresholds`` must be calibrated at ``dataset``'s unified norm."""
+    if thresholds.l != dataset.unified_norm:
+        raise ConfigError(f"thresholds were calibrated at unified norm {thresholds.l!r} but "
+                          f"dataset has {dataset.unified_norm!r}")
+
+
+def _evaluate(rules, mapper: MlpParams, dataset: GzslDataset,
               seen_classifier=None, unseen_classifier=None) -> list[EvaluationReport]:
     """One report per ``(tag, rule)`` of ``rules``, all from one statistics
-    pass over both test splits; every report's ``runtime`` is the wall time
-    of the whole call."""
+    pass over both test splits at the dataset's unified norm; every report's
+    ``runtime`` is the wall time of the whole call."""
     splits = _test_splits(dataset)
     t0 = time.perf_counter()
     tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
-    stats = _split_stats(mapper, l, splits, *tables)
+    stats = _split_stats(mapper, dataset.unified_norm, splits, *tables)
     reports = []
     for tag, rule in rules:
         masks, predictions = zip(*(_route(rule, s, xs, tables, seen_classifier, unseen_classifier)
@@ -269,9 +276,14 @@ def _evaluate(rules, mapper: MlpParams, l: float, dataset: GzslDataset,
 def evaluate(mapper: MlpParams, thresholds: ThresholdSet, strategy: str,
              dataset: GzslDataset, seen_classifier=None, unseen_classifier=None,
              gate_fn=None) -> EvaluationReport:
-    """Run the gate + route flow over both test splits and report metrics."""
-    return _evaluate([(strategy, _gate_rule(strategy, thresholds, gate_fn))], mapper,
-                     thresholds.l, dataset, seen_classifier, unseen_classifier)[0]
+    """Run the gate + route flow over both test splits and report metrics.
+
+    ``thresholds`` must be calibrated at the dataset's unified norm, else
+    ``ConfigError``.
+    """
+    _check_norm(thresholds, dataset)
+    return _evaluate([(strategy, _gate_rule(strategy, thresholds, gate_fn))], mapper, dataset,
+                     seen_classifier, unseen_classifier)[0]
 
 
 def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationReport:
@@ -281,7 +293,7 @@ def evaluate_baseline(mapper: MlpParams, dataset: GzslDataset) -> EvaluationRepo
     stays comparable with the gated strategies.  Between equal seen and
     unseen distances the seen table wins (it comes first in the union).
     """
-    return _evaluate([(BASELINE_TAG, _baseline_rule)], mapper, dataset.unified_norm, dataset)[0]
+    return _evaluate([(BASELINE_TAG, _baseline_rule)], mapper, dataset)[0]
 
 
 def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
@@ -292,10 +304,12 @@ def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
     The reports equal those of the separate calls, field for field, apart
     from ``runtime``: each split is projected and scanned once, and every
     strategy and the baseline is a mask over the same vectors.  Every
-    report's ``runtime`` is the wall time of the whole call.
+    report's ``runtime`` is the wall time of the whole call.  ``thresholds``
+    must be calibrated at the dataset's unified norm, else ``ConfigError``.
     """
+    _check_norm(thresholds, dataset)
     return _evaluate([*((tag, _gate_rule(tag, thresholds, None)) for tag in STRATEGIES),
-                      (BASELINE_TAG, _baseline_rule)], mapper, thresholds.l, dataset)
+                      (BASELINE_TAG, _baseline_rule)], mapper, dataset)
 
 
 def render_report_text(report: EvaluationReport) -> str:

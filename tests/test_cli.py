@@ -278,6 +278,24 @@ class TestEval:
                            "--out", tmp_path / "e", "--config", cfg) == 2
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"strategy": "bogus"}, "--strategy must be one of"),
+        ({"calibration_split": "x"}, "--calibration-split must be 'train' or 'test'"),
+    ])
+    def test_config_value_outside_the_choices_is_usage_error(self, workspace, tmp_path, capsys,
+                                                             bad, message):
+        # argparse's choices see only flags, so the config file's value is checked in cmd_eval
+        data, run = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                       "--out", tmp_path / "e", "--config", cfg) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("usage:") for line in err) == 1
+        errors = [line for line in err if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert not (tmp_path / "e").exists()
+
     def test_config_int_lambda_is_written_as_a_float(self, workspace, tmp_path):
         data, run = workspace
         cfg = tmp_path / "cfg.json"

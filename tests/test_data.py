@@ -263,6 +263,22 @@ class TestDatasetIO:
         with pytest.raises(DatasetLoadError, match="does not match header"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("key", ["C_u", "S"])
+    def test_unseen_embedding_shape_mismatch_against_meta(self, tmp_path, key):
+        # C_u moves in meta.json; S moves in the unseen table alone, since the
+        # seen table, read first, shares it
+        ds = generate_synthetic(SMALL_SPEC)
+        root = save_dataset(ds, tmp_path / "d")
+        if key == "C_u":
+            meta = json.loads((root / "meta.json").read_text())
+            meta["C_u"] += 1
+            (root / "meta.json").write_text(json.dumps(meta))
+        else:
+            wide = np.zeros((ds.n_unseen_classes, ds.semantic_dim + 1), dtype="<f4")
+            (root / "unseen_emb.f32").write_bytes(struct.pack("<QQ", *wide.shape) + wide.tobytes())
+        with pytest.raises(DatasetLoadError, match=r"unseen_emb\.f32: shape .* does not match header"):
+            load_dataset(root)
+
     @pytest.mark.parametrize("key, value", [
         ("l", "abc"), ("l", True), ("l", None), ("l", 0), ("l", -1.0), ("l", float("nan")),
         ("l", float("inf")), ("l", [1.0]), ("l", 10**400),

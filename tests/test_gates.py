@@ -170,6 +170,11 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="non-finite"):
             dataclasses.replace(th, **{field: value}).validate()
 
+    @pytest.mark.parametrize("l", [0.0, -0.0, -1e-300, -1.0])
+    def test_zero_or_negative_norm_rejected(self, l):
+        with pytest.raises(CalibrationError, match="unified norm l must be > 0"):
+            calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=l)
+
     @pytest.mark.parametrize("field", ["std_dl", "std_msd", "std_ws"])
     def test_negative_std_rejected(self, field):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
@@ -298,6 +303,14 @@ class TestThresholdFile:
         path = save_thresholds(th, tmp_path / "th.kv")
         path.write_text(path.read_text().replace("lambda=1.0", "lambda=nan"))
         with pytest.raises(CalibrationError, match="non-finite"):
+            load_thresholds(path)
+
+    @pytest.mark.parametrize("l", ["0.0", "-1.0"])
+    def test_zero_or_negative_norm_in_file_rejected(self, tmp_path, l):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        path = save_thresholds(th, tmp_path / "th.kv")
+        path.write_text(path.read_text().replace("\nl=1.0\n", f"\nl={l}\n"))
+        with pytest.raises(CalibrationError, match="unified norm l must be > 0"):
             load_thresholds(path)
 
     @pytest.mark.parametrize("r_0", ["0.0", "nan", "inf"])

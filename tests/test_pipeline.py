@@ -26,6 +26,7 @@ from sdgzsl import (
     predict,
     train,
 )
+from conftest import BENCH_SPEC
 from sdgzsl.pipeline import render_report_kv, render_report_text
 from test_gates import identity_fit_dataset, identity_mapper, make_thresholds
 
@@ -257,6 +258,15 @@ class TestEvaluate:
             slotted = evaluate(params, th, tag, bench_dataset, **slots)
             assert slotted.per_class_acc == default.per_class_acc
             assert slotted.gate_confusion == default.gate_confusion
+
+    def test_thresholds_from_another_norm_are_rejected(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        other = generate_synthetic(dataclasses.replace(BENCH_SPEC, unified_norm=3.0))
+        for run in (lambda: evaluate(params, th, "dl", other),
+                    lambda: evaluate_sweep(params, th, other)):
+            with pytest.raises(ConfigError, match="calibrated at unified norm 1.0 but dataset has 3.0"):
+                run()
 
     def test_baseline_report_well_formed(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
