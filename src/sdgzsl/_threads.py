@@ -2,8 +2,9 @@
 
 Two functions hand part of their work to a pool of one thread: ``mlp.train``
 runs epoch e+1's SGD steps there beside epoch e's full-set loss, and the
-statistics pass of ``gates`` every other chunk of its splits.  Both ask
-``second_thread``, which gives them the thread only when
+statistics pass of ``gates`` submits once per call, so that the pool's
+thread and the caller each take the next untaken chunk of the call's one
+queue.  Both ask ``second_thread``, which gives them the thread only when
 
 * the caller wants it: ``train`` when its loss forward has at least
   ``mlp._OVERLAP_MACS`` multiply-adds, the pass when some split has more

@@ -9,15 +9,16 @@ Two statistics of each projected row drive every rule:
 
 One statistics pass, ``_split_stats``, computes both for calibration,
 evaluation and ``predict``.  It projects a split in chunks sized by
-``_CHUNK_VALUES`` over the network's widest layer, each through
-``mlp.forward_batch``, the one projection, and screens each embedding
-table it is given once per chunk: the seen table for ``calibrate``, both
-tables for evaluation.  One pass takes every split of a call, so
-``_evaluate`` makes one pass over both test splits.  When some split has
-two chunks or more and ``_threads.second_thread`` gives the pass a second
-thread (see that module for when), that thread runs every other chunk of
-the call beside the caller's.  Each chunk writes only its own rows, and
-neither the chunk size nor the thread changes a bit.
+``_CHUNK_VALUES`` over the network's widest layer, never under
+``_CHUNK_MIN_BLOCKS`` row blocks, each through ``mlp.forward_batch``, the
+one projection, and screens each embedding table it is given once per
+chunk: the seen table for ``calibrate``, both tables for evaluation.  One
+pass takes every split of a call, so ``_evaluate`` makes one pass over both
+test splits, and the call's chunks form one queue in row order.  When some
+split has two chunks or more and ``_threads.second_thread`` gives the pass
+a second thread (see that module for when), the caller and that thread
+each take the next untaken chunk until none is left.  Each chunk writes
+only its own rows, and neither the chunk size nor the thread changes a bit.
 ``gate_statistics`` gives the same two vectors for rows already projected,
 so ``gate_statistics(forward_batch(mapper, x), seen_emb, l)`` is the pass's
 bits for the same matrix ``x``: a row's ``d_l`` and ``msd`` are the same
@@ -35,6 +36,7 @@ threshold gates UNSEEN.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -50,12 +52,15 @@ from .mlp import MlpParams, forward_batch
 
 # Values per chunk of a statistics pass, over the network's widest layer: a
 # chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
-# holds at most this many, 1024 rows at width 32 and 128 at width 256.  A
-# chunk holds only its own projections: projecting each whole split at once
-# raised eval_heavy's peak RSS by about 3 MB.  Fewer, larger chunks make
-# fewer numpy calls, and on two threads fewer of them contend for the
-# interpreter lock.
+# holds at most this many, but at least ``_CHUNK_MIN_BLOCKS`` blocks: 1024
+# rows at width 32, 256 at width 256.  A chunk holds only its own
+# projections: projecting each whole split at once raised eval_heavy's peak
+# RSS by about 3 MB, and 2**16 values per chunk by about 2 MB.  Each chunk
+# costs about 50 numpy calls whatever its rows, and on two threads those
+# contend for the interpreter lock; the floor keeps them a small share of a
+# wide network's chunk.
 _CHUNK_VALUES = 2**15
+_CHUNK_MIN_BLOCKS = 8
 
 
 class Domain(Enum):
@@ -144,7 +149,8 @@ def _tables(mapper: MlpParams, *embs) -> tuple:
 
 def _chunk_rows(mapper: MlpParams) -> int:
     """Rows per chunk of a statistics pass through ``mapper``."""
-    return max(1, _CHUNK_VALUES // (max(mapper.layer_sizes()) * ROW_BLOCK)) * ROW_BLOCK
+    width = max(mapper.layer_sizes())
+    return max(_CHUNK_MIN_BLOCKS, _CHUNK_VALUES // (width * ROW_BLOCK)) * ROW_BLOCK
 
 
 def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.ndarray, ...]]:
@@ -154,9 +160,11 @@ def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.
     distance, its index])``.
 
     Each split is chunked on its own, and each chunk writes only its own rows
-    of its split's preallocated vectors.  With a second thread, the pool runs
-    the odd chunks of the call in order, the caller the even ones; the first
-    chunk in order that fails raises, and the queued chunks are cancelled.
+    of its split's preallocated vectors.  The call's chunks are one queue in
+    row order: the caller and, with a second thread, the pool's one thread
+    each take the next untaken chunk until none is left.  A chunk that fails
+    is recorded, and once one is, neither thread starts another: every chunk
+    before the first that fails in row order has run, and that one raises.
     """
     step = _chunk_rows(mapper)
     out, chunks = [], []
@@ -173,12 +181,29 @@ def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.
         for (dist, index), table in zip(scans, tables):
             dist[rows], index[rows] = _screen(proj, table)
 
+    untaken, failed, lock = iter(enumerate(chunks)), {}, threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if failed:
+                    return
+                k, c = next(untaken, (None, None))
+            if c is None:
+                return
+            try:
+                chunk(*c)
+            except BaseException as exc:  # an interrupt too: it stops the other thread
+                with lock:
+                    failed[k] = exc
+
     with second_thread("sdgzsl-stats", any(xs.shape[0] > step for xs in splits)) as submit:
-        pending = [] if submit is None else [submit(chunk, *c) for c in chunks[1::2]]
-        for k, c in enumerate(chunks if submit is None else chunks[::2]):
-            chunk(*c)
-            if k < len(pending):
-                pending[k].result()
+        pending = None if submit is None else submit(drain)
+        drain()
+        if pending is not None:
+            pending.result()
+    if failed:
+        raise failed[min(failed)]
     return out
 
 
@@ -266,18 +291,22 @@ def save_thresholds(th: ThresholdSet, path) -> Path:
 
 
 def load_thresholds(path) -> ThresholdSet:
-    """A ``save_thresholds`` file: the statistics, whose thresholds must match
-    the file's to 1e-12."""
+    """A ``save_thresholds`` file: each key once, and the statistics, whose
+    thresholds must match the file's to 1e-12."""
     p = Path(path)
     if not p.is_file():
         raise DatasetLoadError(f"{p}: missing thresholds file")
-    values = {}
+    values, line_of = {}, {}
     for lineno, line in enumerate(p.read_text().splitlines(), 1):
         if not line.strip():
             continue
         key, _, raw = line.partition("=")
+        key = key.strip()
+        if key in line_of:
+            raise DatasetLoadError(f"{p}:{lineno}: key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
         try:
-            values[key.strip()] = float(raw)
+            values[key] = float(raw)
         except ValueError as exc:
             raise DatasetLoadError(f"{p}:{lineno}: unparsable value {raw!r}") from exc
     missing = [f for f in _THRESHOLD_FIELDS if f not in values]

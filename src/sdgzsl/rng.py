@@ -16,8 +16,8 @@ Draw conventions, fixed forever:
   with ``R = sqrt(-2 log u1)``, computed by recipe v2 below; the cosine
   variate is returned first and the sine variate is cached for the next
   call.
-* ``below(n)`` is ``next_u64() % n`` (the modulo bias at 2**-64 is
-  irrelevant at these ranges and keeps the recipe one line).
+* ``below(n)`` is ``next_u64() % n`` for ``n >= 1`` (the modulo bias at
+  2**-64 is irrelevant at these ranges and keeps the recipe one line).
 * ``permutation(n)`` is a backward Fisher-Yates using ``below``.
 * ``split()`` seeds a child stream with one u64 from the parent.
 
@@ -65,6 +65,8 @@ for bit: ``gauss()`` runs on one pair the same arithmetic that
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -215,15 +217,20 @@ class SplitMix64:
         return out.reshape(shape)
 
     def below(self, n: int) -> int:
-        """Integer in [0, n)."""
+        """Integer in [0, n), for ``n >= 1``; ``DomainError`` before any draw otherwise."""
+        if n < 1:
+            raise DomainError(f"below(n) needs n >= 1, got {n!r}")
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), as int64.
+        """Fisher-Yates permutation of range(n), as int64, for ``n >= 0``;
+        ``DomainError`` before any draw otherwise.
 
         The ``below(i + 1)`` draws for ``i = n-1 .. 1`` do not depend on
         the swaps, so they come from one block; the swaps stay sequential.
         """
+        if n < 0:
+            raise DomainError(f"permutation(n) needs n >= 0, got {n!r}")
         idx = list(range(n))
         if n > 1:
             js = self._u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)

@@ -7,6 +7,7 @@ import pytest
 
 from sdgzsl import (
     CalibrationError,
+    DatasetLoadError,
     DomainError,
     MlpParams,
     GzslDataset,
@@ -327,6 +328,17 @@ class TestThresholdFile:
         path = save_thresholds(th, tmp_path / "th.kv")
         path.write_text(path.read_text().replace(f"r_0={th.r_0!r}", f"r_0={th.r_0 + 1e-13!r}"))
         assert load_thresholds(path).r_0 == th.r_0
+
+    @pytest.mark.parametrize("key", ["m_dl", "r_ws", "l"])
+    def test_a_key_written_twice_is_rejected(self, tmp_path, key):
+        th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
+        path = save_thresholds(th, tmp_path / "th.kv")
+        lines = path.read_text().splitlines()
+        first = next(k for k, ln in enumerate(lines, 1) if ln.startswith(f"{key}="))
+        path.write_text("\n".join(lines + ["", lines[first - 1]]) + "\n")  # the same value
+        with pytest.raises(DatasetLoadError,
+                           match=f":{len(lines) + 2}: key '{key}' repeats line {first}$"):
+            load_thresholds(path)
 
     def test_missing_key_rejected(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)

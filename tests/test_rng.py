@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sdgzsl
-from sdgzsl import SplitMix64
+from sdgzsl import DomainError, SplitMix64
 from sdgzsl import rng as rng_module
 
 # published splitmix64 reference outputs
@@ -59,6 +59,14 @@ def test_permutation_is_permutation():
     for seed in range(5):
         perm = SplitMix64(seed).permutation(37)
         assert sorted(perm) == list(range(37))
+
+
+@pytest.mark.parametrize("call, n", [("below", 0), ("below", -3), ("permutation", -1)])
+def test_a_range_below_its_domain_raises_before_any_draw(call, n):
+    rng, ref = SplitMix64(3), SplitMix64(3)
+    with pytest.raises(DomainError, match=f"{call}\\(n\\) needs n >= "):
+        getattr(rng, call)(n)
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_uniform_array_bounds():
@@ -216,7 +224,7 @@ def test_reference_gauss_digest_seed_zero():
 DISPATCH_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 DRAW = """
 import numpy as np
-from sdgzsl import SplitMix64
+from sdgzsl import DomainError, SplitMix64
 k = SplitMix64(0)._u64_block(200_002) >> np.uint64(11)
 numpy_log = np.log((k[0::2] + np.uint64(1)) * 2.0**-53).tobytes()
 gauss = SplitMix64(0).gauss_array(200_001).tobytes()

@@ -1,17 +1,23 @@
 """The statistics pass of ``sdgzsl.gates`` on one thread and on two.
 
-When some split of a pass has two chunks or more and ``sdgzsl._threads``
-gives the pass a second thread, a pool's one thread runs the odd chunks of
-the call while the caller runs the even ones.  These tests force that path
-whatever the machine, and check it against the one-thread pass byte for
-byte.
+The chunks of a pass form one queue in row order.  When some split of a
+pass has two chunks or more and ``sdgzsl._threads`` gives the pass a second
+thread, the caller and a pool's one thread each take the next untaken chunk
+until none is left.  These tests force that path whatever the machine, and
+check it against the one-thread pass byte for byte.  Which thread takes
+which chunk is up to the scheduler, so where a test needs both threads to
+run chunks, or a failure to be recorded before a thread takes its next
+chunk, it holds a chunk on an event until then; no sleep decides an outcome.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
+import itertools
+import sys
 import threading
-import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,22 +34,32 @@ from sdgzsl.pipeline import render_report_kv
 
 
 def chunk_rows(monkeypatch, mapper, rows: int) -> None:
-    """Make the pass take ``rows`` rows per chunk through ``mapper``."""
+    """Make the pass take ``rows`` rows per chunk through ``mapper``, below the
+    floor of ``_CHUNK_MIN_BLOCKS`` blocks too."""
+    monkeypatch.setattr(sdgzsl.gates, "_CHUNK_MIN_BLOCKS", 1)
     monkeypatch.setattr(sdgzsl.gates, "_CHUNK_VALUES", rows * max(mapper.layer_sizes()))
     assert _chunk_rows(mapper) == rows
 
 
 CALLER, POOL = threading.current_thread().name, "sdgzsl-stats_0"
+# the longest a thread waits for the other; only a broken queue waits so long
+MEET_S = 10.0
 
 
-def record_threads(monkeypatch) -> set:
+def record_threads(monkeypatch, meet: bool) -> set:
     """The names of the threads that run a chunk's ``length_gaps``, through a
     plain (unwrapped) stand-in that leaves two threads allowed.  Each pass
-    starts its own pool, whose one thread has the same name."""
+    starts its own pool, whose one thread has the same name.  With ``meet``,
+    the first two chunks to get there wait for each other, so a pass of two
+    chunks or more with a second thread runs one on each: otherwise a caller
+    may take every chunk before the pool's thread has started."""
     threads, original = set(), sdgzsl.gates.length_gaps
+    barrier, calls = threading.Barrier(2, timeout=MEET_S), itertools.count()
 
     def spy(proj, l):
         threads.add(threading.current_thread().name)
+        if meet and next(calls) < 2:
+            barrier.wait()
         return original(proj, l)
 
     monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
@@ -87,7 +103,7 @@ class TestSameBitsOnTwoThreads:
         mapper, _ = bench_mapper
         ds = bench_dataset
         chunk_rows(monkeypatch, mapper, rows)
-        threads = record_threads(monkeypatch)
+        threads = record_threads(monkeypatch, meet=CHUNKS[rows] > 1)
         before = threading.active_count()
         [got] = _split_stats(mapper, ds.unified_norm, [ds.seen_test_x],
                              *_tables(mapper, ds.seen_emb, ds.unseen_emb))
@@ -108,13 +124,85 @@ class TestSameBitsOnTwoThreads:
         assert [bits(s) for s in both] == [
             bits(_split_stats(mapper, ds.unified_norm, [xs], *tables)[0]) for xs in splits]
 
+    def test_splits_of_unequal_chunk_counts(self, monkeypatch, bench_dataset, bench_mapper):
+        """While one thread is held in the first chunk it took, the other runs
+        every other chunk of both splits: neither thread's share is fixed."""
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)
+        tables = _tables(mapper, ds.seen_emb, ds.unseen_emb)
+        splits = [ds.seen_train_x, ds.unseen_test_x]  # 500 and 60 rows: 16 and 2 chunks
+        calls, lock, rest_ran = [], threading.Lock(), threading.Event()
+        original = sdgzsl.gates.forward_batch
+
+        def holding_forward(params, x):
+            with lock:
+                calls.append(threading.current_thread().name)
+                first = len(calls) == 1
+                if len(calls) == 18:
+                    rest_ran.set()
+            if first and not rest_ran.wait(MEET_S):
+                raise TimeoutError("the other thread did not run the other chunks")
+            return original(params, x)
+
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", holding_forward)
+        both = _split_stats(mapper, ds.unified_norm, splits, *tables)
+        assert len(calls) == 18 and set(calls) == {CALLER, POOL} and calls[0] not in calls[1:]
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", original)
+        force_two_threads(monkeypatch, False)
+        assert [bits(s) for s in both] == [
+            bits(s) for s in _split_stats(mapper, ds.unified_norm, splits, *tables)]
+
+    def test_concurrent_passes_run_each_chunk_once(self, monkeypatch, bench_dataset,
+                                                    bench_mapper):
+        """Four callers run passes at once, each beside its own pool's thread:
+        eight threads on two cores, switching every microsecond.  A chunk taken
+        twice or never would show in the counts or the bits."""
+        mapper, _ = bench_mapper
+        ds = bench_dataset
+        chunk_rows(monkeypatch, mapper, ROW_BLOCK)
+        tables = _tables(mapper, ds.seen_emb, ds.unseen_emb)
+        inputs = [ds.seen_train_x.copy() for _ in range(4)]  # 500 rows: 16 chunks
+        for caller, xs in enumerate(inputs):
+            xs[:, 0] = 1000 * caller + np.arange(xs.shape[0])  # a chunk's first row names it
+        force_two_threads(monkeypatch, False)
+        want = [bits(_split_stats(mapper, ds.unified_norm, [xs], *tables)[0]) for xs in inputs]
+        force_two_threads(monkeypatch, True)
+        starts, original = [], sdgzsl.gates.forward_batch
+
+        def counting_forward(params, x):
+            starts.append(int(x[0, 0]))
+            return original(params, x)
+
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", counting_forward)
+        rounds, got = 10, [[] for _ in inputs]
+
+        def caller(k: int) -> None:
+            for _ in range(rounds):
+                got[k].append(bits(_split_stats(mapper, ds.unified_norm, [inputs[k]], *tables)[0]))
+
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(3 * MEET_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        each_chunk = [1000 * k + start for k in range(4) for start in range(0, 500, ROW_BLOCK)]
+        assert sorted(starts) == sorted(rounds * each_chunk)
+        assert got == [rounds * [w] for w in want]
+
     @pytest.mark.parametrize("rows", CHUNKS)
     def test_calibrate_sweep_and_predict(self, monkeypatch, bench_dataset, bench_mapper,
                                          one_thread, rows):
         mapper, _ = bench_mapper
         ds = bench_dataset
         chunk_rows(monkeypatch, mapper, rows)
-        threads = record_threads(monkeypatch)
+        threads = record_threads(monkeypatch, meet=CHUNKS[rows] > 1)
         th = calibrate(mapper, ds)  # 500 seen_train rows: 1, 4 and 16 chunks
         assert dataclasses.astuple(th) == one_thread["thresholds"]
         assert [render_report_kv(r) for r in evaluate_sweep(mapper, th, ds)] == one_thread["sweep"]
@@ -160,6 +248,12 @@ class TestThePublicPathIsThePass:
                                    ds.unified_norm)
         assert calibrate_from_samples(d_l, msd, 1.0, ds.unified_norm) == calibrate(mapper, ds)
 
+    def test_chunks_of_at_least_eight_row_blocks(self, shape_run):
+        """1024 rows at width 32 (2**15 values), 256 at width 256 (the floor)."""
+        _, mapper = shape_run
+        width = max(mapper.layer_sizes())
+        assert _chunk_rows(mapper) == {32: 1024, 256: 8 * ROW_BLOCK}[width]
+
 
 class TestFailuresOnTwoThreads:
     @pytest.fixture(autouse=True)
@@ -179,11 +273,12 @@ class TestFailuresOnTwoThreads:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing, raised", [
-        ({1}, 1),  # the pool's first chunk
-        ({2}, 2),  # the caller's second
-        ({1, 2}, 1),  # both: the first in row order
+        ({1}, 1),
+        ({2}, 2),
+        ({1, 2}, 1),  # both may run, one on each thread: the first in row order raises
         ({2, 3}, 2),
         ({6}, 6),  # the ragged tail
+        ({0}, 0),
     ])
     def test_the_first_failing_chunk_in_row_order_raises(self, monkeypatch, bench_dataset,
                                                          bench_mapper, failing, raised):
@@ -207,26 +302,59 @@ class TestFailuresOnTwoThreads:
         assert threading.active_count() == before
         assert set(range(raised)) <= set(ran)  # every earlier chunk ran
 
-    def test_queued_chunks_are_cancelled(self, monkeypatch, bench_dataset, bench_mapper):
+    @pytest.mark.parametrize("first", [CALLER, POOL])
+    def test_no_chunk_starts_once_a_failure_is_recorded(self, monkeypatch, bench_dataset,
+                                                         bench_mapper, first):
+        """One thread is held in chunk 0 until the other has run chunk 1, seen it
+        fail and left the queue; then it must start no chunk either.  The pool
+        is a stand-in thread, so the test knows when it has left, and ``first``
+        says which thread takes chunk 0."""
         mapper, _ = bench_mapper
         ds = bench_dataset
         xs = ds.seen_train_x.copy()  # 500 rows: 16 chunks
         xs[:, 0] = np.arange(xs.shape[0])
-        ran, original = [], sdgzsl.gates.forward_batch
+        ran, original = {}, sdgzsl.gates.forward_batch
+        in_chunk_0, other_left = threading.Event(), threading.Event()
 
         def failing_forward(params, x):
             chunk = int(x[0, 0]) // ROW_BLOCK
-            ran.append(chunk)
+            ran[chunk] = threading.current_thread().name
+            if chunk == 0:
+                in_chunk_0.set()
+                if not other_left.wait(MEET_S):
+                    raise TimeoutError("the other thread did not leave the queue")
             if chunk == 1:
                 raise DomainError("chunk 1")
-            if chunk == 3:
-                time.sleep(0.5)  # the pool is still here when the caller sees chunk 1 fail
             return original(params, x)
 
+        submits = []
+
+        def submit(fn, *args):
+            def share():
+                if first == CALLER:
+                    in_chunk_0.wait(MEET_S)
+                fn(*args)
+                other_left.set()
+
+            pool = threading.Thread(target=share, name=POOL)
+            pool.start()
+            submits.append(pool)
+            if first == POOL:
+                in_chunk_0.wait(MEET_S)
+
+            def result():  # the caller has left the queue, and waits for the pool
+                other_left.set()
+                pool.join()
+
+            return SimpleNamespace(result=result)
+
         monkeypatch.setattr(sdgzsl.gates, "forward_batch", failing_forward)
-        with pytest.raises(DomainError, match="chunk 1"):
+        monkeypatch.setattr(sdgzsl.gates, "second_thread",
+                            lambda name, wanted: contextlib.nullcontext(submit))
+        with pytest.raises(DomainError, match="^chunk 1$"):
             _split_stats(mapper, ds.unified_norm, [xs], *_tables(mapper, ds.seen_emb))
-        assert {0, 1} <= set(ran) <= {0, 1, 3}  # chunks 5, 7, ... were cancelled
+        assert len(submits) == 1  # one hand-off per call
+        assert ran == {0: first, 1: ({CALLER, POOL} - {first}).pop()}
 
 
 def count_thread_starts(monkeypatch) -> list:
@@ -282,7 +410,7 @@ class TestWhenTwoThreadsRun:
     def test_one_cpu_keeps_one_thread(self, monkeypatch, bench_dataset, bench_mapper):
         force_two_threads(monkeypatch, False)
         chunk_rows(monkeypatch, bench_mapper[0], ROW_BLOCK)
-        threads = record_threads(monkeypatch)
+        threads = record_threads(monkeypatch, meet=False)
         calibrate(bench_mapper[0], bench_dataset)
         assert threads == {CALLER}
 
@@ -294,17 +422,30 @@ class TestWhenTwoThreadsRun:
         mapper, _ = bench_mapper
         ds = bench_dataset
         chunk_rows(monkeypatch, mapper, ROW_BLOCK)
-        threads = record_threads(monkeypatch)
         xs = ds.seen_test_x.copy()
-        xs[ROW_BLOCK : 2 * ROW_BLOCK] *= 1e160  # chunk 1: finite projections whose squares overflow
+        overflowing = np.s_[: 2 * ROW_BLOCK]
+        xs[overflowing] *= 1e160  # chunks 0 and 1: finite projections whose squares overflow
+        raised, original = set(), sdgzsl.gates.length_gaps
+        barrier, calls = threading.Barrier(2, timeout=MEET_S), itertools.count()
+
+        def spy(proj, l):
+            if next(calls) < 2:
+                barrier.wait()  # chunks 0 and 1, one on each thread
+            try:
+                return original(proj, l)
+            except FloatingPointError:
+                raised.add(threading.current_thread().name)
+                raise
+
+        monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
         tables = _tables(mapper, ds.seen_emb)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             _split_stats(mapper, ds.unified_norm, [xs], *tables)
-        assert threads == {CALLER, POOL}
+        assert raised == {CALLER, POOL}
         with np.errstate(over="ignore"):
             [(d_l, _, _)] = _split_stats(mapper, ds.unified_norm, [xs], *tables)
-        assert np.isinf(d_l[ROW_BLOCK : 2 * ROW_BLOCK]).all()
-        assert np.isfinite(np.delete(d_l, np.s_[ROW_BLOCK : 2 * ROW_BLOCK])).all()
+        assert np.isinf(d_l[overflowing]).all()
+        assert np.isfinite(np.delete(d_l, overflowing)).all()
 
 
 def count_pools(monkeypatch) -> list:
@@ -333,7 +474,7 @@ class TestOnePoolPerEvaluation:
         th = calibrate(mapper, ds)
         chunk_rows(monkeypatch, mapper, ROW_BLOCK)  # 7 chunks of seen_test, 2 of unseen_test
         pools = count_pools(monkeypatch)
-        threads = record_threads(monkeypatch)
+        threads = record_threads(monkeypatch, meet=True)
         {"evaluate_sweep": lambda: evaluate_sweep(mapper, th, ds),
          "evaluate": lambda: evaluate(mapper, th, "dl", ds),
          "evaluate_baseline": lambda: evaluate_baseline(mapper, ds)}[run]()
