@@ -339,7 +339,8 @@ def _read_matrix(path: Path, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: expected {expected} bytes for {rows}x{cols} f32 matrix, got {len(blob)}"
         )
     if (rows, cols) != shape:
-        raise DatasetLoadError(f"{path}: shape {(rows, cols)} does not match header {shape}")
+        raise DatasetLoadError(
+            f"{path}: header shape {(rows, cols)} does not match meta.json's {shape}")
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
     return data.reshape(rows, cols).astype(np.float64)
 

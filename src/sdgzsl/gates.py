@@ -286,7 +286,8 @@ def save_thresholds(th: ThresholdSet, path) -> Path:
     values = [getattr(th, name) for name in _DERIVED] + list(astuple(th))
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(f"{k}={v!r}\n" for k, v in zip(_THRESHOLD_FIELDS, values)))
+    # float() first: a numpy float's repr is ``np.float64(0.5)``, which no loader parses
+    out.write_text("".join(f"{k}={float(v)!r}\n" for k, v in zip(_THRESHOLD_FIELDS, values)))
     return out
 
 

@@ -6,19 +6,22 @@ deviates.  The algorithm is short enough to re-implement from this file
 alone, so a port in any language reproduces datasets and weight
 initializations bit-for-bit at f64 precision.
 
-Draw conventions, fixed forever:
+Draw conventions, fixed forever.  Every value is defined by the u64
+sequence of ``next_u64``, which is all a port has to follow:
 
-* ``uniform()`` is ``(next_u64() >> 11) * 2**-53`` in ``[0, 1)``.
+* A uniform value is ``(next_u64() >> 11) * 2**-53`` in ``[0, 1)``, and
+  ``uniform_array(low, high, shape)`` holds ``low + (high - low) * u`` for
+  successive uniform values ``u``.
 * Gaussians come in Box-Muller pairs from two consecutive u64 draws
   ``a`` and ``b``: ``u1 = ka * 2**-53`` in ``(0, 1]`` with
   ``ka = (a >> 11) + 1``, and ``u2 = kb * 2**-53`` in ``[0, 1)`` with
   ``kb = b >> 11``.  The pair is ``R cos(2 pi u2)``, ``R sin(2 pi u2)``
   with ``R = sqrt(-2 log u1)``, computed by recipe v2 below; the cosine
-  variate is returned first and the sine variate is cached for the next
-  call.
-* ``below(n)`` is ``next_u64() % n`` for ``n >= 1`` (the modulo bias at
+  variate comes first.  A ``gauss_array`` call of odd length caches its
+  last sine variate, and the next call returns it first.
+* ``permutation(n)`` is a backward Fisher-Yates: for ``i = n-1 .. 1`` it
+  swaps entries ``i`` and ``next_u64() % (i + 1)`` (the modulo bias at
   2**-64 is irrelevant at these ranges and keeps the recipe one line).
-* ``permutation(n)`` is a backward Fisher-Yates using ``below``.
 * ``split()`` seeds a child stream with one u64 from the parent.
 
 Box-Muller recipe v2.  ``log``, ``cos`` and ``sin`` do not come from the
@@ -56,10 +59,6 @@ The coefficients and the ``LN2_HI``/``LN2_LO`` split are fdlibm's
 in the last place.  A port needs IEEE binary64 arithmetic without fused
 multiply-add contraction (C: ``-ffp-contract=off``); numpy does not
 contract.
-
-Array draws come from uint64 blocks and equal the scalar sequence bit
-for bit: ``gauss()`` runs on one pair the same arithmetic that
-``gauss_array`` runs on a block of pairs.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ def _horner(z, coefficients):
 def _box_muller(ka, kb):
     """The (cosine, sine) variates of ``u1 = ka * 2**-53`` and ``u2 = kb * 2**-53``.
 
-    ``ka`` and ``kb`` are ints (one pair) or equal-length int64 arrays (a
-    block of pairs); either way they take the operations of recipe v2.
+    ``ka`` and ``kb`` are equal-length int64 arrays, a block of pairs; they
+    take the operations of recipe v2.
     """
     m, e = np.frexp(ka * 2.0**-53)
     low = m < _SQRT_HALF
@@ -139,7 +138,7 @@ class SplitMix64:
     """Splittable 64-bit generator; one instance per independent stream."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = int(seed) & _MASK64  # a numpy integer too
         self._spare_gauss: float | None = None
 
     def next_u64(self) -> int:
@@ -152,22 +151,6 @@ class SplitMix64:
     def split(self) -> "SplitMix64":
         """Derive an independent child stream."""
         return SplitMix64(self.next_u64())
-
-    def uniform(self) -> float:
-        """f64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def gauss(self) -> float:
-        """Standard normal deviate (Box-Muller v2, pair-cached)."""
-        if self._spare_gauss is not None:
-            z = self._spare_gauss
-            self._spare_gauss = None
-            return z
-        ka = (self.next_u64() >> 11) + 1  # u1 in (0, 1], keeps log finite
-        kb = self.next_u64() >> 11
-        cos_variate, sin_variate = _box_muller(ka, kb)
-        self._spare_gauss = float(sin_variate)
-        return float(cos_variate)
 
     def _u64_block(self, k: int) -> np.ndarray:
         """The next ``k`` outputs of ``next_u64`` as a uint64 array.
@@ -188,7 +171,8 @@ class SplitMix64:
         return z
 
     def gauss_array(self, shape) -> np.ndarray:
-        """``gauss()`` repeated over ``shape``, row-major, spare included."""
+        """Standard normal deviates over ``shape``, row-major: the cached spare
+        first, if any, then Box-Muller pairs, whose odd tail caches its sine variate."""
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
         pos = 0
         if out.size and self._spare_gauss is not None:
@@ -208,7 +192,7 @@ class SplitMix64:
         return out.reshape(shape)
 
     def uniform_array(self, low: float, high: float, shape) -> np.ndarray:
-        """``low + (high - low) * uniform()`` repeated over ``shape``, row-major."""
+        """``low + (high - low) * u`` for successive uniform ``u``, over ``shape``, row-major."""
         out = np.empty(int(np.prod(shape)), dtype=np.float64)
         span = high - low
         for start in range(0, out.size, _BLOCK):
@@ -216,17 +200,11 @@ class SplitMix64:
             out[start : start + k] = low + span * ((self._u64_block(k) >> np.uint64(11)) * 2.0**-53)
         return out.reshape(shape)
 
-    def below(self, n: int) -> int:
-        """Integer in [0, n), for ``n >= 1``; ``DomainError`` before any draw otherwise."""
-        if n < 1:
-            raise DomainError(f"below(n) needs n >= 1, got {n!r}")
-        return self.next_u64() % n
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), as int64, for ``n >= 0``;
         ``DomainError`` before any draw otherwise.
 
-        The ``below(i + 1)`` draws for ``i = n-1 .. 1`` do not depend on
+        The ``next_u64() % (i + 1)`` draws for ``i = n-1 .. 1`` do not depend on
         the swaps, so they come from one block; the swaps stay sequential.
         """
         if n < 0:

@@ -260,7 +260,8 @@ class TestDatasetIO:
         meta = json.loads((root / "meta.json").read_text())
         meta["n_seen_test"] = 7
         (root / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DatasetLoadError, match="does not match header"):
+        with pytest.raises(DatasetLoadError, match=(
+                r"seen_test\.f32: header shape \(30, 32\) does not match meta\.json's \(7, 32\)")):
             load_dataset(root)
 
     @pytest.mark.parametrize("key", ["C_u", "S"])
@@ -276,7 +277,8 @@ class TestDatasetIO:
         else:
             wide = np.zeros((ds.n_unseen_classes, ds.semantic_dim + 1), dtype="<f4")
             (root / "unseen_emb.f32").write_bytes(struct.pack("<QQ", *wide.shape) + wide.tobytes())
-        with pytest.raises(DatasetLoadError, match=r"unseen_emb\.f32: shape .* does not match header"):
+        with pytest.raises(DatasetLoadError,
+                           match=r"unseen_emb\.f32: header shape .* does not match meta\.json's"):
             load_dataset(root)
 
     @pytest.mark.parametrize("key, value", [

@@ -293,6 +293,14 @@ class TestThresholdFile:
         loaded = load_thresholds(path)
         assert loaded == th
 
+    def test_round_trip_of_numpy_scalars(self, tmp_path):
+        th = calibrate_from_samples(np.array([0.1, 0.4, 0.9]), np.array([0.2, 0.5, 0.3]),
+                                    lam=np.float64(0.5), l=np.float64(1.0))
+        path = save_thresholds(th, tmp_path / "th.kv")
+        text = path.read_text()
+        assert "\nlambda=0.5\n" in text and text.endswith("\nl=1.0\n")
+        assert load_thresholds(path) == th
+
     def test_keys_follow_the_field_order(self, tmp_path):
         th = calibrate_from_samples([0.1, 0.4, 0.9], [0.2, 0.5, 0.3], lam=0.5, l=2.0)
         lines = save_thresholds(th, tmp_path / "th.kv").read_text().splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sdgzsl
-from sdgzsl import DomainError, SplitMix64
+from sdgzsl import DomainError, SplitMix64, SyntheticSpec, TrainConfig, generate_synthetic, train
 from sdgzsl import rng as rng_module
 
 # published splitmix64 reference outputs
@@ -30,7 +31,7 @@ def test_reference_vectors_seed_1234567():
 def test_same_seed_same_stream():
     a, b = SplitMix64(99), SplitMix64(99)
     assert [a.next_u64() for _ in range(64)] == [b.next_u64() for _ in range(64)]
-    assert [a.gauss() for _ in range(64)] == [b.gauss() for _ in range(64)]
+    assert a.gauss_array(65).tobytes() == b.gauss_array(65).tobytes()
 
 
 def test_split_derives_distinct_stream():
@@ -40,10 +41,9 @@ def test_split_derives_distinct_stream():
 
 
 def test_uniform_range():
-    rng = SplitMix64(3)
-    vals = [rng.uniform() for _ in range(5000)]
-    assert all(0.0 <= v < 1.0 for v in vals)
-    assert abs(np.mean(vals) - 0.5) < 0.02
+    vals = SplitMix64(3).uniform_array(0.0, 1.0, 5000)
+    assert np.all((0.0 <= vals) & (vals < 1.0))
+    assert abs(vals.mean() - 0.5) < 0.02
 
 
 def test_gauss_moments_and_finiteness():
@@ -61,11 +61,10 @@ def test_permutation_is_permutation():
         assert sorted(perm) == list(range(37))
 
 
-@pytest.mark.parametrize("call, n", [("below", 0), ("below", -3), ("permutation", -1)])
-def test_a_range_below_its_domain_raises_before_any_draw(call, n):
+def test_permutation_below_its_domain_raises_before_any_draw():
     rng, ref = SplitMix64(3), SplitMix64(3)
-    with pytest.raises(DomainError, match=f"{call}\\(n\\) needs n >= "):
-        getattr(rng, call)(n)
+    with pytest.raises(DomainError, match=r"permutation\(n\) needs n >= 0, got -1"):
+        rng.permutation(-1)
     assert rng.next_u64() == ref.next_u64()
 
 
@@ -75,31 +74,68 @@ def test_uniform_array_bounds():
     assert arr.min() >= -2.0 and arr.max() < 3.0
 
 
-# --- array draws against a reference built only from the scalar methods ---
+SMALL_SPEC = SyntheticSpec(
+    n_seen_classes=6, n_unseen_classes=3, feature_dim=12, semantic_dim=5,
+    per_class_train=4, per_class_test=2, cluster_spread=0.05, seed=7,
+)
+
+
+@pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
+def test_a_numpy_integer_seed_acts_as_the_equal_int(kind):
+    assert SplitMix64(kind(7))._u64_block(5).tolist() == SplitMix64(7)._u64_block(5).tolist()
+    want = generate_synthetic(SMALL_SPEC)
+    got = generate_synthetic(dataclasses.replace(SMALL_SPEC, seed=kind(7)))
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    cfg = TrainConfig(epochs=2, seed=7, hidden_sizes=[4])
+    want_params, want_losses = train(want, cfg)
+    got_params, got_losses = train(want, dataclasses.replace(cfg, seed=kind(7)))
+    assert got_losses == want_losses
+    for w, g in zip(want_params.weights + want_params.biases, got_params.weights + got_params.biases):
+        assert g.tobytes() == w.tobytes()
+
+
+# --- array draws against oracles built from next_u64 alone, as the module docstring defines them ---
 
 WRAP_SEED = 2**64 - 1  # the first state increment wraps past 2**64
 BLOCK_VALUES = 2 * rng_module._BLOCK  # one gauss_array block of pairs
 
 
-def scalar_gauss(rng, n):
-    return np.array([rng.gauss() for _ in range(n)], dtype=np.float64)
+def oracle_gauss(rng, n):
+    """``n`` Gaussians: the spare first, if any, then Box-Muller pairs of
+    consecutive ``next_u64`` draws, cosine variate first, all in one
+    ``_box_muller`` call with no blocks; an odd tail leaves its sine
+    variate as the spare."""
+    out = []
+    if n and rng._spare_gauss is not None:
+        out.append(rng._spare_gauss)
+        rng._spare_gauss = None
+    pairs = (n - len(out) + 1) // 2
+    if pairs:
+        k = np.array([rng.next_u64() >> 11 for _ in range(2 * pairs)], dtype=np.int64)
+        cos_variates, sin_variates = rng_module._box_muller(k[0::2] + 1, k[1::2])
+        out += np.stack([cos_variates, sin_variates], axis=1).ravel().tolist()
+    if len(out) > n:
+        rng._spare_gauss = out.pop()
+    return np.array(out, dtype=np.float64)
 
 
-def scalar_uniform(rng, low, high, n):
+def oracle_uniform(rng, low, high, n):
     span = high - low
-    return np.array([low + span * rng.uniform() for _ in range(n)], dtype=np.float64)
+    return np.array([low + span * ((rng.next_u64() >> 11) * 2.0**-53) for _ in range(n)],
+                    dtype=np.float64)
 
 
-def scalar_permutation(rng, n):
+def oracle_permutation(rng, n):
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
+        j = rng.next_u64() % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return idx
 
 
 def assert_same_state(fast, ref):
-    """Same spare, and the next scalar draw agrees."""
+    """Same spare, and the next ``next_u64`` agrees."""
     assert fast._spare_gauss == ref._spare_gauss
     assert fast.next_u64() == ref.next_u64()
 
@@ -115,38 +151,39 @@ def test_u64_block_equals_next_u64(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 20260809, WRAP_SEED])
-def test_gauss_array_byte_equals_scalar_over_a_million_draws(seed):
-    n = 1_000_001  # odd: the last pair leaves its sine variate cached
+def test_gauss_array_byte_equals_the_pair_oracle_over_three_blocks(seed):
+    n = 3 * BLOCK_VALUES - 1  # odd: the last pair leaves its sine variate cached
     fast, ref = SplitMix64(seed), SplitMix64(seed)
-    assert fast.gauss_array((n,)).tobytes() == scalar_gauss(ref, n).tobytes()
+    assert fast.gauss_array((n,)).tobytes() == oracle_gauss(ref, n).tobytes()
     assert fast._spare_gauss is not None
     assert_same_state(fast, ref)
 
 
-def test_interleaved_gauss_draws_byte_equal_the_scalar_stream():
+@pytest.mark.parametrize("seed", [31, WRAP_SEED])
+def test_interleaved_gauss_draws_byte_equal_the_pair_oracle(seed):
     # 0, 1, odd, and one block of pairs -1/0/+1, each entered with and
-    # without a cached spare, with scalar draws mixed in
+    # without a cached spare, with one-value draws mixed in
     lengths = [0, 1, 0, 3, BLOCK_VALUES - 2, BLOCK_VALUES, BLOCK_VALUES + 2, 1,
                BLOCK_VALUES - 1, BLOCK_VALUES + 1, BLOCK_VALUES + 3, 2, 5,
                2 * BLOCK_VALUES + 1]
-    fast, ref = SplitMix64(31), SplitMix64(31)
+    fast, ref = SplitMix64(seed), SplitMix64(seed)
     for step, n in enumerate(lengths):
         spare_at_entry = fast._spare_gauss is not None
         got = fast.gauss_array((n,))
-        assert got.tobytes() == scalar_gauss(ref, n).tobytes(), (step, n, spare_at_entry)
+        assert got.tobytes() == oracle_gauss(ref, n).tobytes(), (step, n, spare_at_entry)
         assert fast._spare_gauss == ref._spare_gauss
         if step % 3 == 0:
-            assert fast.gauss() == ref.gauss()
+            assert fast.gauss_array(1).tobytes() == oracle_gauss(ref, 1).tobytes()
     assert_same_state(fast, ref)
 
 
 def test_gauss_array_keeps_shape_and_row_major_order():
     fast, ref = SplitMix64(4), SplitMix64(4)
-    fast.gauss()
-    ref.gauss()
+    fast.gauss_array(1)
+    oracle_gauss(ref, 1)
     got = fast.gauss_array((3, 5, 7))
     assert got.shape == (3, 5, 7)
-    assert got.ravel().tobytes() == scalar_gauss(ref, 105).tobytes()
+    assert got.ravel().tobytes() == oracle_gauss(ref, 105).tobytes()
     assert_same_state(fast, ref)
 
 
@@ -156,7 +193,7 @@ def test_uniform_array_equals_low_plus_span_times_uniform(seed):
     for low, high, n in ((-2.0, 3.0, 0), (-2.0, 3.0, 1), (0.0, 1.0, 4095), (-0.25, 0.5, 4096),
                          (np.float64(-0.3), np.float64(0.3), 4097), (5.0, 5.5, 10_000)):
         got = fast.uniform_array(low, high, (n,))
-        assert got.tobytes() == scalar_uniform(ref, low, high, n).tobytes(), (low, high, n)
+        assert got.tobytes() == oracle_uniform(ref, low, high, n).tobytes(), (low, high, n)
     assert_same_state(fast, ref)
 
 
@@ -167,24 +204,21 @@ def test_permutation_equals_scalar_fisher_yates(n):
         perm = fast.permutation(n)
         assert perm.dtype == np.int64
         assert perm.shape == (n,)
-        assert perm.tolist() == scalar_permutation(ref, n)
+        assert perm.tolist() == oracle_permutation(ref, n)
     assert_same_state(fast, ref)
 
 
-def test_every_mix_of_array_and_scalar_calls_keeps_the_stream():
+def test_every_mix_of_array_calls_and_splits_keeps_the_stream():
     fast, ref = SplitMix64(2024), SplitMix64(2024)
     for step in range(40):
-        kind, n = step % 5, (step * 37) % 211
+        kind, n = step % 4, (step * 37) % 211
         if kind == 0:
-            assert fast.gauss_array((n,)).tobytes() == scalar_gauss(ref, n).tobytes()
+            assert fast.gauss_array((n,)).tobytes() == oracle_gauss(ref, n).tobytes()
         elif kind == 1:
             got = fast.uniform_array(-1.0, 1.0, (n,))
-            assert got.tobytes() == scalar_uniform(ref, -1.0, 1.0, n).tobytes()
+            assert got.tobytes() == oracle_uniform(ref, -1.0, 1.0, n).tobytes()
         elif kind == 2:
-            assert fast.permutation(n).tolist() == scalar_permutation(ref, n)
-        elif kind == 3:
-            assert fast.gauss() == ref.gauss()
-            assert fast.below(n + 1) == ref.below(n + 1)
+            assert fast.permutation(n).tolist() == oracle_permutation(ref, n)
         else:
             fast, ref = fast.split(), ref.split()
         assert_same_state(fast, ref)
