@@ -54,7 +54,7 @@ def _wrapped() -> bool:
     from . import gates, mlp  # both loaded by the time a caller asks
 
     return any(hasattr(fn, "__wrapped__") for fn in (
-        mlp.mse_loss, mlp._layers, mlp._gradient, mlp.check_finite, mlp.matmul,
+        mlp.mse_loss, mlp._layers, mlp._gradient, mlp.check_finite,
         mlp.SplitMix64.permutation, gates.forward_batch, gates.length_gaps, gates._screen))
 
 

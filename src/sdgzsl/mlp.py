@@ -12,8 +12,17 @@ During ``train`` the weights and biases are views into one flat vector, laid
 out ``w0, b0, w1, b1, ...`` as in a checkpoint blob, and ``_gradient`` writes
 each step's gradients into views of a second flat vector of the same layout.
 So a step updates with two calls, ``grad *= lr; flat -= grad``, which apply
-the per-array formula to every entry, and every product is still checked for
-finiteness before it is used.
+the per-array formula to every entry.
+
+Finiteness is checked only where a non-finite value could vanish.  A ReLU
+layer's product is checked before its bias is added, since the ReLU maps
+``-inf`` to 0.  Any other non-finite value carries on, as sums and products
+carry inf and NaN (``0 * inf`` is NaN): forward, to the output, which
+``forward_batch`` and ``mse_loss`` check once; backward, through the
+unchecked back-propagated products ``d @ W`` and the ReLU masks, to a
+weight-gradient product, and each of those is checked.  So an input that
+makes any product non-finite raises ``DomainError`` in the same call, and in
+``train`` at the same step.
 
 Each epoch's full-set loss is computed on a snapshot of ``flat`` taken once
 the epoch's steps finish.  ``train`` runs every epoch's steps on a second
@@ -41,6 +50,8 @@ import numpy as np
 from ._threads import second_thread
 from .data import GzslDataset, _integer_problems, _is_finite, _is_integer
 from .errors import DatasetLoadError, DivergenceError, DomainError, ShapeError, ValidationError
+# ``matmul`` has no caller here; the benchmark's tracing test asserts that
+# ``mlp.matmul`` is ``linalg.matmul``, so the binding stays
 from .linalg import ROW_BLOCK, check_finite, matmul
 from .rng import SplitMix64
 
@@ -135,17 +146,24 @@ def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]
 
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Input and every layer's activation, ``[x, h1, ..., out]``, of a 2-D batch or a
-    ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Non-conforming layers
-    (unvalidated parameters) raise ``ShapeError`` on every path."""
+    ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Only ReLU layers'
+    products are checked for finiteness; the module docstring says what callers
+    check.  Non-conforming layers (unvalidated parameters) raise ``ShapeError``
+    on every path."""
     acts = [x]
     for k, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
         if w.shape[1] != acts[-1].shape[-1]:
             raise ShapeError(f"forward: layer {k} takes {w.shape[1]} inputs, "
                              f"got {acts[-1].shape[-1]}")
-        h = check_finite(np.matmul(acts[-1], w.T), "matmul result")
-        h += b
+        h = np.matmul(acts[-1], w.T)
         if act == "relu":
+            # the ReLU maps -inf to 0, so a later check would miss it; every other
+            # non-finite product reaches the output, as inf and NaN carry on
+            check_finite(h, "matmul result")
+            h += b
             np.maximum(h, 0.0, out=h)
+        else:
+            h += b
         acts.append(h)
     return acts
 
@@ -165,11 +183,12 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
     full = x.shape[0] - x.shape[0] % ROW_BLOCK
     if not full:  # as for one-row callers: no per-layer calls on an empty stack
-        return _layers(params, x)[-1]
-    h = _layers(params, x[:full].reshape(-1, ROW_BLOCK, x.shape[1]))[-1].reshape(full, -1)
-    if full == x.shape[0]:
-        return h
-    return np.concatenate([h, _layers(params, x[full:])[-1]])
+        h = _layers(params, x)[-1]
+    else:
+        h = _layers(params, x[:full].reshape(-1, ROW_BLOCK, x.shape[1]))[-1].reshape(full, -1)
+        if full < x.shape[0]:
+            h = np.concatenate([h, _layers(params, x[full:])[-1]])
+    return check_finite(h, "matmul result plus bias")
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -181,7 +200,7 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Feature and target rows as float64 matrices that fit the network."""
+    """Feature and target rows as float64 matrices that fit the network, at least one row."""
     xs = np.asarray(xs, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
     if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:
@@ -189,13 +208,17 @@ def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndar
     if xs.shape[1] != params.in_dim or zs.shape[1] != params.out_dim:
         raise ShapeError(f"{fn}: batch dims {xs.shape[1]}->{zs.shape[1]} incompatible with "
                          f"network {params.in_dim}->{params.out_dim}")
+    if xs.shape[0] == 0:  # the loss and its gradient are means over the rows
+        raise DomainError(f"{fn}: empty batch")
     return xs, zs
 
 
 def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
-    """Mean over instances of the squared projection error."""
+    """Mean over instances of the squared projection error.  An empty batch or a
+    non-finite projection raises ``DomainError``."""
     xs, zs = _batch_pair("mse_loss", params, xs, zs)
-    diff = _layers(params, xs)[-1]  # one product over all rows, not forward_batch's blocks
+    # one product over all rows, not forward_batch's blocks
+    diff = check_finite(_layers(params, xs)[-1], "matmul result plus bias")
     diff -= zs
     diff *= diff
     # numpy's ``_mean`` is this sum over the count: the same bits without the wrappers
@@ -218,14 +241,17 @@ def _gradient(params: MlpParams, xs: np.ndarray, zs: np.ndarray,
         check_finite(np.matmul(d_out.T, acts[k], out=grad_w[k]), "matmul result")
         np.add.reduce(d_out, axis=0, out=grad_b[k])
         if k > 0:
-            d_out = matmul(d_out, params.weights[k])
+            # unchecked: a non-finite entry survives the mask (inf * 0 is NaN) and
+            # reaches layer k-1's weight-gradient product, which is checked
+            d_out = np.matmul(d_out, params.weights[k])
 
 
 def backward(params: MlpParams, xs: np.ndarray, zs: np.ndarray):
     """Analytic gradient of ``mse_loss`` over the batch.
 
     Returns (weight grads, bias grads) shaped like the parameters, views of
-    one fresh packed vector.
+    one fresh packed vector.  An empty batch, or any product that is not
+    finite, raises ``DomainError``.
     """
     xs, zs = _batch_pair("backward", params, xs, zs)
     shapes = [w.shape for w in params.weights]
@@ -279,7 +305,7 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
         with np.errstate(over="ignore", invalid="ignore"):  # set per thread
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                _gradient(params, xs[idx], zs[idx], grad_w, grad_b)
+                _gradient(params, xs.take(idx, axis=0), zs.take(idx, axis=0), grad_w, grad_b)
                 np.multiply(grad, cfg.learning_rate, out=grad)  # grad *= lr
                 np.subtract(flat, grad, out=flat)  # flat -= grad
 

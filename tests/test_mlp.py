@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import os
@@ -42,12 +43,14 @@ from sdgzsl.mlp import init_params
 SMALL_SPEC = SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3)  # 40 training rows
 
 
-def reference_train(dataset, cfg):
+def reference_train(dataset, cfg, first_non_finite=None):
     """Plain-formula SGD with ``train``'s draws, one fresh array per operation.
 
     Returns (weights, biases, loss history, epoch of divergence or None).
     A product or an epoch loss that is not finite counts as divergence, as
-    in the library.
+    in the library.  A list passed as ``first_non_finite`` receives
+    ``(kind, layer, product)`` for the first product that is not finite,
+    ``kind`` one of "layer", "weight gradient" and "back-propagated".
     """
     xs = dataset.seen_train_x
     zs = dataset.seen_emb[dataset.seen_train_y]
@@ -59,16 +62,19 @@ def reference_train(dataset, cfg):
     bs = [b.copy() for b in init.biases]
     finite = True
 
-    def prod(a, b):
+    def prod(a, b, kind, k):
         nonlocal finite
         out = a @ b
-        finite = finite and bool(np.all(np.isfinite(out)))
+        if finite and not np.all(np.isfinite(out)):
+            finite = False
+            if first_non_finite is not None:
+                first_non_finite.append((kind, k, out))
         return out
 
     def layers(x):
         pres, hs = [], [x]
-        for w, b, act in zip(ws, bs, init.activations):
-            pre = prod(hs[-1], w.T) + b
+        for k, (w, b, act) in enumerate(zip(ws, bs, init.activations)):
+            pre = prod(hs[-1], w.T, "layer", k) + b
             pres.append(pre)
             hs.append(np.maximum(pre, 0.0) if act == "relu" else pre)
         return pres, hs
@@ -84,10 +90,10 @@ def reference_train(dataset, cfg):
                 gw, gb = [None] * len(ws), [None] * len(ws)
                 for k in range(len(ws) - 1, -1, -1):
                     d_pre = d_out if init.activations[k] == "linear" else d_out * (pres[k] > 0.0)
-                    gw[k] = prod(d_pre.T, hs[k])
+                    gw[k] = prod(d_pre.T, hs[k], "weight gradient", k)
                     gb[k] = d_pre.sum(axis=0)
                     if k > 0:
-                        d_out = prod(d_pre, ws[k])
+                        d_out = prod(d_pre, ws[k], "back-propagated", k)
                 for k in range(len(ws)):
                     ws[k] -= cfg.learning_rate * gw[k]
                     bs[k] -= cfg.learning_rate * gb[k]
@@ -200,12 +206,14 @@ class TestForwardBlocks:
             forward_batch(params, np.ones((40, 7)))
 
     @pytest.mark.parametrize("n", [3, 40])
-    def test_non_conforming_layers_raise_shape_error(self, n):
+    @pytest.mark.parametrize("fn", [forward_batch, mse_loss, backward], ids=lambda fn: fn.__name__)
+    def test_non_conforming_layers_raise_shape_error(self, fn, n):
         # never validated: layer 1 takes 7 inputs after a 5-wide layer 0
         params = MlpParams([np.ones((5, 6)), np.ones((4, 7))], [np.zeros(5), np.zeros(4)],
                            ["relu", "linear"])
+        xs, zs = np.ones((n, 6)), np.ones((n, 4))
         with pytest.raises(ShapeError, match="layer 1 takes 7 inputs, got 5"):
-            forward_batch(params, np.ones((n, 6)))
+            fn(params, xs) if fn is forward_batch else fn(params, xs, zs)
 
 
 class TestMseLoss:
@@ -275,6 +283,14 @@ class TestBackward:
     def test_finite_difference_agreement(self, seed):
         params, xs, zs = sample_gradcheck_case(seed)
         assert max_gradient_relative_error(params, xs, zs) < 1e-4
+
+
+@pytest.mark.parametrize("fn", [mse_loss, backward], ids=lambda fn: fn.__name__)
+def test_an_empty_batch_is_a_domain_error(fn):
+    # the loss and its gradient are means over the rows: 0/0 has no value
+    params = init_params(4, [5], 3, SplitMix64(1))
+    with pytest.raises(DomainError, match=f"{fn.__name__}: empty batch"):
+        fn(params, np.empty((0, 4)), np.empty((0, 3)))
 
 
 class TestTrain:
@@ -666,6 +682,85 @@ class TestOverlappedTrain:
                 train(ds, TrainConfig(learning_rate=2.0, epochs=30))
         assert len(workers.futures) == 2
         assert isinstance(workers.futures[1].exception(timeout=0), DomainError)
+
+
+BIG = np.finfo(np.float64).max
+
+
+def relu_net(w0, w1):
+    return MlpParams([np.array(w0, dtype=float), np.array(w1, dtype=float)],
+                     [np.zeros(2), np.zeros(2)], ["relu", "linear"]).validate()
+
+
+def with_a_minus_inf_row(dataset, seed):
+    """``dataset`` with seen training row 3 replaced by one whose product with
+    the first layer's one unit, in ``hidden_sizes=[1]`` training at ``seed``,
+    is ``-inf``: the row is ``-BIG`` times the sign of each weight."""
+    w0 = init_params(dataset.feature_dim, [1], dataset.semantic_dim, SplitMix64(seed)).weights[0]
+    xs = dataset.seen_train_x.copy()
+    xs[3] = np.copysign(BIG, -w0[0])
+    return dataclasses.replace(dataset, seen_train_x=xs)
+
+
+class TestNonFiniteProducts:
+    """Only a ReLU layer's product is checked in the forward pass, the output
+    once, and in the backward pass only the weight-gradient products; a
+    non-finite product of any kind must still raise."""
+
+    CASES = {
+        # a hidden row of zeros keeps the output and the last weight gradient finite
+        "back-propagated": (relu_net(-np.eye(2), np.full((2, 2), BIG)), [[1.0, 1.0]],
+                            [[-1.0, -1.0]]),
+        "output": (relu_net(np.eye(2), [[BIG, BIG], [0.0, 1.0]]), [[1.0, 1.0]], [[0.0, 0.0]]),
+        # the ReLU maps row 0's -inf to 0, and nothing after it is non-finite
+        "relu -inf": (relu_net([[1.0, 1.0], [0.0, 1.0]], np.eye(2)), [[-BIG, -BIG], [1.0, 2.0]],
+                      [[0.0, 0.0], [3.0, 2.0]]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_backward_raises_domain_error(self, case):
+        params, xs, zs = self.CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if case != "output":  # the output the unchecked paths see is finite
+                assert np.isfinite(plain_forward(params, np.array(xs))).all()
+            with pytest.raises(DomainError, match="matmul result"):
+                backward(params, xs, zs)
+
+    @pytest.mark.parametrize("case", ["output", "relu -inf"])
+    def test_the_forward_paths_raise_domain_error(self, case):
+        params, xs, zs = self.CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="matmul result"):
+                forward_batch(params, xs)
+            with pytest.raises(DomainError, match="matmul result"):
+                mse_loss(params, xs, zs)
+
+    # the first non-finite product of each run, by reference_train: (kind, layer)
+    TRAIN_CASES = {
+        "output": ("layer", 1, OVERFLOW_SPEC, TrainConfig(learning_rate=1.0, epochs=30, seed=0)),
+        "back-propagated": ("back-propagated", 2, OVERFLOW_SPEC,
+                            TrainConfig(learning_rate=2.0, epochs=30, batch_size=1, seed=1,
+                                        hidden_sizes=[7, 5])),
+        "relu -inf": ("layer", 0, SMALL_SPEC,
+                      TrainConfig(learning_rate=0.05, epochs=4, seed=9, hidden_sizes=[1])),
+    }
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("case", TRAIN_CASES)
+    def test_divergence_is_raised_at_the_reference_epoch(self, monkeypatch, overlap, case):
+        force_two_threads(monkeypatch, overlap)
+        kind, layer, spec, cfg = self.TRAIN_CASES[case]
+        ds = generate_synthetic(spec)
+        if case == "relu -inf":
+            ds = with_a_minus_inf_row(ds, cfg.seed)
+        first = []
+        _, _, _, epoch = reference_train(ds, cfg, first)
+        assert epoch is not None and first[0][:2] == (kind, layer)
+        if case == "relu -inf":  # every non-finite entry is one the ReLU maps to 0
+            product = first[0][2]
+            assert np.all(product[~np.isfinite(product)] == -np.inf)
+        with pytest.raises(DivergenceError, match=f"at epoch {epoch} "):
+            train(ds, cfg)
 
 
 def test_a_train_below_the_threshold_leaves_the_pool_unimported():

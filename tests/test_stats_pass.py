@@ -372,7 +372,7 @@ def count_thread_starts(monkeypatch) -> list:
 # the pass's own callees, then the functions that the benchmark's tracer wraps
 # and that train or the pass reach: one wrapped keeps both jobs on one thread
 WRAPPABLE = [(sdgzsl.gates, "forward_batch"), (sdgzsl.gates, "length_gaps"),
-             (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "check_finite"), (sdgzsl.mlp, "matmul"),
+             (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "check_finite"),
              (sdgzsl.mlp, "mse_loss"), (SplitMix64, "permutation")]
 
 
