@@ -225,10 +225,12 @@ def cmd_eval(args, parser) -> int:
     }
 
     run_sweep = bool(cfg["sweep"]) or cfg["strategy"] == "all"
+    t0 = time.perf_counter()
     reports = evaluate_sweep(mapper, thresholds, dataset)
+    elapsed = time.perf_counter() - t0
     if not run_sweep:
         reports = [r for r in reports if r.strategy == cfg["strategy"]]
-    print(f"evaluated {len(reports)} reports in {reports[0].runtime:.2f}s")
+    print(f"evaluated {len(reports)} reports in {elapsed:.2f}s")
 
     for report in reports:
         (out / f"report_{report.strategy}.txt").write_text(render_report_text(report))

@@ -29,9 +29,8 @@ its thresholds from them, so no manual tuning is involved.
 Each rule (``gate_ol`` / ``gate_dl`` / ``gate_ws``, by strategy tag in
 ``GATE_FUNCTIONS``) is ``(d_l, msd, thresholds) -> seen``, one comparison
 written once for scalars and arrays alike: vectors of statistics give a
-boolean mask.  That is also the contract of a caller's ``gate_fn``.  All
-three rules use strict ``<`` for SEEN; a statistic exactly on its
-threshold gates UNSEEN.
+boolean mask.  All three rules use strict ``<`` for SEEN; a statistic
+exactly on its threshold gates UNSEEN.
 """
 
 from __future__ import annotations
@@ -123,10 +122,12 @@ class ThresholdSet:
 
 
 def length_gaps(proj: np.ndarray, l: float) -> np.ndarray:
-    """Absolute difference between each projected row's norm and ``l``."""
+    """Absolute difference between each projected row's norm and ``l``; a row
+    whose squared norm overflows gets an infinite gap, without a warning."""
     if not l > 0:
         raise DomainError(f"unified norm must be > 0, got {l}")
-    return np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
+    with np.errstate(over="ignore"):
+        return np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
 
 
 def min_semantic_distance(proj, seen_emb) -> np.ndarray:
@@ -208,7 +209,8 @@ def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.
 
 
 def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> ThresholdSet:
-    """Build a ThresholdSet from raw per-instance statistic samples."""
+    """Build a ThresholdSet from raw per-instance statistic samples, which must
+    be finite, as must each ``d_l + lam * msd``, else ``CalibrationError``."""
     if not (_is_finite(lam) and lam >= 0):
         raise CalibrationError(f"lam must be a finite number >= 0, got {lam!r}")
     d_l_samples = as_vector(d_l_samples, "d_l samples")
@@ -217,9 +219,14 @@ def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> Th
         raise CalibrationError(
             f"calibration needs matching nonempty samples, got {d_l_samples.size} and {msd_samples.size}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        ws_samples = d_l_samples + lam * msd_samples
+    for name, xs in (("d_l", d_l_samples), ("msd", msd_samples), ("d_l + lam * msd", ws_samples)):
+        if not np.isfinite(xs).all():
+            raise CalibrationError(f"non-finite {name} calibration samples")
     m_dl, std_dl = mean_and_popstd(d_l_samples)
     m_msd, std_msd = mean_and_popstd(msd_samples)
-    m_ws, std_ws = mean_and_popstd(d_l_samples + lam * msd_samples)
+    m_ws, std_ws = mean_and_popstd(ws_samples)
     return ThresholdSet(lam, m_dl, std_dl, m_msd, std_msd, m_ws, std_ws, l).validate()
 
 

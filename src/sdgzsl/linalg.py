@@ -1,8 +1,11 @@
 """Dense linear-algebra and statistics substrate shared by every module.
 
 Matrices are 2-D float64 numpy arrays (row-major), vectors are 1-D
-float64 arrays.  Public operations validate shapes on the way in and
-guarantee finite entries on the way out.
+float64 arrays.  Public operations validate shapes on the way in.
+``matmul`` and ``check_finite`` refuse non-finite results with
+``DomainError``; ``nearest`` returns the plain sums' NaN and inf for
+non-finite or overflowing inputs, by design, and leaves the check to its
+caller.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Every returned distance is the plain sum ``np.add.reduce((p - e)**2)``
     over the last axis, so a row's result is bit-for-bit the same whichever
-    rows share the call.  Only candidate table rows are summed that way.
+    rows share the call; a sum that overflows is inf, without a warning.
+    Only candidate table rows are summed that way.
     A screen, ``_screen_rows(table rows)`` points at a time, computes
     ``q_j = p.(-2 e_j) + |e_j|^2`` for every table row with one product
     (``-2 table.T``, ``|e|^2`` and ``E`` below are formed once per table,
@@ -134,33 +138,35 @@ def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray
     g = 4.0 * (dim + 4) * 2.0 ** -52  # 4 (S+4) eps
     floor = 3.0 * (dim + 2) * 2.0 ** -1074
     block = _screen_rows(table.shape[0])
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        p = points[rows]
-        with np.errstate(all="ignore"):
-            q = p @ w
-            q += e2
-            k = q.argmin(axis=1)  # a NaN row yields the NaN, as min would
-            m = np.sqrt(np.einsum("ij,ij->i", p, p))
-            m += e_max
-            m *= m
-            m *= g
-            m += floor
-            m += q[np.arange(k.size), k]
-            drop = q > m[:, None]  # NaN on either side keeps the row
-        del q
-        if np.count_nonzero(drop) == drop.size - k.size:
-            # one row per point, so it is the one attaining min q
-            d = p - table[k]
-            d *= d  # the same bits as ** 2
-            dist[rows], index[rows] = np.add.reduce(d, axis=1), k
-            continue
-        r, c = np.divmod(np.flatnonzero(~drop), drop.shape[1])  # faster than 2-D nonzero
-        d = p[r] - table[c]
-        d *= d
-        b = np.full(drop.shape, np.inf)
-        b[r, c] = np.add.reduce(d, axis=1)
-        dist[rows], index[rows] = b.min(axis=1), b.argmin(axis=1)
+    # a plain sum that overflows is the infinite distance it stands for
+    with np.errstate(over="ignore"):
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            p = points[rows]
+            with np.errstate(all="ignore"):
+                q = p @ w
+                q += e2
+                k = q.argmin(axis=1)  # a NaN row yields the NaN, as min would
+                m = np.sqrt(np.einsum("ij,ij->i", p, p))
+                m += e_max
+                m *= m
+                m *= g
+                m += floor
+                m += q[np.arange(k.size), k]
+                drop = q > m[:, None]  # NaN on either side keeps the row
+            del q
+            if np.count_nonzero(drop) == drop.size - k.size:
+                # one row per point, so it is the one attaining min q
+                d = p - table[k]
+                d *= d  # the same bits as ** 2
+                dist[rows], index[rows] = np.add.reduce(d, axis=1), k
+                continue
+            r, c = np.divmod(np.flatnonzero(~drop), drop.shape[1])  # faster than 2-D nonzero
+            d = p[r] - table[c]
+            d *= d
+            b = np.full(drop.shape, np.inf)
+            b[r, c] = np.add.reduce(d, axis=1)
+            dist[rows], index[rows] = b.min(axis=1), b.argmin(axis=1)
     return dist, index
 
 

@@ -144,17 +144,22 @@ def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]
     return weights, biases
 
 
+def _check_chain(fn: str, params: MlpParams) -> None:
+    """Each layer must take the previous layer's outputs, else ``ShapeError``
+    naming ``fn``: unvalidated parameters may not chain."""
+    for k in range(1, len(params.weights)):
+        takes, got = params.weights[k].shape[1], params.weights[k - 1].shape[0]
+        if takes != got:
+            raise ShapeError(f"{fn}: layer {k} takes {takes} inputs, got {got}")
+
+
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Input and every layer's activation, ``[x, h1, ..., out]``, of a 2-D batch or a
     ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Only ReLU layers'
     products are checked for finiteness; the module docstring says what callers
-    check.  Non-conforming layers (unvalidated parameters) raise ``ShapeError``
-    on every path."""
+    check.  The public callers check the layer chain first (``_check_chain``)."""
     acts = [x]
-    for k, (w, b, act) in enumerate(zip(params.weights, params.biases, params.activations)):
-        if w.shape[1] != acts[-1].shape[-1]:
-            raise ShapeError(f"forward: layer {k} takes {w.shape[1]} inputs, "
-                             f"got {acts[-1].shape[-1]}")
+    for w, b, act in zip(params.weights, params.biases, params.activations):
         h = np.matmul(acts[-1], w.T)
         if act == "relu":
             # the ReLU maps -inf to 0, so a later check would miss it; every other
@@ -178,6 +183,7 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     ``np.matmul`` runs the same ``ROW_BLOCK``-row product on each block
     without a Python call per block, and the short tail as one product.
     """
+    _check_chain("forward", params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
@@ -200,7 +206,9 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Feature and target rows as float64 matrices that fit the network, at least one row."""
+    """Feature and target rows as float64 matrices that fit the network, at least one
+    row, after ``_check_chain``."""
+    _check_chain(fn, params)
     xs = np.asarray(xs, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
     if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:

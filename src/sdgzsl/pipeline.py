@@ -20,21 +20,17 @@ vectors into the gated mask and class indices, for ``_evaluate`` and
 ``predict`` alike.  Per-class accuracy is counted with ``np.bincount``
 (``per_class_top1``).
 
-Both plug-in slots take batches.  ``gate_fn`` has the signature of the
-named rules, ``gate_fn(d_l, msd, ThresholdSet) -> seen mask``, and is
-called once per split with that split's statistic vectors.  A classifier
-slot is any object with ``classify(rows) -> class indices``; it is called
-once per split with the feature rows gated into its domain (not at all
-when there are none), and its indices replace the nearest-embedding ones
-there.  Both results are checked at that boundary: a gate result must be
-a boolean vector with one entry per row, and a classifier result an
-integer vector with one index per row inside its domain's class range,
+A strategy is a tag of ``STRATEGIES``, resolved through ``GATE_FUNCTIONS``;
+any other raises ``ConfigError``.  A classifier slot is any object with
+``classify(rows) -> class indices``; it is called once per split with the
+feature rows gated into its domain (not at all when there are none), and
+its indices replace the nearest-embedding ones there.  Its result must be
+an integer vector with one index per row inside its domain's class range,
 else ``ShapeError`` or ``DomainError``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +45,7 @@ STRATEGIES = tuple(GATE_FUNCTIONS)
 BASELINE_TAG = "nogate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvaluationReport:
     strategy: str
     acc_s: float
@@ -57,9 +53,6 @@ class EvaluationReport:
     h: float
     per_class_acc: dict[tuple[str, int], float]
     gate_confusion: dict[tuple[Domain, Domain], int]
-    # wall seconds of the call that made the report; the reports of one
-    # ``evaluate_sweep`` share one pass, so they share its time
-    runtime: float = 0.0
 
     def gate_recalls(self) -> tuple[float, float]:
         """(seen recall, unseen recall) of the gate itself."""
@@ -127,31 +120,20 @@ def per_class_top1(true_class, correct, classes) -> dict[int, float]:
     return out
 
 
-def _gate_rule(strategy: str, thresholds: ThresholdSet, gate_fn):
+def _gate_rule(strategy: str, thresholds: ThresholdSet):
     """``(d_l, msd, nearest unseen distance) -> gated-seen mask`` for one split."""
-    if gate_fn is None:
-        try:
-            gate_fn = GATE_FUNCTIONS[strategy]
-        except KeyError:
-            raise ConfigError(
-                f"unknown strategy {strategy!r}, expected one of {sorted(GATE_FUNCTIONS)}"
-            ) from None
-    return lambda d_l, msd, _: gate_fn(d_l, msd, thresholds)
+    try:
+        gate = GATE_FUNCTIONS[strategy]
+    except KeyError:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}, expected one of {sorted(GATE_FUNCTIONS)}"
+        ) from None
+    return lambda d_l, msd, _: gate(d_l, msd, thresholds)
 
 
 def _baseline_rule(d_l, msd, min_unseen):
     # the seen table comes first in the union, so it wins an exact tie
     return msd <= min_unseen
-
-
-def _seen_mask(seen, n: int) -> np.ndarray:
-    """A gate result, required to be a boolean vector of ``n`` entries."""
-    seen = np.asarray(seen)
-    if seen.dtype != bool:
-        raise DomainError(f"gate returned dtype {seen.dtype}, expected a boolean mask")
-    if seen.shape != (n,):
-        raise ShapeError(f"gate returned shape {seen.shape} for {n} rows")
-    return seen
 
 
 def _class_indices(classes, n: int, n_classes: int, slot: str) -> np.ndarray:
@@ -173,7 +155,7 @@ def _route(rule, stats, xs: np.ndarray, tables: tuple, seen_classifier,
     ``_split_stats`` vectors: (gated-seen mask, class index inside the gated
     domain), the classifier slots answering for their rows."""
     d_l, msd, arg_seen, min_unseen, arg_unseen = stats
-    gated_seen = _seen_mask(rule(d_l, msd, min_unseen), d_l.shape[0])
+    gated_seen = rule(d_l, msd, min_unseen)
     predicted = np.where(gated_seen, arg_seen, arg_unseen)
     if seen_classifier is None and unseen_classifier is None:
         return gated_seen, predicted
@@ -186,16 +168,15 @@ def _route(rule, stats, xs: np.ndarray, tables: tuple, seen_classifier,
 
 
 def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
-            seen_emb, unseen_emb, seen_classifier=None, unseen_classifier=None,
-            gate_fn=None) -> tuple[np.ndarray, np.ndarray]:
+            seen_emb, unseen_emb, seen_classifier=None,
+            unseen_classifier=None) -> tuple[np.ndarray, np.ndarray]:
     """Gate each row of ``xs`` and classify it inside its gated domain.
 
     Returns ``(seen, classes)``: the gated-seen mask and each row's class
-    index inside its gated domain.  ``gate_fn`` overrides the named
-    strategy with any ``(d_l, msd, ThresholdSet) -> seen mask``; classifier
-    slots accept any object with ``classify(rows) -> class indices``.
+    index inside its gated domain.  Classifier slots accept any object with
+    ``classify(rows) -> class indices``.
     """
-    rule = _gate_rule(strategy, thresholds, gate_fn)
+    rule = _gate_rule(strategy, thresholds)
     xs = as_matrix(xs, "feature rows")
     tables = _tables(mapper, seen_emb, unseen_emb)
     return _route(rule, _split_stats(mapper, thresholds.l, [xs], *tables)[0], xs, tables,
@@ -256,10 +237,8 @@ def _check_norm(thresholds: ThresholdSet, dataset: GzslDataset) -> None:
 def _evaluate(rules, mapper: MlpParams, dataset: GzslDataset,
               seen_classifier=None, unseen_classifier=None) -> list[EvaluationReport]:
     """One report per ``(tag, rule)`` of ``rules``, all from one statistics
-    pass over both test splits at the dataset's unified norm; every report's
-    ``runtime`` is the wall time of the whole call."""
+    pass over both test splits at the dataset's unified norm."""
     splits = _test_splits(dataset)
-    t0 = time.perf_counter()
     tables = _tables(mapper, dataset.seen_emb, dataset.unseen_emb)
     stats = _split_stats(mapper, dataset.unified_norm, splits, *tables)
     reports = []
@@ -267,22 +246,19 @@ def _evaluate(rules, mapper: MlpParams, dataset: GzslDataset,
         masks, predictions = zip(*(_route(rule, s, xs, tables, seen_classifier, unseen_classifier)
                                    for s, xs in zip(stats, splits)))
         reports.append(_score(tag, masks, predictions, dataset))
-    runtime = time.perf_counter() - t0
-    for report in reports:
-        report.runtime = runtime
     return reports
 
 
 def evaluate(mapper: MlpParams, thresholds: ThresholdSet, strategy: str,
-             dataset: GzslDataset, seen_classifier=None, unseen_classifier=None,
-             gate_fn=None) -> EvaluationReport:
+             dataset: GzslDataset, seen_classifier=None,
+             unseen_classifier=None) -> EvaluationReport:
     """Run the gate + route flow over both test splits and report metrics.
 
-    ``thresholds`` must be calibrated at the dataset's unified norm, else
-    ``ConfigError``.
+    ``strategy`` must be a tag of ``STRATEGIES`` and ``thresholds``
+    calibrated at the dataset's unified norm, else ``ConfigError``.
     """
     _check_norm(thresholds, dataset)
-    return _evaluate([(strategy, _gate_rule(strategy, thresholds, gate_fn))], mapper, dataset,
+    return _evaluate([(strategy, _gate_rule(strategy, thresholds))], mapper, dataset,
                      seen_classifier, unseen_classifier)[0]
 
 
@@ -301,14 +277,13 @@ def evaluate_sweep(mapper: MlpParams, thresholds: ThresholdSet,
     """``evaluate`` for each of ``STRATEGIES``, then ``evaluate_baseline``,
     from one pass over both test splits.
 
-    The reports equal those of the separate calls, field for field, apart
-    from ``runtime``: each split is projected and scanned once, and every
-    strategy and the baseline is a mask over the same vectors.  Every
-    report's ``runtime`` is the wall time of the whole call.  ``thresholds``
-    must be calibrated at the dataset's unified norm, else ``ConfigError``.
+    The reports equal those of the separate calls, field for field: each
+    split is projected and scanned once, and every strategy and the baseline
+    is a mask over the same vectors.  ``thresholds`` must be calibrated at
+    the dataset's unified norm, else ``ConfigError``.
     """
     _check_norm(thresholds, dataset)
-    return _evaluate([*((tag, _gate_rule(tag, thresholds, None)) for tag in STRATEGIES),
+    return _evaluate([*((tag, _gate_rule(tag, thresholds)) for tag in STRATEGIES),
                       (BASELINE_TAG, _baseline_rule)], mapper, dataset)
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -13,6 +14,7 @@ import pytest
 from conftest import BENCH_SPEC, max_gradient_relative_error, sample_gradcheck_case
 
 from sdgzsl import (
+    Domain,
     SplitMix64,
     TrainConfig,
     calibrate,
@@ -132,9 +134,10 @@ def test_criterion_5_forced_seen_gate_zeroes_h(bench_dataset):
     with criterion(5, "an always-SEEN gate forces unseen accuracy and H to zero", 1.0):
         mapper = init_params(bench_dataset.feature_dim, [4], bench_dataset.semantic_dim,
                              SplitMix64(5))
-        th = calibrate(mapper, bench_dataset)
-        report = evaluate(mapper, th, "ol", bench_dataset,
-                          gate_fn=lambda d_l, msd, thresholds: np.ones(d_l.shape, dtype=bool))
+        # r_ol = 1e300: every row's d_l is below it, so ol gates every row seen
+        th = dataclasses.replace(calibrate(mapper, bench_dataset), m_dl=1e300).validate()
+        report = evaluate(mapper, th, "ol", bench_dataset)
+        assert report.gate_confusion[(Domain.UNSEEN, Domain.UNSEEN)] == 0
         assert report.acc_u == 0.0
         assert report.h == 0.0
 

@@ -1,8 +1,8 @@
 """The batched evaluation core against a plain per-row oracle.
 
 The oracle takes one row at a time: its length gap and a nearest-embedding
-loop are written here, it gates the row by applying ``GATE_FUNCTIONS`` (or
-a caller's ``gate_fn``) to two floats, asks a stub classifier about that
+loop are written here, it gates the row by applying ``GATE_FUNCTIONS`` to
+two floats, asks a stub classifier about that
 one row, and counts the gate confusion and per-class hits.  A product's last
 bits depend on how many rows it multiplies at once, so the oracle projects
 the same ``ROW_BLOCK``-row blocks as the core, each with plain numpy, and
@@ -33,6 +33,7 @@ from sdgzsl import gates
 from sdgzsl.gates import GATE_FUNCTIONS
 from sdgzsl.linalg import ROW_BLOCK
 from sdgzsl.mlp import init_params
+from test_gates import make_thresholds
 
 
 def plain_forward(mapper, xs):
@@ -64,7 +65,7 @@ def plain_nearest(p, table):
     return best, best_d
 
 
-def oracle(mapper, ds, strategy, th=None, gate_fn=None, seen_clf=None, unseen_clf=None):
+def oracle(mapper, ds, strategy, th=None, seen_clf=None, unseen_clf=None):
     """Gate confusion and per-class correct counts, one row at a time."""
     confusion = {(t, g): 0 for t in Domain for g in Domain}
     correct = {}
@@ -78,8 +79,7 @@ def oracle(mapper, ds, strategy, th=None, gate_fn=None, seen_clf=None, unseen_cl
             if strategy == BASELINE_TAG:
                 seen = seen_d <= unseen_d
             else:
-                rule = gate_fn or GATE_FUNCTIONS[strategy]
-                seen = bool(rule(length_gap(p, th.l), seen_d, th))
+                seen = bool(GATE_FUNCTIONS[strategy](length_gap(p, th.l), seen_d, th))
             gate = Domain.SEEN if seen else Domain.UNSEEN
             clf, idx = (seen_clf, seen_idx) if seen else (unseen_clf, unseen_idx)
             cls = clf.answer(x) if clf else idx
@@ -101,7 +101,7 @@ def assert_core_matches_oracle(mapper, ds, th, **slots):
     for tag in STRATEGIES:
         assert report_counts(evaluate(mapper, th, tag, ds, **slots), ds) == oracle(
             mapper, ds, tag, th, seen_clf=slots.get("seen_classifier"),
-            unseen_clf=slots.get("unseen_classifier"), gate_fn=slots.get("gate_fn")), tag
+            unseen_clf=slots.get("unseen_classifier")), tag
     if not slots:
         assert report_counts(evaluate_baseline(mapper, ds), ds) == oracle(mapper, ds, BASELINE_TAG)
 
@@ -144,15 +144,11 @@ class StubClassifier:
         return np.argmax(rows, axis=1) % self.n_classes
 
 
-def test_custom_gate_fn_and_stub_classifiers_match_the_oracle():
+def test_stub_classifiers_match_the_oracle():
     ds = generate_synthetic(SyntheticSpec(4, 2, 6, 4, 8, 13, 0.3, seed=5))
     mapper, _ = train(ds, TrainConfig(epochs=4, seed=5))
     th = calibrate(mapper, ds)
-
-    def by_msd_only(d_l, msd, thresholds):
-        return msd < thresholds.m_msd
-
-    assert_core_matches_oracle(mapper, ds, th, gate_fn=by_msd_only,
+    assert_core_matches_oracle(mapper, ds, th,
                                seen_classifier=StubClassifier(ds.n_seen_classes),
                                unseen_classifier=StubClassifier(ds.n_unseen_classes))
     assert_core_matches_oracle(mapper, ds, th,
@@ -197,12 +193,11 @@ def test_exact_ties_go_to_the_lowest_index():
     mapper = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"]).validate()
     th = calibrate(mapper, ds)
     assert_core_matches_oracle(mapper, ds, th)
-    always_seen = evaluate(mapper, th, "ol", ds,
-                           gate_fn=lambda d_l, msd, t: np.ones(d_l.shape, dtype=bool))
+    # r_ol = 1e300 gates every row seen under ol, r_ol = 0 every row unseen
+    always_seen = evaluate(mapper, make_thresholds(m_dl=1e300), "ol", ds)
     assert always_seen.per_class_acc[("seen", 0)] == 1.0
     assert always_seen.per_class_acc[("seen", 1)] == 0.0
-    always_unseen = evaluate(mapper, th, "ol", ds,
-                             gate_fn=lambda d_l, msd, t: np.zeros(d_l.shape, dtype=bool))
+    always_unseen = evaluate(mapper, make_thresholds(m_dl=0.0), "ol", ds)
     assert always_unseen.per_class_acc[("unseen", 0)] == 1.0
     assert always_unseen.per_class_acc[("unseen", 1)] == 0.0
     # the origin is as far from the seen table as from the unseen one
@@ -264,6 +259,7 @@ def test_calibration_statistics_equal_the_evaluation_pass_bit_for_bit(monkeypatc
         seen.append((d_l.copy(), msd.copy()))
         return d_l < t.r_ol
 
-    predict(mapper, th, "ol", xs, ds.seen_emb, ds.unseen_emb, gate_fn=capture)
+    monkeypatch.setitem(GATE_FUNCTIONS, "ol", capture)
+    predict(mapper, th, "ol", xs, ds.seen_emb, ds.unseen_emb)
     assert np.array_equal(d_l, seen[0][0])
     assert np.array_equal(msd, seen[0][1])

@@ -160,6 +160,29 @@ class TestCalibration:
             with pytest.raises(CalibrationError, match="lam must be"):
                 calibrate(bench_mapper[0], bench_dataset, lam=lam)
 
+    @pytest.mark.parametrize("d_l, msd", [
+        ([0.1, math.inf], [0.2, 0.5]),
+        ([0.1, 0.4], [math.nan, 0.5]),
+        ([0.1, 1e308], [0.2, 1e308]),  # finite samples whose d_l + lam * msd overflows
+    ])
+    def test_non_finite_samples_fail_before_any_statistic(self, d_l, msd):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="non-finite .* calibration samples"):
+                calibrate_from_samples(d_l, msd, lam=1.0, l=1.0)
+
+    def test_an_overflowing_norm_fails_calibration_without_a_warning(self, bench_dataset):
+        # the projections are finite, about 1e161, but their squared norms and
+        # distances overflow to inf
+        ds = bench_dataset
+        w = np.full((ds.semantic_dim, ds.feature_dim), 1e160)
+        mapper = MlpParams([w], [np.zeros(ds.semantic_dim)], ["linear"]).validate()
+        assert np.isfinite(forward_batch(mapper, ds.seen_train_x)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match="non-finite d_l calibration samples"):
+                calibrate(mapper, ds)
+
     def test_zero_lambda_is_valid(self):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=0.0, l=1.0)
         assert th.lam == 0.0 and th.r_ws == th.r_ol

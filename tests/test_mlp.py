@@ -212,7 +212,9 @@ class TestForwardBlocks:
         params = MlpParams([np.ones((5, 6)), np.ones((4, 7))], [np.zeros(5), np.zeros(4)],
                            ["relu", "linear"])
         xs, zs = np.ones((n, 6)), np.ones((n, 4))
-        with pytest.raises(ShapeError, match="layer 1 takes 7 inputs, got 5"):
+        # forward_batch answers for forward too, and its other errors say "forward:"
+        name = "forward" if fn is forward_batch else fn.__name__
+        with pytest.raises(ShapeError, match=f"^{name}: layer 1 takes 7 inputs, got 5$"):
             fn(params, xs) if fn is forward_batch else fn(params, xs, zs)
 
 

@@ -27,6 +27,7 @@ from sdgzsl import (
     train,
 )
 from conftest import BENCH_SPEC
+from sdgzsl.gates import GATE_FUNCTIONS, gate_ol
 from sdgzsl.pipeline import render_report_kv, render_report_text
 from test_gates import identity_fit_dataset, identity_mapper, make_thresholds
 
@@ -58,11 +59,6 @@ class TestHarmonicMean:
             harmonic_mean(0.5, -0.1)
 
 
-def always(seen):
-    """A gate_fn that sends every row to one domain."""
-    return lambda d_l, msd, thresholds: np.full(d_l.shape, seen)
-
-
 class TestPerClassTop1:
     def test_all_correct(self):
         assert per_class_top1([0, 1, 1, 0], [True] * 4, [0, 1]) == {0: 1.0, 1: 1.0}
@@ -79,14 +75,15 @@ class TestPerClassTop1:
         assert per_class_top1([0, 1, 0, 1], [False] * 4, [0, 1]) == {0: 0.0, 1: 0.0}
 
     def test_wrong_domain_counts_as_incorrect(self):
-        # gated unseen, every seen row gets unseen class 0: the right index
-        # for seen class 0, in the wrong domain
+        # no d_l is below r_ol = 0, so every row gates unseen and every seen
+        # row gets unseen class 0: the right index for seen class 0, in the
+        # wrong domain
         ds = identity_fit_dataset()
-        th = make_thresholds(m_dl=0.5, m_msd=0.5, m_ws=0.5)
+        th = make_thresholds(m_dl=0.0)
         seen, classes = predict(identity_mapper(3), th, "ol", ds.seen_test_x, ds.seen_emb,
-                                ds.unseen_emb, gate_fn=always(False))
+                                ds.unseen_emb)
         assert not seen.any() and not classes.any()
-        report = evaluate(identity_mapper(3), th, "ol", ds, gate_fn=always(False))
+        report = evaluate(identity_mapper(3), th, "ol", ds)
         assert report.per_class_acc[("seen", 0)] == 0.0
 
     def test_empty_class_rejected(self):
@@ -170,6 +167,13 @@ class TestPredict:
             predict(params, th, "bogus", bench_dataset.seen_test_x[:1],
                     bench_dataset.seen_emb, bench_dataset.unseen_emb)
 
+    def test_a_strategy_is_a_tag_or_refused(self, bench_dataset, bench_mapper):
+        # a report's strategy line is its tag, so an untagged one could forge lines
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        with pytest.raises(ConfigError, match=r"unknown strategy 'bogus\\nacc_s=1\.0'"):
+            evaluate(params, th, "bogus\nacc_s=1.0", bench_dataset)
+
     def test_noiseless_seen_instances_classified_to_their_class(self, noiseless_dataset):
         params, history = train(noiseless_dataset, TrainConfig())
         assert history[-1] < 1e-3
@@ -205,8 +209,9 @@ class TestEvaluate:
 
     def test_always_seen_gate_zeroes_unseen_accuracy(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        report = evaluate(params, th, "ol", bench_dataset, gate_fn=always(True))
+        # every d_l is below r_ol = 1e300, so every row gates seen
+        th = make_thresholds(m_dl=1e300, l=bench_dataset.unified_norm)
+        report = evaluate(params, th, "ol", bench_dataset)
         assert report.acc_u == 0.0
         assert report.h == 0.0
         assert report.gate_confusion[(Domain.UNSEEN, Domain.UNSEEN)] == 0
@@ -329,28 +334,6 @@ class TestSlotOutputsAreChecked:
                            match=rf"^unseen classifier.*\[0, {bench_dataset.n_unseen_classes}\)"):
             evaluate(params, th, "dl", bench_dataset, unseen_classifier=top)
 
-    @pytest.mark.parametrize("gate_fn, error", [
-        (lambda d_l, msd, th: "seen", DomainError),
-        (lambda d_l, msd, th: np.full(d_l.shape, "seen"), DomainError),
-        (lambda d_l, msd, th: Domain.SEEN, DomainError),
-        (lambda d_l, msd, th: (msd < th.r_1).astype(int), DomainError),
-        (lambda d_l, msd, th: msd - th.r_1, DomainError),
-        (lambda d_l, msd, th: True, ShapeError),
-        (lambda d_l, msd, th: np.ones(d_l.size + 1, dtype=bool), ShapeError),
-    ])
-    def test_bad_gate_output_is_rejected(self, bench_dataset, bench_mapper, gate_fn, error):
-        params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        with pytest.raises(error, match="gate"):
-            evaluate(params, th, "ol", bench_dataset, gate_fn=gate_fn)
-
-    def test_a_list_of_bools_is_a_mask(self, bench_dataset, bench_mapper):
-        params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        as_list = evaluate(params, th, "ws", bench_dataset,
-                           gate_fn=lambda d_l, msd, t: (d_l + t.lam * msd < t.r_ws).tolist())
-        assert as_list.per_class_acc == evaluate(params, th, "ws", bench_dataset).per_class_acc
-
 
 @pytest.fixture(scope="module", params=[3, 5], ids=["seed3", "seed5"])
 def eval_heavy_run(request):
@@ -362,10 +345,6 @@ def eval_heavy_run(request):
     return ds, mapper
 
 
-def without_runtime(report):
-    return dataclasses.replace(report, runtime=0.0)
-
-
 class TestEvaluateSweep:
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])
     def test_equals_the_separate_calls(self, eval_heavy_run, lam):
@@ -375,13 +354,16 @@ class TestEvaluateSweep:
         separate.append(evaluate_baseline(mapper, ds))
         swept = evaluate_sweep(mapper, th, ds)
         assert [r.strategy for r in swept] == [*STRATEGIES, BASELINE_TAG]
-        assert [without_runtime(r) for r in swept] == [without_runtime(r) for r in separate]
+        assert swept == separate
 
-    def test_the_reports_share_one_runtime(self, bench_dataset, bench_mapper):
+    def test_a_report_is_a_value(self, bench_dataset, bench_mapper):
         params, _ = bench_mapper
-        th = calibrate(params, bench_dataset)
-        runtimes = {r.runtime for r in evaluate_sweep(params, th, bench_dataset)}
-        assert len(runtimes) == 1 and runtimes.pop() > 0.0
+        report = evaluate_baseline(params, bench_dataset)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "strategy", "acc_s", "acc_u", "h", "per_class_acc", "gate_confusion"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.h = 1.0
+        assert dataclasses.replace(report, h=1.0).h == 1.0 != report.h
 
     @pytest.mark.parametrize("side", ["seen_test", "unseen_test"])
     def test_empty_test_split(self, bench_dataset, bench_mapper, side):
@@ -395,15 +377,16 @@ class TestEvaluateSweep:
             with pytest.raises(EvaluationError, match="nonempty"):
                 run()
 
-    def test_gate_fn_is_called_once_per_split(self, eval_heavy_run):
+    def test_the_gate_rule_is_called_once_per_split(self, monkeypatch, eval_heavy_run):
         ds, mapper = eval_heavy_run
         th = calibrate(mapper, ds)
+        expected = evaluate(mapper, th, "ol", ds)
         calls = []
 
-        def gate_fn(d_l, msd, thresholds):
+        def capture(d_l, msd, thresholds):
             calls.append(d_l.shape)
-            return d_l < thresholds.r_ol
+            return gate_ol(d_l, msd, thresholds)
 
-        report = evaluate(mapper, th, "ol", ds, gate_fn=gate_fn)
+        monkeypatch.setitem(GATE_FUNCTIONS, "ol", capture)
+        assert evaluate(mapper, th, "ol", ds) == expected
         assert calls == [(ds.seen_test_x.shape[0],), (ds.unseen_test_x.shape[0],)]
-        assert without_runtime(report) == without_runtime(evaluate(mapper, th, "ol", ds))

@@ -432,19 +432,23 @@ class TestWhenTwoThreadsRun:
             if next(calls) < 2:
                 barrier.wait()  # chunks 0 and 1, one on each thread
             try:
-                return original(proj, l)
+                np.square(proj)  # overflows in chunks 0 and 1 unless the errstate ignores it
             except FloatingPointError:
                 raised.add(threading.current_thread().name)
                 raise
+            return original(proj, l)
 
         monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
         tables = _tables(mapper, ds.seen_emb)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             _split_stats(mapper, ds.unified_norm, [xs], *tables)
         assert raised == {CALLER, POOL}
-        with np.errstate(over="ignore"):
-            [(d_l, _, _)] = _split_stats(mapper, ds.unified_norm, [xs], *tables)
-        assert np.isinf(d_l[overflowing]).all()
+        # the pass's own squares overflow to an infinite norm and distance, which
+        # are the right values, whatever the caller's errstate
+        monkeypatch.setattr(sdgzsl.gates, "length_gaps", original)
+        with np.errstate(over="raise"):
+            [(d_l, msd, _)] = _split_stats(mapper, ds.unified_norm, [xs], *tables)
+        assert np.isinf(d_l[overflowing]).all() and np.isinf(msd[overflowing]).all()
         assert np.isfinite(np.delete(d_l, overflowing)).all()
 
 
