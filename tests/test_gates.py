@@ -252,6 +252,15 @@ class TestGateRules:
         for gate in (gate_ol, gate_dl, gate_ws):
             assert np.array_equal(gate(d_l, msd, th), gate(d_l, msd, th))
 
+    @pytest.mark.parametrize("tag", sorted(GATE_FUNCTIONS))
+    def test_a_rule_gives_a_boolean_mask_of_its_rows(self, tag, np_rng):
+        # evaluation takes a rule's output as the gated-seen mask unchecked
+        th = make_thresholds(m_dl=0.4, m_msd=0.7, std_msd=0.2, m_ws=1.0)
+        d_l, msd = np_rng.uniform(0, 2, size=37), np_rng.uniform(0, 2, size=37)
+        mask = GATE_FUNCTIONS[tag](d_l, msd, th)
+        assert isinstance(mask, np.ndarray)
+        assert mask.dtype == np.bool_ and mask.shape == d_l.shape
+
 
 class TestGateProperties:
     def test_dl_cases_partition_the_plane(self, np_rng):

@@ -174,6 +174,18 @@ class TestPredict:
         with pytest.raises(ConfigError, match=r"unknown strategy 'bogus\\nacc_s=1\.0'"):
             evaluate(params, th, "bogus\nacc_s=1.0", bench_dataset)
 
+    def test_a_gate_function_is_not_a_strategy(self, bench_dataset, bench_mapper):
+        params, _ = bench_mapper
+        th = calibrate(params, bench_dataset)
+        xs = bench_dataset.seen_test_x[:1]
+        with pytest.raises(ConfigError, match="unknown strategy <function gate_ol"):
+            predict(params, th, gate_ol, xs, bench_dataset.seen_emb, bench_dataset.unseen_emb)
+        with pytest.raises(TypeError, match="gate_fn"):
+            predict(params, th, "ol", xs, bench_dataset.seen_emb, bench_dataset.unseen_emb,
+                    gate_fn=gate_ol)
+        with pytest.raises(TypeError, match="gate_fn"):
+            evaluate(params, th, "ol", bench_dataset, gate_fn=gate_ol)
+
     def test_noiseless_seen_instances_classified_to_their_class(self, noiseless_dataset):
         params, history = train(noiseless_dataset, TrainConfig())
         assert history[-1] < 1e-3
