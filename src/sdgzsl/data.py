@@ -114,9 +114,10 @@ class SyntheticSpec:
             raise ValidationError("invalid SyntheticSpec: " + "; ".join(problems))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GzslDataset:
-    """Immutable seen/unseen split with norm-unified class embeddings."""
+    """Immutable seen/unseen split with norm-unified class embeddings, checked when
+    made (``dataclasses.replace`` too); the checks make its arrays read-only."""
 
     seen_train_x: np.ndarray
     seen_train_y: np.ndarray
@@ -144,7 +145,7 @@ class GzslDataset:
     def n_unseen_classes(self) -> int:
         return self.unseen_emb.shape[0]
 
-    def validate(self) -> "GzslDataset":
+    def __post_init__(self) -> None:
         d = self.feature_dim
         s = self.semantic_dim
         for name in ("seen_train", "seen_test", "unseen_test"):
@@ -183,7 +184,6 @@ class GzslDataset:
             self.unseen_test_x, self.unseen_test_y, self.seen_emb, self.unseen_emb,
         ):
             arr.setflags(write=False)
-        return self
 
 
 def normalize_embeddings(raw, l: float) -> np.ndarray:
@@ -230,7 +230,8 @@ def _f32_stable_unit_rows(raw: np.ndarray, l: float) -> np.ndarray:
     """
     v = normalize_embeddings(raw, l)
     for _ in range(64):
-        w = normalize_embeddings(v.astype(np.float32).astype(np.float64), l)
+        with np.errstate(over="ignore"):  # a row past the float32 range has no finite norm
+            w = normalize_embeddings(v.astype(np.float32).astype(np.float64), l)
         if np.array_equal(w, v):
             return v
         v = w
@@ -294,11 +295,12 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
         # one draw per split (its classes are consecutive in the stream), scaled and
         # shifted in place: the same values as center + spread * noise, no temporaries
         x = noise_rng.gauss_array((n_classes, per_class, spec.feature_dim))
-        x *= spec.cluster_spread
-        x += centers[:, None, :]
-        y = np.repeat(np.arange(n_classes), per_class)
-        # features live on the f32 grid so disk round-trips are exact
-        return x.reshape(-1, spec.feature_dim).astype(np.float32).astype(np.float64), y
+        with np.errstate(over="ignore"):  # an overflow is refused as a non-finite feature
+            x *= spec.cluster_spread
+            x += centers[:, None, :]
+            # features live on the f32 grid so disk round-trips are exact
+            x = x.reshape(-1, spec.feature_dim).astype(np.float32).astype(np.float64)
+        return x, np.repeat(np.arange(n_classes), per_class)
 
     seen_train_x, seen_train_y = draw_split(seen_centers, spec.per_class_train)
     seen_test_x, seen_test_y = draw_split(seen_centers, spec.per_class_test)
@@ -314,7 +316,7 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
         seen_emb=seen_emb,
         unseen_emb=unseen_emb,
         unified_norm=l,
-    ).validate()
+    )
 
 
 def _write_matrix(path: Path, m: np.ndarray) -> None:
@@ -396,8 +398,8 @@ def load_dataset(path) -> GzslDataset:
     ``_read_matrix`` against the shape ``meta.json`` gives it, and each
     labels file by ``_read_labels`` against its split's row count.
     Embedding rows are re-normalized to the header's unified norm after
-    the float32 widening.  A format error, or a value that
-    ``GzslDataset.validate`` rejects, raises ``DatasetLoadError``.
+    the float32 widening.  A format error, or a value that ``GzslDataset``
+    refuses when made, raises ``DatasetLoadError``.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -437,7 +439,7 @@ def load_dataset(path) -> GzslDataset:
             raise DatasetLoadError(f"{fpath}: {exc}") from exc
 
     try:
-        return GzslDataset(**arrays, unified_norm=float(meta["l"])).validate()
+        return GzslDataset(**arrays, unified_norm=float(meta["l"]))
     except ValidationError as exc:
         raise DatasetLoadError(f"{root}: {exc}") from exc
 

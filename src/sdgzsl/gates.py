@@ -73,7 +73,8 @@ class ThresholdSet:
 
     ``r_ol``, ``r_0``, ``r_1`` and ``r_ws`` are each a mean plus one or two
     standard deviations, computed when read, so no threshold can disagree
-    with the statistics it is defined by.
+    with the statistics it is defined by.  Checked when made,
+    ``dataclasses.replace`` included, else ``CalibrationError``.
     """
 
     lam: float
@@ -101,7 +102,7 @@ class ThresholdSet:
     def r_ws(self) -> float:
         return self.m_ws + self.std_ws
 
-    def validate(self) -> "ThresholdSet":
+    def __post_init__(self) -> None:
         """Finite fields, ``lam >= 0``, ``l > 0`` and each std ``>= 0``, so
         ``r_0 >= r_1`` (rounded addition is monotone); then finite thresholds,
         which a sum can overflow."""
@@ -118,7 +119,6 @@ class ThresholdSet:
         bad = [name for name in _DERIVED if not _is_finite(getattr(self, name))]
         if bad:
             raise CalibrationError(f"non-finite thresholds {bad}")
-        return self
 
 
 def length_gaps(proj: np.ndarray, l: float) -> np.ndarray:
@@ -227,7 +227,7 @@ def calibrate_from_samples(d_l_samples, msd_samples, lam: float, l: float) -> Th
     m_dl, std_dl = mean_and_popstd(d_l_samples)
     m_msd, std_msd = mean_and_popstd(msd_samples)
     m_ws, std_ws = mean_and_popstd(ws_samples)
-    return ThresholdSet(lam, m_dl, std_dl, m_msd, std_msd, m_ws, std_ws, l).validate()
+    return ThresholdSet(lam, m_dl, std_dl, m_msd, std_msd, m_ws, std_ws, l)
 
 
 def calibrate(mapper: MlpParams, dataset: GzslDataset, lam: float = 1.0,
@@ -320,7 +320,7 @@ def load_thresholds(path) -> ThresholdSet:
     missing = [f for f in _THRESHOLD_FIELDS if f not in values]
     if missing:
         raise DatasetLoadError(f"{p}: missing keys {missing}")
-    th = ThresholdSet(*(values[k] for k in _THRESHOLD_FIELDS[len(_DERIVED):])).validate()
+    th = ThresholdSet(*(values[k] for k in _THRESHOLD_FIELDS[len(_DERIVED):]))
     for name in _DERIVED:
         have, want = values[name], getattr(th, name)
         if not abs(have - want) <= 1e-12:  # NaN included

@@ -171,10 +171,11 @@ def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray
 
 
 def mean_and_popstd(xs) -> tuple[float, float]:
-    """Mean and population (1/N) standard deviation of a nonempty sample."""
+    """Mean and population (1/N) standard deviation of a nonempty sample; inf on overflow."""
     xs = as_vector(xs, "mean_and_popstd input")
     if xs.size == 0:
         raise DomainError("mean_and_popstd: empty input")
-    m = float(np.mean(xs))
-    std = float(np.sqrt(np.mean((xs - m) ** 2)))
+    with np.errstate(over="ignore"):
+        m = float(np.mean(xs))
+        std = float(np.sqrt(np.mean((xs - m) ** 2)))
     return m, std

@@ -58,9 +58,10 @@ from .rng import SplitMix64
 _ACTIVATIONS = ("relu", "linear")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpParams:
-    """Layer weights (out x in), biases (out), and activation tags."""
+    """Layer weights (out x in), biases (out), and activation tags, checked when made
+    (``dataclasses.replace`` too); the arrays stay writable until ``freeze``."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -77,7 +78,7 @@ class MlpParams:
     def layer_sizes(self) -> list[int]:
         return [self.in_dim] + [w.shape[0] for w in self.weights]
 
-    def validate(self) -> "MlpParams":
+    def __post_init__(self) -> None:
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ValidationError("weights, biases, activations must have equal length")
         if not self.weights:
@@ -94,7 +95,6 @@ class MlpParams:
                 raise ValidationError(f"layer {k}: unknown activation {act!r}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValidationError(f"layer {k}: non-finite parameters")
-        return self
 
     def freeze(self) -> "MlpParams":
         for a in self.weights + self.biases:
@@ -131,7 +131,7 @@ def init_params(in_dim: int, hidden_sizes: list[int], out_dim: int, rng: SplitMi
         weights.append(rng.uniform_array(-bound, bound, (fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
         acts.append("linear" if k == len(sizes) - 2 else "relu")
-    return MlpParams(weights, biases, acts).validate()
+    return MlpParams(weights, biases, acts)
 
 
 def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -144,20 +144,11 @@ def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]
     return weights, biases
 
 
-def _check_chain(fn: str, params: MlpParams) -> None:
-    """Each layer must take the previous layer's outputs, else ``ShapeError``
-    naming ``fn``: unvalidated parameters may not chain."""
-    for k in range(1, len(params.weights)):
-        takes, got = params.weights[k].shape[1], params.weights[k - 1].shape[0]
-        if takes != got:
-            raise ShapeError(f"{fn}: layer {k} takes {takes} inputs, got {got}")
-
-
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Input and every layer's activation, ``[x, h1, ..., out]``, of a 2-D batch or a
     ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Only ReLU layers'
     products are checked for finiteness; the module docstring says what callers
-    check.  The public callers check the layer chain first (``_check_chain``)."""
+    check.  The layers chain, as ``MlpParams`` checks when made."""
     acts = [x]
     for w, b, act in zip(params.weights, params.biases, params.activations):
         h = np.matmul(acts[-1], w.T)
@@ -183,7 +174,6 @@ def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     ``np.matmul`` runs the same ``ROW_BLOCK``-row product on each block
     without a Python call per block, and the short tail as one product.
     """
-    _check_chain("forward", params)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ShapeError(f"forward: batch shape {x.shape} incompatible with input dim {params.in_dim}")
@@ -207,8 +197,7 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def _batch_pair(fn: str, params: MlpParams, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     """Feature and target rows as float64 matrices that fit the network, at least one
-    row, after ``_check_chain``."""
-    _check_chain(fn, params)
+    row."""
     xs = np.asarray(xs, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
     if xs.ndim != 2 or zs.ndim != 2 or xs.shape[0] != zs.shape[0]:
@@ -300,10 +289,10 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
     hidden = [max(d, s)] if cfg.hidden_sizes is None else list(cfg.hidden_sizes)
 
     rng = SplitMix64(cfg.seed)
-    params = init_params(d, hidden, s, rng)
-    shapes = [w.shape for w in params.weights]
-    flat = np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
-    params.weights, params.biases = _views(shapes, flat)
+    init = init_params(d, hidden, s, rng)
+    shapes = [w.shape for w in init.weights]
+    flat = np.concatenate([a.ravel() for pair in zip(init.weights, init.biases) for a in pair])
+    params = MlpParams(*_views(shapes, flat), init.activations)
     grad = np.empty_like(flat)
     grad_w, grad_b = _views(shapes, grad)
     n = xs.shape[0]
@@ -317,7 +306,7 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                 np.multiply(grad, cfg.learning_rate, out=grad)  # grad *= lr
                 np.subtract(flat, grad, out=flat)  # flat -= grad
 
-    snapshot = np.empty_like(flat)
+    snapshot = flat.copy()  # finite, as construction checks
     at_snapshot = MlpParams(*_views(shapes, snapshot), params.activations)
     history: list[float] = []
     wanted = n * sum(o * i for o, i in shapes) >= _OVERLAP_MACS
@@ -340,7 +329,8 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                     f"(learning_rate={cfg.learning_rate}); reduce the learning rate"
                 )
             history.append(loss)
-    return params.validate().freeze(), history
+    # made after the last epoch, so construction checks the final parameters
+    return MlpParams(*_views(shapes, flat), params.activations).freeze(), history
 
 
 def save_checkpoint(params: MlpParams, path, seed: int | None = None,
@@ -417,7 +407,7 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")
     weights, biases = _views(layers, np.frombuffer(body, dtype="<f8").copy())
     try:
-        params = MlpParams(weights, biases, list(acts)).validate()
+        params = MlpParams(weights, biases, list(acts))
     except ValidationError as exc:  # an unknown activation, layers that do not chain, NaN
         raise DatasetLoadError(f"{p}: invalid checkpoint parameters ({exc})") from exc
     return params.freeze(), header

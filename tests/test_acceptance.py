@@ -135,7 +135,7 @@ def test_criterion_5_forced_seen_gate_zeroes_h(bench_dataset):
         mapper = init_params(bench_dataset.feature_dim, [4], bench_dataset.semantic_dim,
                              SplitMix64(5))
         # r_ol = 1e300: every row's d_l is below it, so ol gates every row seen
-        th = dataclasses.replace(calibrate(mapper, bench_dataset), m_dl=1e300).validate()
+        th = dataclasses.replace(calibrate(mapper, bench_dataset), m_dl=1e300)
         report = evaluate(mapper, th, "ol", bench_dataset)
         assert report.gate_confusion[(Domain.UNSEEN, Domain.UNSEEN)] == 0
         assert report.acc_u == 0.0

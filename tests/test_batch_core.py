@@ -185,12 +185,12 @@ def tie_dataset():
         seen_test_x=seen_test, seen_test_y=np.array([0, 1, 0, 1]),
         unseen_test_x=np.zeros((3, 3)), unseen_test_y=np.array([0, 1, 1]),
         seen_emb=seen_emb, unseen_emb=unseen_emb, unified_norm=1.0,
-    ).validate()
+    )
 
 
 def test_exact_ties_go_to_the_lowest_index():
     ds = tie_dataset()
-    mapper = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"]).validate()
+    mapper = MlpParams([np.eye(3)], [np.zeros(3)], ["linear"])
     th = calibrate(mapper, ds)
     assert_core_matches_oracle(mapper, ds, th)
     # r_ol = 1e300 gates every row seen under ol, r_ol = 0 every row unseen

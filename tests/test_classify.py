@@ -11,7 +11,7 @@ from sdgzsl.mlp import MlpParams, forward_batch, init_params
 
 
 def identity_mapper(dim):
-    return MlpParams([np.eye(dim)], [np.zeros(dim)], ["linear"]).validate()
+    return MlpParams([np.eye(dim)], [np.zeros(dim)], ["linear"])
 
 
 class TestNearestEmbedding:

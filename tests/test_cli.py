@@ -96,6 +96,16 @@ class TestGen:
         assert err == "error: out of memory: Unable to allocate 116. TiB\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, message", [("--sigma", "non-finite feature"),
+                                               ("--norm", "no finite norm")])
+    def test_a_value_past_the_float32_range_is_one_error_line(self, tmp_path, capsys, flag,
+                                                              message):
+        assert run_cli("gen", *GEN_FLAGS, flag, "1e300", "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "x").exists()
+
     def test_large_norm_generates_and_reloads(self, tmp_path):
         assert run_cli("gen", *GEN_FLAGS, "--norm", "1e7", "--out", tmp_path / "x") == 0
         ds = load_dataset(tmp_path / "x")
@@ -267,6 +277,17 @@ class TestEval:
         assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
                        "--out", tmp_path / "e", "--lam", lam) == 2
         assert "--lam must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_lambda_whose_statistics_overflow_is_one_error_line(self, workspace, tmp_path,
+                                                                  capsys):
+        # finite samples d_l + lam * msd, about 1e306, whose squared deviations overflow
+        data, run = workspace
+        assert run_cli("eval", "--data", data, "--ckpt", run / "model.ckpt",
+                       "--out", tmp_path / "e", "--lam", "1e306") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == "error: non-finite threshold fields ['std_ws']"
         assert not (tmp_path / "e").exists()
 
     def test_config_value_of_wrong_type_is_usage_error(self, workspace, tmp_path):

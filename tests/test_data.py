@@ -10,11 +10,13 @@ from sdgzsl import (
     DatasetLoadError,
     DomainError,
     SyntheticSpec,
+    TrainConfig,
     ValidationError,
     generate_synthetic,
     load_dataset,
     normalize_embeddings,
     save_dataset,
+    train,
 )
 from sdgzsl.data import _MAX_UNSEEN_COS
 
@@ -145,6 +147,18 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError, match=what):
             spec.validate()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("cluster_spread", 1e300, ValidationError, "^seen_train: non-finite feature at row 0$"),
+        ("cluster_spread", 1.7e308, ValidationError, "^seen_train: non-finite feature at row 0$"),
+        ("unified_norm", 1e300, DomainError, "^embedding row 0 has no finite norm$"),
+        ("unified_norm", 1.7e308, DomainError, "^embedding row 0 has no finite norm$"),
+    ])
+    def test_values_past_the_float32_range_raise_without_a_warning(self, field, value, error,
+                                                                   message):
+        with pytest.raises(error, match=message):
+            generate_synthetic(dataclasses.replace(SMALL_SPEC, **{field: value}))
+
     def test_sigma_zero_nearest_center_self_consistency(self):
         # brute-force nearest neighbor over all class centers recovers the label
         spec = SyntheticSpec(6, 3, 16, 8, 4, 2, 0.0, seed=13)
@@ -192,6 +206,24 @@ def assert_round_trips_exactly(ds, path):
     for f in dataclasses.fields(ds):
         a, b = getattr(ds, f.name), getattr(loaded, f.name)
         assert np.array_equal(a, b), f"{f.name} moved on the disk round trip"
+
+
+class TestDatasetIsCheckedWhenMade:
+    """A ``GzslDataset`` exists only if it passed its checks, through
+    ``dataclasses.replace`` too, and no field can be swapped afterwards."""
+
+    def test_labels_outside_the_classes_are_refused(self):
+        # else train fits every row to seen_emb[-1], the last seen embedding
+        ds = generate_synthetic(SMALL_SPEC)
+        with pytest.raises(ValidationError, match=r"^seen_train: label -1 at row 0 outside 0\.\.9$"):
+            train(dataclasses.replace(ds, seen_train_y=np.full_like(ds.seen_train_y, -1)),
+                  TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("field", ["seen_train_x", "seen_emb", "unified_norm"])
+    def test_a_field_cannot_be_swapped(self, field):
+        ds = generate_synthetic(SMALL_SPEC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, field, getattr(ds, field))
 
 
 class TestDatasetIO:
@@ -319,7 +351,7 @@ class TestDatasetIO:
         emb = getattr(ds, f"{side}_emb").copy()
         emb[0, 0] = np.nan
         with pytest.raises(ValidationError, match=f"{side}_emb: row 0 has norm"):
-            dataclasses.replace(ds, **{f"{side}_emb": emb}).validate()
+            dataclasses.replace(ds, **{f"{side}_emb": emb})
 
     @pytest.mark.parametrize("scale", [np.nan, 2.0])
     def test_norm_message_prints_plain_floats(self, scale):
@@ -329,7 +361,7 @@ class TestDatasetIO:
         shown = repr(float(np.sqrt((emb[0] * emb[0]).sum())))
         assert shown == "nan" or shown.startswith(("1.99", "2.0"))
         with pytest.raises(ValidationError) as info:
-            dataclasses.replace(ds, seen_emb=emb).validate()
+            dataclasses.replace(ds, seen_emb=emb)
         assert str(info.value) == f"seen_emb: row 0 has norm {shown}, expected 1.0"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

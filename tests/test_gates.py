@@ -16,6 +16,7 @@ from sdgzsl import (
     TrainConfig,
     calibrate,
     calibrate_from_samples,
+    evaluate,
     gate_dl,
     gate_ol,
     gate_statistics,
@@ -33,7 +34,7 @@ from sdgzsl.mlp import forward_batch, init_params
 def make_thresholds(m_dl=0.0, std_dl=0.0, m_msd=0.0, std_msd=0.0, m_ws=0.0, std_ws=0.0,
                     lam=1.0, l=1.0):
     return ThresholdSet(lam=lam, m_dl=m_dl, std_dl=std_dl, m_msd=m_msd, std_msd=std_msd,
-                        m_ws=m_ws, std_ws=std_ws, l=l).validate()
+                        m_ws=m_ws, std_ws=std_ws, l=l)
 
 
 def identity_fit_dataset():
@@ -48,11 +49,11 @@ def identity_fit_dataset():
         seen_test_x=seen_x.copy(), seen_test_y=seen_y.copy(),
         unseen_test_x=emb[2:].copy(), unseen_test_y=np.array([0]),
         seen_emb=seen_emb.copy(), unseen_emb=unseen_emb.copy(), unified_norm=1.0,
-    ).validate()
+    )
 
 
 def identity_mapper(dim):
-    return MlpParams([np.eye(dim)], [np.zeros(dim)], ["linear"]).validate()
+    return MlpParams([np.eye(dim)], [np.zeros(dim)], ["linear"])
 
 
 class TestLengthGap:
@@ -176,12 +177,18 @@ class TestCalibration:
         # distances overflow to inf
         ds = bench_dataset
         w = np.full((ds.semantic_dim, ds.feature_dim), 1e160)
-        mapper = MlpParams([w], [np.zeros(ds.semantic_dim)], ["linear"]).validate()
+        mapper = MlpParams([w], [np.zeros(ds.semantic_dim)], ["linear"])
         assert np.isfinite(forward_batch(mapper, ds.seen_train_x)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CalibrationError, match="non-finite d_l calibration samples"):
                 calibrate(mapper, ds)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_mean_that_overflows_is_refused_without_a_warning(self):
+        with pytest.raises(CalibrationError,
+                           match=r"non-finite threshold fields \['m_dl', 'std_dl', 'm_ws', 'std_ws'\]"):
+            calibrate_from_samples([1e308, 1e308], [0.0, 0.0], lam=1.0, l=1.0)
 
     def test_zero_lambda_is_valid(self):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=0.0, l=1.0)
@@ -192,7 +199,7 @@ class TestCalibration:
     def test_non_finite_field_rejected(self, field, value):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
         with pytest.raises(CalibrationError, match="non-finite"):
-            dataclasses.replace(th, **{field: value}).validate()
+            dataclasses.replace(th, **{field: value})
 
     @pytest.mark.parametrize("l", [0.0, -0.0, -1e-300, -1.0])
     def test_zero_or_negative_norm_rejected(self, l):
@@ -203,7 +210,7 @@ class TestCalibration:
     def test_negative_std_rejected(self, field):
         th = calibrate_from_samples([0.1, 0.4], [0.2, 0.5], lam=1.0, l=1.0)
         with pytest.raises(CalibrationError, match=f"standard deviations must be >= 0.*{field}"):
-            dataclasses.replace(th, **{field: -1e-300}).validate()
+            dataclasses.replace(th, **{field: -1e-300})
 
     def test_a_threshold_that_overflows_is_rejected(self):
         with pytest.raises(CalibrationError, match=r"non-finite thresholds \['r_0', 'r_1'\]"):
@@ -214,6 +221,20 @@ class TestCalibration:
             "lam", "m_dl", "std_dl", "m_msd", "std_msd", "m_ws", "std_ws", "l"]
         for name in ("r_ol", "r_0", "r_1", "r_ws"):
             assert isinstance(getattr(ThresholdSet, name), property)
+
+
+class TestThresholdSetIsCheckedWhenMade:
+    """A ``ThresholdSet`` made directly, not by calibration, is checked too."""
+
+    def test_a_nan_statistic_is_refused_before_any_report(self, bench_dataset, bench_mapper):
+        # else ol gates every row unseen, and the report reads acc_s 0.0
+        with pytest.raises(CalibrationError, match=r"non-finite threshold fields \['m_dl'\]"):
+            evaluate(bench_mapper[0], ThresholdSet(1.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                                   bench_dataset.unified_norm), "ol", bench_dataset)
+
+    def test_a_negative_lambda_is_refused(self):
+        with pytest.raises(CalibrationError, match="lam must be >= 0"):
+            ThresholdSet(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 class TestGateRules:

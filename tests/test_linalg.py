@@ -108,6 +108,12 @@ class TestMeanAndPopStd:
         with pytest.raises(DomainError):
             mean_and_popstd([])
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_sum_past_the_float_range_gives_inf_without_a_warning(self):
+        assert mean_and_popstd([1e308, 1e308]) == (math.inf, math.inf)
+        # a finite mean whose squared deviations overflow
+        assert mean_and_popstd([-1e308, 1e308]) == (0.0, math.inf)
+
     def test_matches_two_pass_oracle(self, np_rng):
         # two-pass oracle in plain python sums, divides by N (population form)
         for _ in range(1000):
