@@ -55,4 +55,5 @@ with tempfile.TemporaryDirectory() as td:
     )
     files = sorted(p.name for p in out.iterdir())
     print(f"wrote {files}")
-    print(f"largest save->load difference: {diff:.3g} (exact: both sides use normalize_embeddings)")
+    print(f"largest save->load difference: {diff:.3g} "
+          "(exact: features on the float32 grid, embeddings stored as float64)")

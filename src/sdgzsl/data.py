@@ -9,13 +9,14 @@ A dataset directory holds:
   uint64 (rows, cols).
 * ``seen_train.labels`` / ``seen_test.labels`` / ``unseen_test.labels`` -
   one little-endian uint32 per feature row.
-* ``seen_emb.f32`` / ``unseen_emb.f32`` - per-class embedding rows in the
-  same binary matrix layout.
+* ``seen_emb.f64`` / ``unseen_emb.f64`` - per-class embedding rows in the
+  same binary matrix layout, as little-endian float64.
 
 Features are stored as 32-bit floats on disk and widened to 64-bit in
-memory.  Labels are dense integers 0..C-1 per side; the seen/unseen
-domain is carried by which split an instance sits in, so the two class
-vocabularies can never collide.
+memory.  Embeddings are stored at full width, so loading only checks their
+norms and never re-normalizes them.  Labels are dense integers 0..C-1 per
+side; the seen/unseen domain is carried by which split an instance sits
+in, so the two class vocabularies can never collide.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ LABEL_FILES = {
     "seen_test": "seen_test.labels",
     "unseen_test": "unseen_test.labels",
 }
-EMBEDDING_FILES = {"seen": "seen_emb.f32", "unseen": "unseen_emb.f32"}
+EMBEDDING_FILES = {"seen": "seen_emb.f64", "unseen": "unseen_emb.f64"}
 
 
 def _is_integer(v) -> bool:  # a bool is no count, size or seed
@@ -200,53 +201,6 @@ def normalize_embeddings(raw, l: float) -> np.ndarray:
     return raw * (l / norms)[:, None]
 
 
-def _settle_creeping_row(row: np.ndarray, l: float) -> None:
-    """Move a float32 row, in place, to a float32 fixed point of norm ``l``.
-
-    Its coordinates, largest first, each move by whole float32 ulps to the
-    value that brings the norm nearest ``l``, until the norm error is below
-    the smallest relative half-ulp of the row, where quantizing the
-    normalized row gives the row back.  The largest coordinate alone is too
-    coarse when it holds nearly all of the norm (3-dimensional rows, say);
-    each smaller one refines the norm in finer steps.
-    """
-    for k in np.argsort(-np.abs(row), kind="stable"):
-        if not row[k] or np.array_equal(normalize_embeddings(row[None], l).astype(np.float32)[0], row):
-            return
-        others = np.delete(row, k).astype(np.float64)
-        row[k] = math.copysign(math.sqrt(max(l * l - others @ others, 0.0)), row[k])
-
-
-def _f32_stable_unit_rows(raw: np.ndarray, l: float) -> np.ndarray:
-    """Normalize rows to norm l such that float32 storage round-trips exactly.
-
-    Iterates quantize -> ``normalize_embeddings`` until every row is a fixed
-    point, which is what ``load_dataset`` rebuilds from the file bit for bit.
-    A row still moving after 64 rounds creeps: its float32 image misses norm
-    ``l`` by more than the smallest relative half-ulp of its coordinates,
-    and each round moves one small coordinate by one ulp.  Such a row is
-    settled by ``_settle_creeping_row``; rows already fixed stay where they
-    are.  Raises ``DomainError`` when a row is still no fixed point.
-    """
-    v = normalize_embeddings(raw, l)
-    for _ in range(64):
-        with np.errstate(over="ignore"):  # a row past the float32 range has no finite norm
-            w = normalize_embeddings(v.astype(np.float32).astype(np.float64), l)
-        if np.array_equal(w, v):
-            return v
-        v = w
-    v32 = v.astype(np.float32)
-    for i in np.flatnonzero((normalize_embeddings(v32, l) != v).any(axis=1)):
-        _settle_creeping_row(v32[i], l)
-    v = normalize_embeddings(v32, l)
-    if np.array_equal(normalize_embeddings(v.astype(np.float32), l), v):
-        return v
-    raise DomainError(
-        f"an embedding row reaches no float32 fixed point at unified norm {l}; "
-        "try another seed or norm"
-    )
-
-
 def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     """Deterministic Gaussian-cluster benchmark with genuine domain shift.
 
@@ -265,15 +219,14 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
 
     l = spec.unified_norm
     s_dim = spec.semantic_dim
-    seen_emb = _f32_stable_unit_rows(
-        emb_rng.gauss_array((spec.n_seen_classes, s_dim)), l
-    )
+    seen_emb = normalize_embeddings(emb_rng.gauss_array((spec.n_seen_classes, s_dim)), l)
 
     unseen_rows = []
     for _ in range(spec.n_unseen_classes):
         for _attempt in range(10_000):
-            cand = _f32_stable_unit_rows(emb_rng.gauss_array((1, s_dim)), l)[0]
-            cos = seen_emb @ cand / (l * l)
+            cand = normalize_embeddings(emb_rng.gauss_array((1, s_dim)), l)[0]
+            # on unit rows: l * l underflows or overflows at an extreme l
+            cos = (seen_emb / l) @ (cand / l)
             if cos.max() <= _MAX_UNSEEN_COS:
                 unseen_rows.append(cand)
                 break
@@ -287,8 +240,9 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
 
     # ground-truth linear map semantic -> feature space, drawn row-major
     w_true = map_rng.gauss_array((spec.feature_dim, s_dim))
-    seen_centers = seen_emb @ w_true.T
-    unseen_centers = unseen_emb @ w_true.T
+    with np.errstate(over="ignore"):  # an overflow is refused as a non-finite feature
+        seen_centers = seen_emb @ w_true.T
+        unseen_centers = unseen_emb @ w_true.T
 
     def draw_split(centers: np.ndarray, per_class: int) -> tuple[np.ndarray, np.ndarray]:
         n_classes = centers.shape[0]
@@ -319,14 +273,15 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     )
 
 
-def _write_matrix(path: Path, m: np.ndarray) -> None:
+def _write_matrix(path: Path, m: np.ndarray, dtype: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(m, dtype=dtype).tobytes())
 
 
-def _read_matrix(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    """The matrix file at ``path``, whose header must read ``shape``."""
+def _read_matrix(path: Path, shape: tuple[int, int], dtype: str) -> np.ndarray:
+    """The matrix file at ``path``, of little-endian ``dtype`` entries, whose header
+    must read ``shape``; widened to float64."""
     if not path.is_file():
         raise DatasetLoadError(f"{path}: missing file")
     blob = path.read_bytes()
@@ -335,15 +290,17 @@ def _read_matrix(path: Path, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: truncated header, expected {_HEADER.size} bytes, got {len(blob)}"
         )
     rows, cols = _HEADER.unpack_from(blob)
-    expected = _HEADER.size + rows * cols * 4
+    width = np.dtype(dtype).itemsize
+    expected = _HEADER.size + rows * cols * width
     if len(blob) != expected:
         raise DatasetLoadError(
-            f"{path}: expected {expected} bytes for {rows}x{cols} f32 matrix, got {len(blob)}"
+            f"{path}: expected {expected} bytes for {rows}x{cols} f{8 * width} matrix, "
+            f"got {len(blob)}"
         )
     if (rows, cols) != shape:
         raise DatasetLoadError(
             f"{path}: header shape {(rows, cols)} does not match meta.json's {shape}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+    data = np.frombuffer(blob, dtype=dtype, offset=_HEADER.size)
     return data.reshape(rows, cols).astype(np.float64)
 
 
@@ -379,10 +336,10 @@ def save_dataset(ds: GzslDataset, path) -> Path:
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     for split, fname in FEATURE_FILES.items():
-        _write_matrix(out / fname, getattr(ds, f"{split}_x"))
+        _write_matrix(out / fname, getattr(ds, f"{split}_x"), "<f4")
         _write_labels(out / LABEL_FILES[split], getattr(ds, f"{split}_y"))
     for side, fname in EMBEDDING_FILES.items():
-        _write_matrix(out / fname, getattr(ds, f"{side}_emb"))
+        _write_matrix(out / fname, getattr(ds, f"{side}_emb"), "<f8")
     return out
 
 
@@ -397,9 +354,10 @@ def load_dataset(path) -> GzslDataset:
     ``meta.json`` is checked here; each matrix file is checked by
     ``_read_matrix`` against the shape ``meta.json`` gives it, and each
     labels file by ``_read_labels`` against its split's row count.
-    Embedding rows are re-normalized to the header's unified norm after
-    the float32 widening.  A format error, or a value that ``GzslDataset``
-    refuses when made, raises ``DatasetLoadError``.
+    Embedding rows are read as stored and never re-normalized, so a row whose
+    norm is off the header's unified norm ``l`` by more than ``1e-9 * l`` is
+    refused, as ``GzslDataset`` refuses it when made.  A format error, or a
+    value that ``GzslDataset`` refuses, raises ``DatasetLoadError``.
     """
     root = Path(path)
     meta_path = root / "meta.json"
@@ -426,17 +384,13 @@ def load_dataset(path) -> GzslDataset:
 
     arrays = {}
     for split, fname in FEATURE_FILES.items():
-        x = _read_matrix(root / fname, (meta[f"n_{split}"], meta["d"]))
+        x = _read_matrix(root / fname, (meta[f"n_{split}"], meta["d"]), "<f4")
         arrays[f"{split}_x"] = x
         arrays[f"{split}_y"] = _read_labels(root / LABEL_FILES[split], x.shape[0])
 
     for side, fname in EMBEDDING_FILES.items():
-        fpath = root / fname
-        e = _read_matrix(fpath, (meta["C_s"] if side == "seen" else meta["C_u"], meta["S"]))
-        try:
-            arrays[f"{side}_emb"] = normalize_embeddings(e, meta["l"])
-        except DomainError as exc:
-            raise DatasetLoadError(f"{fpath}: {exc}") from exc
+        arrays[f"{side}_emb"] = _read_matrix(
+            root / fname, (meta["C_s"] if side == "seen" else meta["C_u"], meta["S"]), "<f8")
 
     try:
         return GzslDataset(**arrays, unified_norm=float(meta["l"]))

@@ -61,11 +61,12 @@ _ACTIVATIONS = ("relu", "linear")
 @dataclass(frozen=True)
 class MlpParams:
     """Layer weights (out x in), biases (out), and activation tags, checked when made
-    (``dataclasses.replace`` too); the arrays stay writable until ``freeze``."""
+    (``dataclasses.replace`` too); the checks store them as tuples and make the
+    arrays read-only, so no edit in place gets past them."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activations: list[str]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    activations: tuple[str, ...]
 
     @property
     def in_dim(self) -> int:
@@ -79,6 +80,8 @@ class MlpParams:
         return [self.in_dim] + [w.shape[0] for w in self.weights]
 
     def __post_init__(self) -> None:
+        for name in ("weights", "biases", "activations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ValidationError("weights, biases, activations must have equal length")
         if not self.weights:
@@ -95,11 +98,9 @@ class MlpParams:
                 raise ValidationError(f"layer {k}: unknown activation {act!r}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValidationError(f"layer {k}: non-finite parameters")
-
-    def freeze(self) -> "MlpParams":
+        # train writes through the flat vector these arrays may view, not through them
         for a in self.weights + self.biases:
             a.setflags(write=False)
-        return self
 
 
 @dataclass
@@ -330,7 +331,7 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
                 )
             history.append(loss)
     # made after the last epoch, so construction checks the final parameters
-    return MlpParams(*_views(shapes, flat), params.activations).freeze(), history
+    return MlpParams(*_views(shapes, flat), params.activations), history
 
 
 def save_checkpoint(params: MlpParams, path, seed: int | None = None,
@@ -407,7 +408,7 @@ def load_checkpoint(path) -> tuple[MlpParams, dict]:
         raise DatasetLoadError(f"{p}: expected {expected} blob bytes, got {len(body)}")
     weights, biases = _views(layers, np.frombuffer(body, dtype="<f8").copy())
     try:
-        params = MlpParams(weights, biases, list(acts))
+        params = MlpParams(weights, biases, acts)
     except ValidationError as exc:  # an unknown activation, layers that do not chain, NaN
         raise DatasetLoadError(f"{p}: invalid checkpoint parameters ({exc})") from exc
-    return params.freeze(), header
+    return params, header

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,21 +56,25 @@ def sample_gradcheck_case(seed: int):
     raise RuntimeError("could not sample a kink-free gradcheck case")
 
 
+def _with_entry(params, field, k, i, value):
+    """A copy of ``params`` whose array ``k`` of ``field`` has ``value`` at flat index ``i``."""
+    arrays = list(getattr(params, field))
+    arrays[k] = arrays[k].copy()
+    arrays[k].flat[i] = value
+    return dataclasses.replace(params, **{field: arrays})
+
+
 def max_gradient_relative_error(params, xs, zs, h=1e-5) -> float:
     """Central finite differences against the analytic gradient, worst case
     over every parameter."""
     gw, gb = backward(params, xs, zs)
     worst = 0.0
-    for arrays, grads in ((params.weights, gw), (params.biases, gb)):
-        for arr, grad in zip(arrays, grads):
-            flat, gflat = arr.ravel(), grad.ravel()
+    for field, grads in (("weights", gw), ("biases", gb)):
+        for k, grad in enumerate(grads):
+            flat, gflat = getattr(params, field)[k].ravel(), grad.ravel()
             for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = mse_loss(params, xs, zs)
-                flat[i] = orig - h
-                down = mse_loss(params, xs, zs)
-                flat[i] = orig
+                up = mse_loss(_with_entry(params, field, k, i, flat[i] + h), xs, zs)
+                down = mse_loss(_with_entry(params, field, k, i, flat[i] - h), xs, zs)
                 fd = (up - down) / (2.0 * h)
                 rel = abs(fd - gflat[i]) / max(1e-6, abs(fd) + abs(gflat[i]))
                 worst = max(worst, rel)

@@ -98,7 +98,7 @@ class TestGen:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, message", [("--sigma", "non-finite feature"),
-                                               ("--norm", "no finite norm")])
+                                               ("--norm", "non-finite feature")])
     def test_a_value_past_the_float32_range_is_one_error_line(self, tmp_path, capsys, flag,
                                                               message):
         assert run_cli("gen", *GEN_FLAGS, flag, "1e300", "--out", tmp_path / "x") == 1

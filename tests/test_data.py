@@ -151,8 +151,13 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("field, value, error, message", [
         ("cluster_spread", 1e300, ValidationError, "^seen_train: non-finite feature at row 0$"),
         ("cluster_spread", 1.7e308, ValidationError, "^seen_train: non-finite feature at row 0$"),
-        ("unified_norm", 1e300, DomainError, "^embedding row 0 has no finite norm$"),
-        ("unified_norm", 1.7e308, DomainError, "^embedding row 0 has no finite norm$"),
+        ("unified_norm", 1e300, ValidationError, "^seen_train: non-finite feature at row 0$"),
+        ("unified_norm", 1.7e308, ValidationError, "^seen_train: non-finite feature at row 0$"),
+        # the embeddings' squares underflow, so their norms read 0
+        ("unified_norm", 1e-300, ValidationError,
+         r"^seen_emb: row 0 has norm 0\.0, expected 1e-300$"),
+        ("unified_norm", 5e-324, ValidationError,
+         r"^seen_emb: row 0 has norm 0\.0, expected 5e-324$"),
     ])
     def test_values_past_the_float32_range_raise_without_a_warning(self, field, value, error,
                                                                    message):
@@ -176,18 +181,9 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("semantic_dim", [2, 3, 16, 64])
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 3.0, 1e3, 1e5, 1e7])
     def test_every_generated_dataset_round_trips_bit_for_bit(self, tmp_path, semantic_dim, norm):
-        # every row reaches a float32 fixed point, so no row moves on load
+        # embeddings are stored as float64 and never re-normalized, so no row moves on load
         for seed in range(8):
             spec = SyntheticSpec(10, 5, 8, semantic_dim, 2, 2, 0.05, seed, unified_norm=norm)
-            assert_round_trips_exactly(generate_synthetic(spec), tmp_path / "d")
-
-    @pytest.mark.parametrize("shape, norm, seeds", [((10, 3, 32, 16), 1.0, 1000),
-                                                    ((10, 5, 8, 3), 1e-3, 500)])
-    def test_creeping_rows_settle_on_a_fixed_point(self, tmp_path, shape, norm, seeds):
-        # 64 rounds of quantize and normalize leave a row creeping at seeds 479 and 812 of
-        # the README quick-start shape, and at 50 of these 500 seeds at norm 1e-3
-        for seed in range(seeds):
-            spec = SyntheticSpec(*shape, 2, 1, 0.05, seed, unified_norm=norm)
             assert_round_trips_exactly(generate_synthetic(spec), tmp_path / "d")
 
     def test_eval_heavy_shape_round_trips_bit_for_bit(self, tmp_path):
@@ -272,7 +268,7 @@ class TestDatasetIO:
     def test_missing_file(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
         root = save_dataset(ds, tmp_path / "d")
-        (root / "unseen_emb.f32").unlink()
+        (root / "unseen_emb.f64").unlink()
         with pytest.raises(DatasetLoadError, match="missing file"):
             load_dataset(root)
 
@@ -307,10 +303,10 @@ class TestDatasetIO:
             meta["C_u"] += 1
             (root / "meta.json").write_text(json.dumps(meta))
         else:
-            wide = np.zeros((ds.n_unseen_classes, ds.semantic_dim + 1), dtype="<f4")
-            (root / "unseen_emb.f32").write_bytes(struct.pack("<QQ", *wide.shape) + wide.tobytes())
+            wide = np.zeros((ds.n_unseen_classes, ds.semantic_dim + 1), dtype="<f8")
+            (root / "unseen_emb.f64").write_bytes(struct.pack("<QQ", *wide.shape) + wide.tobytes())
         with pytest.raises(DatasetLoadError,
-                           match=r"unseen_emb\.f32: header shape .* does not match meta\.json's"):
+                           match=r"unseen_emb\.f64: header shape .* does not match meta\.json's"):
             load_dataset(root)
 
     @pytest.mark.parametrize("key, value", [
@@ -364,25 +360,46 @@ class TestDatasetIO:
             dataclasses.replace(ds, seen_emb=emb)
         assert str(info.value) == f"seen_emb: row 0 has norm {shown}, expected 1.0"
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_embedding_file_names_the_row(self, tmp_path, value):
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "inf")])
+    def test_non_finite_embedding_file_names_the_row(self, tmp_path, value, shown):
         root = save_dataset(generate_synthetic(SMALL_SPEC), tmp_path / "d")
-        f = root / "unseen_emb.f32"
+        f = root / "unseen_emb.f64"
         blob = bytearray(f.read_bytes())
-        offset = 16 + (2 * 16 + 5) * 4  # row 2, column 5
-        blob[offset : offset + 4] = struct.pack("<f", value)
+        offset = 16 + (2 * 16 + 5) * 8  # row 2, column 5
+        blob[offset : offset + 8] = struct.pack("<d", value)
         f.write_bytes(bytes(blob))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DatasetLoadError, match=r"unseen_emb\.f32: embedding row 2 has no finite norm"):
+            with pytest.raises(DatasetLoadError,
+                               match=f"unseen_emb: row 2 has norm {shown}, expected 1.0$"):
                 load_dataset(root)
 
     def test_zero_embedding_row_rejected(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
         root = save_dataset(ds, tmp_path / "d")
-        f = root / "seen_emb.f32"
+        f = root / "seen_emb.f64"
         blob = bytearray(f.read_bytes())
-        blob[16 : 16 + 16 * 4] = b"\x00" * 64  # zero out row 0
+        blob[16 : 16 + 16 * 8] = b"\x00" * 128  # zero out row 0
         f.write_bytes(bytes(blob))
-        with pytest.raises(DatasetLoadError, match="zero vector"):
+        with pytest.raises(DatasetLoadError, match=r"seen_emb: row 0 has norm 0\.0, expected 1\.0$"):
+            load_dataset(root)
+
+    def test_embedding_row_off_its_norm_is_refused_not_renormalized(self, tmp_path):
+        # 1e-8 off, past the 1e-9 * l tolerance: the row is checked, never rescaled
+        ds = generate_synthetic(SMALL_SPEC)
+        root = save_dataset(ds, tmp_path / "d")
+        emb = ds.unseen_emb.copy()
+        emb[1] *= 1 + 1e-8
+        blob = struct.pack("<QQ", *emb.shape) + emb.astype("<f8").tobytes()
+        (root / "unseen_emb.f64").write_bytes(blob)
+        with pytest.raises(DatasetLoadError, match=r"unseen_emb: row 1 has norm 1\.00000001"):
+            load_dataset(root)
+
+    def test_embedding_file_of_float32_bytes_is_refused_by_its_byte_count(self, tmp_path):
+        ds = generate_synthetic(SMALL_SPEC)
+        root = save_dataset(ds, tmp_path / "d")
+        f = root / "seen_emb.f64"
+        f.write_bytes(struct.pack("<QQ", 10, 16) + ds.seen_emb.astype("<f4").tobytes())
+        with pytest.raises(DatasetLoadError, match=(
+                r"seen_emb\.f64: expected 1296 bytes for 10x16 f64 matrix, got 656$")):
             load_dataset(root)

@@ -186,6 +186,15 @@ class TestParamsAreCheckedWhenMade:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(m, field, getattr(m, field)[:1])
 
+    def test_a_field_cannot_be_edited_in_place(self):
+        # else the pop makes the 6-wide hidden layer the output, and the NaN waits for a call
+        m = init_params(4, [6], 3, SplitMix64(1))
+        with pytest.raises(AttributeError):
+            m.activations.pop()
+        with pytest.raises(ValueError, match="read-only"):
+            m.weights[0][0, 0] = np.nan
+        assert m.activations == ("relu", "linear") and np.isfinite(m.weights[0]).all()
+
 
 def plain_forward(params, xs):
     """The network as plain numpy on a 2-D batch: one product per layer over every row."""
@@ -224,11 +233,14 @@ class TestForwardBlocks:
 
     @pytest.mark.parametrize("n", [31, 32, 33, 257])
     @pytest.mark.parametrize("layer", [0, 1])
-    def test_non_finite_weight_raises_domain_error(self, np_rng, n, layer):
+    def test_an_overflowing_layer_raises_domain_error(self, np_rng, n, layer):
+        # a network holds finite parameters only, so the layer's product overflows instead
         params = init_params(6, [5], 4, SplitMix64(2))
-        params.weights[layer][0, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="matmul result"):
-            forward_batch(params, np_rng.normal(size=(n, 6)))
+        weights = list(params.weights)
+        weights[layer] = np.full_like(weights[layer], np.finfo(np.float64).max)
+        params = dataclasses.replace(params, weights=weights)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="matmul result"):
+            forward_batch(params, np.abs(np_rng.normal(size=(n, 6))))
 
     def test_dimension_mismatch(self):
         params = init_params(6, [5], 4, SplitMix64(2))
@@ -302,7 +314,7 @@ class TestBackward:
         first, second = (sum(backward(params, xs, zs), []) for _ in range(2))
         assert bits(first) == bits(second)
         for a in first:
-            others = second + params.weights + params.biases + [g for g in first if g is not a]
+            others = [*second, *params.weights, *params.biases, *(g for g in first if g is not a)]
             assert not any(np.shares_memory(a, b) for b in others)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -815,14 +827,14 @@ class TestInputsAreNotModified:
     def test_forward_loss_and_backward_leave_inputs_alone(self, np_rng, acts):
         params = dataclasses.replace(init_params(5, [6], 3, SplitMix64(8)), activations=acts)
         xs, zs = np_rng.normal(size=(9, 5)), np_rng.normal(size=(9, 3))
-        before = bits([xs, zs] + params.weights + params.biases)
+        before = bits([xs, zs, *params.weights, *params.biases])
         forward_batch(params, xs)[...] = 7.0
         mse_loss(params, xs, zs)
         gw, gb = backward(params, xs, zs)
-        assert bits([xs, zs] + params.weights + params.biases) == before
+        assert bits([xs, zs, *params.weights, *params.biases]) == before
         for g in gw + gb:
             g[...] = 123.0
-        assert bits([xs, zs] + params.weights + params.biases) == before
+        assert bits([xs, zs, *params.weights, *params.biases]) == before
 
     def test_train_leaves_the_dataset_alone(self, monkeypatch):
         ds = generate_synthetic(SMALL_SPEC)

@@ -261,15 +261,18 @@ class TestFailuresOnTwoThreads:
         force_two_threads(monkeypatch, True)
         chunk_rows(monkeypatch, bench_mapper[0], ROW_BLOCK)
 
-    def test_a_nan_weight_raises_and_leaves_no_thread(self, bench_dataset, bench_mapper):
+    def test_an_overflowing_weight_raises_and_leaves_no_thread(self, bench_dataset, bench_mapper):
+        # a network holds finite parameters only, so a hidden unit's product overflows
         mapper, _ = bench_mapper
-        bad = dataclasses.replace(mapper, weights=[w.copy() for w in mapper.weights])
-        bad.weights[0][3, 5] = np.nan
+        weights = [w.copy() for w in mapper.weights]
+        weights[0][3] = np.finfo(np.float64).max
+        bad = dataclasses.replace(mapper, weights=weights)
         before = threading.active_count()
-        with pytest.raises(DomainError, match="non-finite"):
-            calibrate(bad, bench_dataset)
-        with pytest.raises(DomainError, match="non-finite"):
-            evaluate_sweep(bad, calibrate(mapper, bench_dataset), bench_dataset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="non-finite"):
+                calibrate(bad, bench_dataset)
+            with pytest.raises(DomainError, match="non-finite"):
+                evaluate_sweep(bad, calibrate(mapper, bench_dataset), bench_dataset)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing, raised", [
