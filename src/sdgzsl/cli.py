@@ -40,11 +40,13 @@ from .gates import calibrate, save_thresholds
 from .mlp import TrainConfig, load_checkpoint, save_checkpoint, train
 from .pipeline import STRATEGIES, evaluate_sweep, render_report_kv, render_report_text
 
+# a default the dataclass has is read from it, so the two cannot drift apart
 _GEN_DEFAULTS = {
     "seen": 10, "unseen": 3, "dim": 32, "sem": 16, "sigma": 0.05, "seed": 7,
-    "train_per_class": 50, "test_per_class": 20, "norm": 1.0,
+    "train_per_class": 50, "test_per_class": 20, "norm": SyntheticSpec.unified_norm,
 }
-_TRAIN_DEFAULTS = {"lr": 1e-2, "epochs": 100, "batch": 64, "seed": 0, "hidden": "default"}
+_TRAIN_DEFAULTS = {"lr": TrainConfig.learning_rate, "epochs": TrainConfig.epochs,
+                   "batch": TrainConfig.batch_size, "seed": TrainConfig.seed, "hidden": "default"}
 _EVAL_DEFAULTS = {"strategy": "all", "lam": 1.0, "calibration_split": "train", "sweep": False}
 
 
@@ -126,19 +128,18 @@ def cmd_gen(args, parser) -> int:
     cfg = _merge(_GEN_DEFAULTS, args, parser)
     if args.out is None:
         parser.error("gen requires --out")
-    spec = SyntheticSpec(
-        n_seen_classes=cfg["seen"],
-        n_unseen_classes=cfg["unseen"],
-        feature_dim=cfg["dim"],
-        semantic_dim=cfg["sem"],
-        per_class_train=cfg["train_per_class"],
-        per_class_test=cfg["test_per_class"],
-        cluster_spread=cfg["sigma"],
-        seed=cfg["seed"],
-        unified_norm=cfg["norm"],
-    )
     try:
-        spec.validate()
+        spec = SyntheticSpec(
+            n_seen_classes=cfg["seen"],
+            n_unseen_classes=cfg["unseen"],
+            feature_dim=cfg["dim"],
+            semantic_dim=cfg["sem"],
+            per_class_train=cfg["train_per_class"],
+            per_class_test=cfg["test_per_class"],
+            cluster_spread=cfg["sigma"],
+            seed=cfg["seed"],
+            unified_norm=cfg["norm"],
+        )
     except ValidationError as exc:
         parser.error(str(exc))
     ds = generate_synthetic(spec)
@@ -155,15 +156,14 @@ def cmd_train(args, parser) -> int:
     hidden = cfg["hidden"]
     if isinstance(hidden, str):
         hidden = _parse_hidden(hidden, parser)
-    train_cfg = TrainConfig(
-        learning_rate=cfg["lr"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        seed=cfg["seed"],
-        hidden_sizes=hidden,
-    )
     try:
-        train_cfg.validate()
+        train_cfg = TrainConfig(
+            learning_rate=cfg["lr"],
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch"],
+            seed=cfg["seed"],
+            hidden_sizes=hidden,
+        )
     except ValidationError as exc:
         parser.error(str(exc))
 
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except (GzslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a spec that passes validation can still outgrow memory
+    except MemoryError as exc:  # a spec that passes its checks can still outgrow memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

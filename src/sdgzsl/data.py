@@ -17,6 +17,11 @@ memory.  Embeddings are stored at full width, so loading only checks their
 norms and never re-normalizes them.  Labels are dense integers 0..C-1 per
 side; the seen/unseen domain is carried by which split an instance sits
 in, so the two class vocabularies can never collide.
+
+``SyntheticSpec`` and ``GzslDataset`` are frozen and check themselves when
+made, so ``generate_synthetic`` and the readers of a dataset check neither
+again.  A dataset checks each embedding row's norm as the norm of
+``row / l`` against 1, which no row on its norm can overflow.
 """
 
 from __future__ import annotations
@@ -78,9 +83,10 @@ def _integer_problems(obj, lows) -> list[str]:
     return problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Shape of a synthetic benchmark at desk scale."""
+    """Shape of a synthetic benchmark at desk scale, checked when made
+    (``dataclasses.replace`` too), else ``ValidationError`` listing every problem."""
 
     n_seen_classes: int
     n_unseen_classes: int
@@ -92,7 +98,7 @@ class SyntheticSpec:
     seed: int
     unified_norm: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         problems = _integer_problems(self, (
             ("n_seen_classes", 2), ("n_unseen_classes", 1), ("feature_dim", 1), ("semantic_dim", 1),
             ("per_class_train", 1), ("per_class_test", 1), ("seed", -math.inf)))
@@ -147,16 +153,38 @@ class GzslDataset:
         return self.unseen_emb.shape[0]
 
     def __post_init__(self) -> None:
-        d = self.feature_dim
-        s = self.semantic_dim
+        """Stores matrices as float64, labels as int64 and ``unified_norm`` as a float."""
+        l = self.unified_norm
+        if not (_is_finite(l) and l > 0):
+            raise ValidationError(f"unified_norm must be a finite number > 0, got {l!r}")
+        l = float(l)
+        object.__setattr__(self, "unified_norm", l)
+        s = as_matrix(self.seen_emb, "seen_emb").shape[1]
+        for side in ("seen", "unseen"):
+            emb = as_matrix(getattr(self, f"{side}_emb"), f"{side}_emb")
+            if emb.shape[1] != s:
+                raise ValidationError(f"{side}_emb: semantic dim {emb.shape[1]} != {s}")
+            # the norms of emb / l, which are 1 on a row that passes, so no row on its
+            # norm overflows; a row far off it may, and is refused all the same
+            with np.errstate(over="ignore"):
+                unit = emb / l
+                norms = np.sqrt((unit * unit).sum(axis=1))
+            off = np.abs(norms - 1.0)
+            if off.size and not off.max() <= 1e-9:  # a NaN norm fails too
+                bad = int(off.argmax())
+                raise ValidationError(
+                    f"{side}_emb: row {bad} has norm {float(norms[bad]) * l!r}, expected {l!r}")
+            object.__setattr__(self, f"{side}_emb", emb)
+        d = as_matrix(self.seen_train_x, "seen_train").shape[1]
         for name in ("seen_train", "seen_test", "unseen_test"):
-            x = getattr(self, f"{name}_x")
-            y = getattr(self, f"{name}_y")
-            as_matrix(x, name)
+            x = as_matrix(getattr(self, f"{name}_x"), name)
+            y = np.asarray(getattr(self, f"{name}_y"))
             if x.shape[1] != d:
                 raise ValidationError(f"{name}: feature dim {x.shape[1]} != {d}")
+            if y.dtype.kind not in "iu":  # a float label would index nothing, or be truncated
+                raise ValidationError(f"{name}: labels must be integers, got dtype {y.dtype}")
             if y.shape != (x.shape[0],):
-                raise ValidationError(f"{name}: {y.shape[0]} labels for {x.shape[0]} rows")
+                raise ValidationError(f"{name}: labels of shape {y.shape} for {x.shape[0]} rows")
             finite = np.isfinite(x).all(axis=1)
             if not finite.all():
                 raise ValidationError(f"{name}: non-finite feature at row {int(finite.argmin())}")
@@ -166,19 +194,8 @@ class GzslDataset:
                 bad = int(outside.argmax())
                 raise ValidationError(
                     f"{name}: label {y[bad]} at row {bad} outside 0..{n_classes - 1}")
-        for side, emb in (("seen", self.seen_emb), ("unseen", self.unseen_emb)):
-            as_matrix(emb, f"{side}_emb")
-            if emb.shape[1] != s:
-                raise ValidationError(f"{side}_emb: semantic dim {emb.shape[1]} != {s}")
-            norms = np.sqrt((emb * emb).sum(axis=1))
-            off = np.abs(norms - self.unified_norm)
-            # relative to l, so any norm in (0, inf) can pass; a NaN norm fails too
-            if off.size and not off.max() <= 1e-9 * self.unified_norm:
-                bad = int(off.argmax())
-                raise ValidationError(
-                    f"{side}_emb: row {bad} has norm {float(norms[bad])!r}, "
-                    f"expected {float(self.unified_norm)!r}"
-                )
+            object.__setattr__(self, f"{name}_x", x)
+            object.__setattr__(self, f"{name}_y", y.astype(np.int64, copy=False))
         # loaded/generated datasets are shared read-only across threads
         for arr in (
             self.seen_train_x, self.seen_train_y, self.seen_test_x, self.seen_test_y,
@@ -211,7 +228,6 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     their cosine to every seen embedding is at most 0.95, so the unseen
     domain never collapses onto the seen one.
     """
-    spec.validate()
     root = SplitMix64(spec.seed)
     emb_rng = root.split()
     map_rng = root.split()

@@ -6,7 +6,9 @@ instance onto its class embedding with mean squared error:
     loss = (1/N) * sum_i || f(x_i) - z_{y_i} ||^2
 
 Plain SGD, deterministic given the config seed: weight init and epoch
-shuffles both come from one SplitMix64 stream. Steps work in place but keep
+shuffles both come from one SplitMix64 stream.  ``TrainConfig`` and
+``MlpParams`` are frozen and check themselves when made, so ``train`` and
+the passes below take them as checked.  Steps work in place but keep
 the plain formulas' operation order (``max(x @ w.T + b, 0)``, ``w -= lr * dw``).
 During ``train`` the weights and biases are views into one flat vector, laid
 out ``w0, b0, w1, b1, ...`` as in a checkpoint blob, and ``_gradient`` writes
@@ -103,24 +105,29 @@ class MlpParams:
             a.setflags(write=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """SGD settings, checked when made (``dataclasses.replace`` too), else
+    ``ValidationError`` listing every problem; ``hidden_sizes`` is stored as a tuple."""
+
     learning_rate: float = 1e-2
     epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    hidden_sizes: list[int] | None = None  # None -> one hidden layer of max(d, S)
+    hidden_sizes: tuple[int, ...] | None = None  # None -> one hidden layer of max(d, S)
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self) -> None:
         problems = _integer_problems(self, (("epochs", 1), ("batch_size", 1), ("seed", -np.inf)))
         if not (_is_finite(self.learning_rate) and self.learning_rate > 0):
             problems.append(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
-        if self.hidden_sizes is not None and not all(_is_integer(h) and h >= 1
-                                                     for h in self.hidden_sizes):
-            problems.append(f"hidden sizes must be integers >= 1, got {self.hidden_sizes!r}")
+        hidden = self.hidden_sizes
+        if hidden is not None:  # an iterator is read once, here
+            sizes = tuple(hidden) if np.iterable(hidden) else None  # 5 holds no sizes at all
+            if sizes is None or not all(_is_integer(h) and h >= 1 for h in sizes):
+                problems.append(f"hidden sizes must be integers >= 1, got {hidden!r}")
+            object.__setattr__(self, "hidden_sizes", sizes)
         if problems:
             raise ValidationError("invalid TrainConfig: " + "; ".join(problems))
-        return self
 
 
 def init_params(in_dim: int, hidden_sizes: list[int], out_dim: int, rng: SplitMix64) -> MlpParams:
@@ -281,7 +288,6 @@ def train(dataset: GzslDataset, cfg: TrainConfig) -> tuple[MlpParams, list[float
     The results are the same bits, and the pool's thread is joined before
     ``train`` returns or raises.
     """
-    cfg.validate()
     xs = dataset.seen_train_x
     if xs.shape[0] == 0:
         raise ValidationError("train: seen_train split is empty")

@@ -184,12 +184,11 @@ def predict(mapper: MlpParams, thresholds: ThresholdSet, strategy: str, xs,
 
 
 def _test_splits(dataset: GzslDataset) -> tuple[np.ndarray, np.ndarray]:
-    """(seen_test, unseen_test) feature rows as checked matrices, required
-    to be nonempty."""
+    """(seen_test, unseen_test) feature rows, float64 matrices as the dataset
+    stores them, required to be nonempty."""
     if dataset.seen_test_x.shape[0] == 0 or dataset.unseen_test_x.shape[0] == 0:
         raise EvaluationError("evaluate needs nonempty seen_test and unseen_test splits")
-    return (as_matrix(dataset.seen_test_x, "feature rows"),
-            as_matrix(dataset.unseen_test_x, "feature rows"))
+    return dataset.seen_test_x, dataset.unseen_test_x
 
 
 def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationReport:
@@ -202,7 +201,6 @@ def _score(tag: str, masks, predictions, dataset: GzslDataset) -> EvaluationRepo
     confusion = {(t, g): 0 for t in Domain for g in Domain}
     for (true, ys, n_classes), gated_seen, predicted in zip(splits, masks, predictions):
         right_domain = gated_seen if true == Domain.SEEN else ~gated_seen
-        ys = np.asarray(ys, dtype=np.int64)
         per = per_class_top1(ys, right_domain & (predicted == ys), range(n_classes))
         acc[true] = float(np.mean(list(per.values())))
         per_class.update({(true.value, c): a for c, a in per.items()})

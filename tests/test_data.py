@@ -103,9 +103,8 @@ class TestGenerateSynthetic:
         assert set(ds.unseen_test_y) == set(range(3))
 
     def test_invalid_spec_lists_every_violation(self):
-        bad = SyntheticSpec(1, 0, 8, 4, 6, 2, -1.0, seed=5)
         with pytest.raises(ValidationError) as err:
-            generate_synthetic(bad)
+            SyntheticSpec(1, 0, 8, 4, 6, 2, -1.0, seed=5)
         msg = str(err.value)
         for fragment in ("n_seen_classes", "n_unseen_classes", "cluster_spread"):
             assert fragment in msg
@@ -118,9 +117,8 @@ class TestGenerateSynthetic:
     ])
     def test_non_finite_spread_or_norm_is_rejected(self, field, value):
         spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
-        setattr(spec, field, value)
         with pytest.raises(ValidationError, match=field):
-            spec.validate()
+            dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("n_seen_classes", 2.5), ("n_unseen_classes", True), ("feature_dim", 8.0),
@@ -128,9 +126,8 @@ class TestGenerateSynthetic:
     ])
     def test_non_integer_count_or_seed_is_rejected(self, field, value):
         spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
-        setattr(spec, field, value)
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
-            generate_synthetic(spec)
+            dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize("counts, what", [
         (dict(n_seen_classes=10**23), "feature element count"),
@@ -140,12 +137,10 @@ class TestGenerateSynthetic:
         (dict(per_class_test=np.int64(2**40), feature_dim=np.int64(2**30)), "feature element count"),
     ])
     def test_counts_beyond_np_intp_are_rejected(self, counts, what):
-        # validate() only: a spec that got through would try to allocate
+        # construction only: a spec that got through would try to allocate
         spec = SyntheticSpec(3, 2, 8, 4, 6, 2, 0.1, seed=5)
-        for key, value in counts.items():
-            setattr(spec, key, value)
         with pytest.raises(ValidationError, match=what):
-            spec.validate()
+            dataclasses.replace(spec, **counts)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field, value, error, message", [
@@ -153,9 +148,7 @@ class TestGenerateSynthetic:
         ("cluster_spread", 1.7e308, ValidationError, "^seen_train: non-finite feature at row 0$"),
         ("unified_norm", 1e300, ValidationError, "^seen_train: non-finite feature at row 0$"),
         ("unified_norm", 1.7e308, ValidationError, "^seen_train: non-finite feature at row 0$"),
-        # the embeddings' squares underflow, so their norms read 0
-        ("unified_norm", 1e-300, ValidationError,
-         r"^seen_emb: row 0 has norm 0\.0, expected 1e-300$"),
+        # l / norm rounds to 0 at the smallest subnormal l, so every row is the zero vector
         ("unified_norm", 5e-324, ValidationError,
          r"^seen_emb: row 0 has norm 0\.0, expected 5e-324$"),
     ])
@@ -163,6 +156,12 @@ class TestGenerateSynthetic:
                                                                    message):
         with pytest.raises(error, match=message):
             generate_synthetic(dataclasses.replace(SMALL_SPEC, **{field: value}))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_unified_norm_generates_without_a_warning(self):
+        # the norm check works on emb / l, so the rows' underflowing squares do not matter
+        ds = generate_synthetic(dataclasses.replace(SMALL_SPEC, unified_norm=1e-300))
+        assert ds.unified_norm == 1e-300 and ds.seen_emb.shape == (10, 16)
 
     def test_sigma_zero_nearest_center_self_consistency(self):
         # brute-force nearest neighbor over all class centers recovers the label
@@ -214,6 +213,64 @@ class TestDatasetIsCheckedWhenMade:
         with pytest.raises(ValidationError, match=r"^seen_train: label -1 at row 0 outside 0\.\.9$"):
             train(dataclasses.replace(ds, seen_train_y=np.full_like(ds.seen_train_y, -1)),
                   TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("l", [0.0, -1.0, np.nan, np.inf, None, "1.0", True, 10**400])
+    def test_a_unified_norm_that_is_no_finite_positive_number_is_refused(self, l):
+        # else zero embeddings pass a norm check against l = 0, and length_gaps fails later
+        ds = generate_synthetic(SMALL_SPEC)
+        zeros = np.zeros_like(ds.seen_emb), np.zeros_like(ds.unseen_emb)
+        with pytest.raises(ValidationError,
+                           match=r"^unified_norm must be a finite number > 0, got "):
+            dataclasses.replace(ds, seen_emb=zeros[0], unseen_emb=zeros[1], unified_norm=l)
+
+    @pytest.mark.parametrize("split, labels", [
+        ("seen_train", lambda y: y.astype(float)),  # else train dies with an IndexError
+        ("seen_test", lambda y: y + 0.5),  # else evaluate truncates them to the same acc_s
+        ("unseen_test", lambda y: y > 0),
+    ])
+    def test_labels_of_a_non_integer_dtype_are_refused(self, split, labels):
+        ds = generate_synthetic(SMALL_SPEC)
+        bad = labels(getattr(ds, f"{split}_y"))
+        with pytest.raises(ValidationError,
+                           match=f"^{split}: labels must be integers, got dtype {bad.dtype}$"):
+            dataclasses.replace(ds, **{f"{split}_y": bad})
+
+    @pytest.mark.parametrize("labels, shape", [
+        (lambda y: y[0], r"\(\)"),  # a 0-d array, which has no length to name
+        (lambda y: y[:-1], r"\(49,\)"), (lambda y: y[:, None], r"\(50, 1\)"),
+    ])
+    def test_labels_of_another_shape_than_the_rows_are_refused(self, labels, shape):
+        ds = generate_synthetic(SMALL_SPEC)
+        with pytest.raises(ValidationError,
+                           match=f"^seen_train: labels of shape {shape} for 50 rows$"):
+            dataclasses.replace(ds, seen_train_y=labels(ds.seen_train_y))
+
+    def test_values_are_stored_as_float64_int64_and_a_float_norm(self):
+        ds = generate_synthetic(SMALL_SPEC)
+        made = dataclasses.replace(
+            ds, seen_train_x=ds.seen_train_x.astype(np.float32), seen_test_y=ds.seen_test_y.astype(
+                np.uint8), unseen_test_y=list(ds.unseen_test_y), seen_emb=ds.seen_emb.tolist(),
+            unified_norm=1)
+        for f in dataclasses.fields(ds):
+            a, b = getattr(ds, f.name), getattr(made, f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), f.name
+            if f.name != "unified_norm":
+                assert a.dtype == b.dtype and not b.flags.writeable, f.name
+        # arrays already of the stored dtype are kept, not copied
+        assert dataclasses.replace(ds).seen_train_x is ds.seen_train_x
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_unified_norm_is_checked_without_overflow(self, tmp_path):
+        # the squares of these entries overflow; the norms of emb / l do not
+        ds = generate_synthetic(SMALL_SPEC)
+        big = dataclasses.replace(ds, seen_emb=ds.seen_emb * 1e200,
+                                  unseen_emb=ds.unseen_emb * 1e200, unified_norm=1e200)
+        assert_round_trips_exactly(big, tmp_path / "d")
+        emb = big.seen_emb.copy()
+        emb[3] *= 1 + 1e-8
+        with pytest.raises(ValidationError,
+                           match=r"^seen_emb: row 3 has norm 1\.00000001\d*e\+200, expected 1e\+200$"):
+            dataclasses.replace(big, seen_emb=emb)
 
     @pytest.mark.parametrize("field", ["seen_train_x", "seen_emb", "unified_norm"])
     def test_a_field_cannot_be_swapped(self, field):

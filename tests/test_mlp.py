@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -346,16 +347,28 @@ class TestTrain:
         ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", None),
         ("learning_rate", 10**400),
     ])
-    def test_non_numbers_rejected(self, noiseless_dataset, field, value):
-        cfg = TrainConfig(**{"epochs": 1, field: value})
+    def test_non_numbers_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field.split("_")[0]):
-            cfg.validate()
-        with pytest.raises(ValidationError):
-            train(noiseless_dataset, cfg)
+            TrainConfig(**{"epochs": 1, field: value})
+        with pytest.raises(ValidationError, match=field.split("_")[0]):
+            dataclasses.replace(TrainConfig(epochs=1), **{field: value})
 
     def test_numpy_scalars_accepted(self):
         TrainConfig(learning_rate=np.float64(0.1), epochs=np.int64(2), seed=np.uint32(3),
-                    hidden_sizes=[np.int32(4)]).validate()
+                    hidden_sizes=[np.int32(4)])
+
+    @pytest.mark.parametrize("hidden", [5, 2.5, "45"])
+    def test_hidden_sizes_that_are_no_sequence_are_refused_as_given(self, hidden):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"hidden sizes must be integers >= 1, got {hidden!r}")):
+            TrainConfig(hidden_sizes=hidden)
+
+    def test_a_config_is_frozen_and_stores_hidden_sizes_as_a_tuple(self):
+        cfg = TrainConfig(hidden_sizes=[4, np.int64(3)])
+        assert cfg.hidden_sizes == (4, 3) and isinstance(cfg.hidden_sizes, tuple)
+        assert TrainConfig(hidden_sizes=iter([6])).hidden_sizes == (6,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 5
 
     def test_same_seed_identical_history(self, noiseless_dataset):
         cfg = TrainConfig(epochs=5, seed=21)
