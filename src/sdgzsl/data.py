@@ -159,9 +159,10 @@ class GzslDataset:
             raise ValidationError(f"unified_norm must be a finite number > 0, got {l!r}")
         l = float(l)
         object.__setattr__(self, "unified_norm", l)
-        s = as_matrix(self.seen_emb, "seen_emb").shape[1]
+        s = None  # the semantic dim of seen_emb
         for side in ("seen", "unseen"):
             emb = as_matrix(getattr(self, f"{side}_emb"), f"{side}_emb")
+            s = emb.shape[1] if s is None else s
             if emb.shape[1] != s:
                 raise ValidationError(f"{side}_emb: semantic dim {emb.shape[1]} != {s}")
             # the norms of emb / l, which are 1 on a row that passes, so no row on its
@@ -172,16 +173,23 @@ class GzslDataset:
             off = np.abs(norms - 1.0)
             if off.size and not off.max() <= 1e-9:  # a NaN norm fails too
                 bad = int(off.argmax())
+                # within a factor 1e100 of l the norm of emb / l is exact to rounding;
+                # past it, where it over- or underflows, take the row's norm scale-free
+                r = float(norms[bad])
+                shown = r * l if 1e-100 <= r <= 1e100 else math.hypot(*emb[bad])
                 raise ValidationError(
-                    f"{side}_emb: row {bad} has norm {float(norms[bad]) * l!r}, expected {l!r}")
+                    f"{side}_emb: row {bad} has norm {shown!r}, expected {l!r}")
             object.__setattr__(self, f"{side}_emb", emb)
-        d = as_matrix(self.seen_train_x, "seen_train").shape[1]
+        d = None  # the feature dim of seen_train_x
         for name in ("seen_train", "seen_test", "unseen_test"):
             x = as_matrix(getattr(self, f"{name}_x"), name)
             y = np.asarray(getattr(self, f"{name}_y"))
+            d = x.shape[1] if d is None else d
             if x.shape[1] != d:
                 raise ValidationError(f"{name}: feature dim {x.shape[1]} != {d}")
-            if y.dtype.kind not in "iu":  # a float label would index nothing, or be truncated
+            # a float label would index nothing, or be truncated; np.asarray([]) is
+            # float64, and an empty split casts to int64 safely
+            if y.size and y.dtype.kind not in "iu":
                 raise ValidationError(f"{name}: labels must be integers, got dtype {y.dtype}")
             if y.shape != (x.shape[0],):
                 raise ValidationError(f"{name}: labels of shape {y.shape} for {x.shape[0]} rows")
@@ -409,7 +417,7 @@ def load_dataset(path) -> GzslDataset:
             root / fname, (meta["C_s"] if side == "seen" else meta["C_u"], meta["S"]), "<f8")
 
     try:
-        return GzslDataset(**arrays, unified_norm=float(meta["l"]))
+        return GzslDataset(**arrays, unified_norm=l)
     except ValidationError as exc:
         raise DatasetLoadError(f"{root}: {exc}") from exc
 

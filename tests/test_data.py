@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 import struct
 import warnings
 
@@ -235,6 +237,13 @@ class TestDatasetIsCheckedWhenMade:
                            match=f"^{split}: labels must be integers, got dtype {bad.dtype}$"):
             dataclasses.replace(ds, **{f"{split}_y": bad})
 
+    def test_an_empty_split_given_as_a_list_is_accepted(self):
+        # np.asarray([]) is float64, yet it holds no label to index with or truncate
+        ds = generate_synthetic(SMALL_SPEC)
+        empty = dataclasses.replace(ds, unseen_test_x=np.zeros((0, ds.feature_dim)),
+                                    unseen_test_y=[])
+        assert empty.unseen_test_y.dtype == np.int64 and empty.unseen_test_y.shape == (0,)
+
     @pytest.mark.parametrize("labels, shape", [
         (lambda y: y[0], r"\(\)"),  # a 0-d array, which has no length to name
         (lambda y: y[:-1], r"\(49,\)"), (lambda y: y[:, None], r"\(50, 1\)"),
@@ -271,6 +280,17 @@ class TestDatasetIsCheckedWhenMade:
         with pytest.raises(ValidationError,
                            match=r"^seen_emb: row 3 has norm 1\.00000001\d*e\+200, expected 1e\+200$"):
             dataclasses.replace(big, seen_emb=emb)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l", [1e-300, 1e300])
+    def test_rows_far_off_an_extreme_unified_norm_name_their_own_norm(self, l):
+        # emb / l overflows at 1e-300 and underflows at 1e300 on these unit rows
+        ds = generate_synthetic(SMALL_SPEC)
+        shown = repr(math.hypot(*ds.seen_emb[0]))
+        assert shown.startswith(("0.99", "1.0"))
+        message = f"seen_emb: row 0 has norm {shown}, expected {l!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(ds, unified_norm=l)
 
     @pytest.mark.parametrize("field", ["seen_train_x", "seen_emb", "unified_norm"])
     def test_a_field_cannot_be_swapped(self, field):
