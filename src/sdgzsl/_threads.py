@@ -55,7 +55,7 @@ def _wrapped() -> bool:
 
     return any(hasattr(fn, "__wrapped__") for fn in (
         mlp.mse_loss, mlp._layers, mlp._gradient, mlp.check_finite,
-        mlp.SplitMix64.permutation, gates.forward_batch, gates.length_gaps, gates._screen))
+        mlp.SplitMix64.permutation, gates.forward_batch, gates._row_norms, gates._screen))
 
 
 @contextlib.contextmanager

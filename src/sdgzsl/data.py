@@ -267,6 +267,7 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     with np.errstate(over="ignore"):  # an overflow is refused as a non-finite feature
         seen_centers = seen_emb @ w_true.T
         unseen_centers = unseen_emb @ w_true.T
+        centers32 = np.vstack([seen_centers, unseen_centers]).astype(np.float32)
 
     def draw_split(centers: np.ndarray, per_class: int) -> tuple[np.ndarray, np.ndarray]:
         n_classes = centers.shape[0]
@@ -284,7 +285,7 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
     seen_test_x, seen_test_y = draw_split(seen_centers, spec.per_class_test)
     unseen_test_x, unseen_test_y = draw_split(unseen_centers, spec.per_class_test)
 
-    return GzslDataset(
+    ds = GzslDataset(
         seen_train_x=seen_train_x,
         seen_train_y=seen_train_y,
         seen_test_x=seen_test_x,
@@ -295,6 +296,16 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
         unseen_emb=unseen_emb,
         unified_norm=l,
     )
+    # features live on the float32 grid, where a tiny unified norm flushes every
+    # center to 0: classes whose centers coincide there share one distribution.
+    # Checked after the dataset's own checks, which name a zero embedding row
+    # or a non-finite feature.  Sorted rows put equal centers side by side
+    # (``np.unique(axis=0)`` would import ``numpy.ma``, 1.3 MB of RSS)
+    centers32 = centers32[np.lexsort(centers32.T)]
+    if (centers32[1:] == centers32[:-1]).all(axis=1).any():
+        raise DomainError(f"unified_norm {l!r}: two classes' float32 feature centers coincide, "
+                          "so their features carry no class signal")
+    return ds
 
 
 def _write_matrix(path: Path, m: np.ndarray, dtype: str) -> None:

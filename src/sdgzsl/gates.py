@@ -45,20 +45,25 @@ import numpy as np
 from ._threads import second_thread
 from .data import GzslDataset, _is_finite
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
-from .linalg import (ROW_BLOCK, _prepare, _screen, as_matrix, as_table, as_vector,
-                     mean_and_popstd, nearest)
+from .linalg import (ROW_BLOCK, _prepare, _row_norms, _screen, as_matrix, as_table,
+                     as_vector, mean_and_popstd, nearest)
 from .mlp import MlpParams, forward_batch
 
 # Values per chunk of a statistics pass, over the network's widest layer: a
 # chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
-# holds at most this many, but at least ``_CHUNK_MIN_BLOCKS`` blocks: 1024
+# holds at most this many, but at least ``_CHUNK_MIN_BLOCKS`` blocks: 2048
 # rows at width 32, 256 at width 256.  A chunk holds only its own
 # projections: projecting each whole split at once raised eval_heavy's peak
-# RSS by about 3 MB, and 2**16 values per chunk by about 2 MB.  Each chunk
-# costs about 50 numpy calls whatever its rows, and on two threads those
-# contend for the interpreter lock; the floor keeps them a small share of a
-# wide network's chunk.
-_CHUNK_VALUES = 2**15
+# RSS by about 3 MB, and 2**16 values per chunk hold it about 1.2 MB (2.6%)
+# above 2**15.  Each chunk costs about 50 numpy calls whatever its rows, and
+# on two threads those contend for the interpreter lock.  While each chunk
+# summed its row norms once more per table and gathered rows by fancy
+# indexing, which runs slower on two threads than on one, 2**16 gained
+# eval_heavy's ``eval_rows_per_s`` only 4.6% and 2**15 was kept.  With one
+# norm per chunk and ``take`` gathers a chunk holds the lock less, and 2**16
+# gains it about 9%.  The floor keeps the calls a small share of a wide
+# network's chunk.
+_CHUNK_VALUES = 2**16
 _CHUNK_MIN_BLOCKS = 8
 
 
@@ -126,8 +131,7 @@ def length_gaps(proj: np.ndarray, l: float) -> np.ndarray:
     whose squared norm overflows gets an infinite gap, without a warning."""
     if not l > 0:
         raise DomainError(f"unified norm must be > 0, got {l}")
-    with np.errstate(over="ignore"):
-        return np.abs(np.sqrt(np.sum(proj * proj, axis=1)) - l)
+    return np.abs(_row_norms(proj) - l)
 
 
 def min_semantic_distance(proj, seen_emb) -> np.ndarray:
@@ -178,9 +182,10 @@ def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.
 
     def chunk(xs: np.ndarray, rows: slice, d_l: np.ndarray, scans) -> None:
         proj = forward_batch(mapper, xs[rows])
-        d_l[rows] = length_gaps(proj, l)
+        norms = _row_norms(proj)
+        d_l[rows] = np.abs(norms - l)  # length_gaps, on the norms the screens take
         for (dist, index), table in zip(scans, tables):
-            dist[rows], index[rows] = _screen(proj, table)
+            dist[rows], index[rows] = _screen(proj, table, norms)
 
     untaken, failed, lock = iter(enumerate(chunks)), {}, threading.Lock()
 

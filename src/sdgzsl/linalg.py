@@ -84,7 +84,10 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     by ``_prepare``) and keeps row
     ``j`` unless ``q_j > min_k q_k + m``.  The margin is one number per
     point, ``m = g (|p| + E)^2 + 3 (S+2) 2^-1074`` with ``E = max_j |e_j|``
-    and ``g = 4 (S+4) eps``.
+    and ``g = 4 (S+4) eps``.  Its ``|p|`` is ``_row_norms``' plain sum
+    ``sqrt(add.reduce(p * p))``, which ``_screen`` takes as an argument: the
+    statistics pass computes it once per chunk, takes ``d_l`` from it and
+    hands it to the screen of each table.
 
     Why the plain minimum survives the screen.  The exact squared distance
     is ``D_j = |p|^2 + q_j``, and ``|p|^2`` is the same for every row of a
@@ -102,22 +105,35 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``min q``, then ``q_j - q_k`` is ``b_j - b_k <= 0`` plus the errors of
     ``b_j``, ``b_k``, ``q_j`` and ``q_k``: at most
     ``4 gamma_{S+2} (|p| + E)^2``, under half the first term of ``m``, plus
-    ``3 S`` ulps, under its second; the spare room absorbs the rounding of
-    ``m`` itself.  So every row attaining ``min b`` passes, and every
-    dropped row has ``b > min b``.  The ulp term is nearly sharp: points
-    and rows on a ``2^-537`` grid reach a ``q`` gap of ``2 S`` ulps between
-    rows whose plain sums tie.
+    ``3 S`` ulps, under its second.  The spare room absorbs the rounding of
+    ``m`` itself and of its ``|p|``: that plain sum of ``S`` squares errs by
+    at most ``gamma_S |p|^2``, so the computed ``(|p| + E)^2`` is at least
+    ``1 - gamma_{S+2}`` times the exact one (below the underflow threshold
+    the ulp term alone covers the errors).  So every row attaining
+    ``min b`` passes, and every dropped row has ``b > min b``.  The ulp
+    term is nearly sharp: points and rows on a ``2^-537`` grid reach a
+    ``q`` gap of ``2 S`` ulps between rows whose plain sums tie.
 
     Every point keeps at least one row, since the row attaining ``min q``
     passes (``m > 0``).  So when a block keeps as many rows as it has
     points, each point keeps just that row and its plain sum is the answer,
-    with no scatter into a (points, rows) array.  A row is dropped only
-    when ``q_j > min q + m`` holds, so a NaN keeps it: a point whose margin
-    or ``min q`` is NaN or inf, as NaN or inf entries or an overflowing
-    norm or product make it, keeps every row, which reproduces the plain
-    sum's NaN and inf results.
+    with no scatter into a (points, rows) array.  Those winning rows,
+    ``min q`` and the candidate rows of a block that keeps more are
+    gathered with ``ndarray.take``, which reads the same values as fancy
+    indexing and, on two threads, holds the interpreter lock for less time.
+    A row is dropped only when ``q_j > min q + m`` holds, so a NaN keeps
+    it: a point whose margin or ``min q`` is NaN or inf, as NaN or inf
+    entries or an overflowing norm or product make it, keeps every row,
+    which reproduces the plain sum's NaN and inf results.
     """
-    return _screen(points, _prepare(table))
+    return _screen(points, _prepare(table), _row_norms(points))
+
+
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """``|p|`` of each row, as the plain sum ``sqrt(add.reduce(p * p))``; a row
+    whose squares overflow gets inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(points * points, axis=1))
 
 
 def _prepare(table: np.ndarray) -> tuple:
@@ -130,8 +146,10 @@ def _prepare(table: np.ndarray) -> tuple:
     return table, w, e2, e_max
 
 
-def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``nearest(points, table)`` against a table ``_prepare`` made."""
+def _screen(points: np.ndarray, prepared: tuple,
+            norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest(points, table)`` against a table ``_prepare`` made, given the
+    points' ``_row_norms``."""
     table, w, e2, e_max = prepared
     n, dim = points.shape[0], table.shape[1]
     dist, index = np.empty(n), np.empty(n, dtype=np.intp)
@@ -147,22 +165,23 @@ def _screen(points: np.ndarray, prepared: tuple) -> tuple[np.ndarray, np.ndarray
                 q = p @ w
                 q += e2
                 k = q.argmin(axis=1)  # a NaN row yields the NaN, as min would
-                m = np.sqrt(np.einsum("ij,ij->i", p, p))
-                m += e_max
+                m = norms[rows] + e_max
                 m *= m
                 m *= g
                 m += floor
-                m += q[np.arange(k.size), k]
+                m += q.take(k + np.arange(0, q.size, q.shape[1]))  # q[arange, k], by flat index
                 drop = q > m[:, None]  # NaN on either side keeps the row
             del q
             if np.count_nonzero(drop) == drop.size - k.size:
                 # one row per point, so it is the one attaining min q
-                d = p - table[k]
+                d = table.take(k, axis=0)
+                np.subtract(p, d, out=d)
                 d *= d  # the same bits as ** 2
                 dist[rows], index[rows] = np.add.reduce(d, axis=1), k
                 continue
             r, c = np.divmod(np.flatnonzero(~drop), drop.shape[1])  # faster than 2-D nonzero
-            d = p[r] - table[c]
+            d = p.take(r, axis=0)
+            d -= table.take(c, axis=0)
             d *= d
             b = np.full(drop.shape, np.inf)
             b[r, c] = np.add.reduce(d, axis=1)

@@ -160,10 +160,18 @@ class TestGenerateSynthetic:
             generate_synthetic(dataclasses.replace(SMALL_SPEC, **{field: value}))
 
     @pytest.mark.filterwarnings("error")
-    def test_a_tiny_unified_norm_generates_without_a_warning(self):
+    def test_a_unified_norm_that_flushes_the_float32_centers_is_refused(self):
+        # at 1e-300 every class center flushes to 0 in float32, so the features
+        # would carry no class signal; at 1e-42 the centers are subnormal but distinct
+        with pytest.raises(DomainError, match=r"^unified_norm 1e-300: two classes' float32 "
+                                              r"feature centers coincide"):
+            generate_synthetic(dataclasses.replace(SMALL_SPEC, unified_norm=1e-300))
+        ds = generate_synthetic(dataclasses.replace(SMALL_SPEC, unified_norm=1e-42))
+        assert ds.unified_norm == 1e-42 and ds.seen_emb.shape == (10, 16)
         # the norm check works on emb / l, so the rows' underflowing squares do not matter
-        ds = generate_synthetic(dataclasses.replace(SMALL_SPEC, unified_norm=1e-300))
-        assert ds.unified_norm == 1e-300 and ds.seen_emb.shape == (10, 16)
+        tiny = dataclasses.replace(ds, seen_emb=ds.seen_emb * 1e-258,
+                                   unseen_emb=ds.unseen_emb * 1e-258, unified_norm=1e-300)
+        assert tiny.unified_norm == 1e-300
 
     def test_sigma_zero_nearest_center_self_consistency(self):
         # brute-force nearest neighbor over all class centers recovers the label

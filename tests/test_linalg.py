@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdgzsl import DomainError, ShapeError, matmul, mean_and_popstd, min_semantic_distance
-from sdgzsl.linalg import _prepare, _screen, _screen_rows, check_finite, nearest
+from sdgzsl.linalg import _prepare, _row_norms, _screen, _screen_rows, check_finite, nearest
 
 
 def naive_matmul(a, b):
@@ -138,13 +138,16 @@ def broadcast_nearest(points, table):
 
 
 def assert_same_bits(points, table):
+    """``nearest``, and ``_screen`` given the row norms as the statistics pass
+    gives them, both match the broadcast bit for bit."""
     with np.errstate(all="ignore"):
         want_d, want_i = broadcast_nearest(points, table)
-        got_d, got_i = nearest(points, table)
-    assert got_d.dtype == np.float64 and got_i.dtype == np.intp
-    # int64 views compare NaN payloads and the sign of zero too
-    assert np.array_equal(got_d.view(np.int64), want_d.view(np.int64))
-    assert np.array_equal(got_i, want_i)
+        screens = [nearest(points, table), _screen(points, _prepare(table), _row_norms(points))]
+    for got_d, got_i in screens:
+        assert got_d.dtype == np.float64 and got_i.dtype == np.intp
+        # int64 views compare NaN payloads and the sign of zero too
+        assert np.array_equal(got_d.view(np.int64), want_d.view(np.int64))
+        assert np.array_equal(got_i, want_i)
 
 
 def nearest_case(rng, n, c, s, scale):
@@ -247,6 +250,20 @@ class TestNearest:
         assert np.all(np.isfinite(dist)) and index.tolist() == [2, 0, 4]
         assert_same_bits(points, table)
 
+    @pytest.mark.parametrize("s", [2, 9, 64])
+    def test_points_far_beyond_the_table_on_a_bisector(self, s):
+        # |p| = 1e4 |e|: the plain sums round by about eps |p|^2, far more than
+        # the exact gap between two rows the points are nearly equidistant
+        # from, so their order is the rounding's and only the |p| term of the
+        # margin keeps the row attaining the smaller plain sum
+        rng = np.random.default_rng(20 + s)
+        a, d = rng.normal(size=s), rng.normal(size=s)
+        table = np.array([a + d, a - d, a + 3 * d])
+        w = rng.normal(size=(400, s))
+        w -= np.outer(w @ d / (d @ d), d)  # across d: the same exact distance to rows 0 and 1
+        points = a + 1e4 * w / np.linalg.norm(w, axis=1)[:, None]
+        assert_same_bits(points, table)
+
     def test_row_norms_from_1e_minus_3_to_1e3(self):
         # E = max |e| = 1e3 sets every point's margin, so points among the
         # small rows keep several candidates while the others keep one
@@ -296,10 +313,11 @@ class TestNearest:
         rng = np.random.default_rng(19)
         points, table = nearest_case(rng, 600, 12, 17, scale)
         table[3, 2] = np.nan
-        prepared = _prepare(table)
+        prepared, norms = _prepare(table), _row_norms(points)
         with np.errstate(all="ignore"):
             want_d, want_i = nearest(points, table)
             for start in (0, 100, 356, 599):
-                d, i = _screen(points[start:start + 256], prepared)
-                assert np.array_equal(d.view(np.int64), want_d[start:start + 256].view(np.int64))
-                assert np.array_equal(i, want_i[start:start + 256])
+                rows = slice(start, start + 256)
+                d, i = _screen(points[rows], prepared, norms[rows])
+                assert np.array_equal(d.view(np.int64), want_d[rows].view(np.int64))
+                assert np.array_equal(i, want_i[rows])

@@ -29,7 +29,7 @@ from sdgzsl import (DomainError, STRATEGIES, SplitMix64, SyntheticSpec, TrainCon
                     calibrate_from_samples, evaluate, evaluate_baseline, evaluate_sweep,
                     forward_batch, gate_statistics, generate_synthetic, predict, train)
 from sdgzsl.gates import _chunk_rows, _split_stats, _tables
-from sdgzsl.linalg import ROW_BLOCK
+from sdgzsl.linalg import ROW_BLOCK, _row_norms
 from sdgzsl.pipeline import render_report_kv
 
 
@@ -47,22 +47,22 @@ MEET_S = 10.0
 
 
 def record_threads(monkeypatch, meet: bool) -> set:
-    """The names of the threads that run a chunk's ``length_gaps``, through a
+    """The names of the threads that run a chunk's ``forward_batch``, through a
     plain (unwrapped) stand-in that leaves two threads allowed.  Each pass
     starts its own pool, whose one thread has the same name.  With ``meet``,
     the first two chunks to get there wait for each other, so a pass of two
     chunks or more with a second thread runs one on each: otherwise a caller
     may take every chunk before the pool's thread has started."""
-    threads, original = set(), sdgzsl.gates.length_gaps
+    threads, original = set(), sdgzsl.gates.forward_batch
     barrier, calls = threading.Barrier(2, timeout=MEET_S), itertools.count()
 
-    def spy(proj, l):
+    def spy(params, x):
         threads.add(threading.current_thread().name)
         if meet and next(calls) < 2:
             barrier.wait()
-        return original(proj, l)
+        return original(params, x)
 
-    monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
+    monkeypatch.setattr(sdgzsl.gates, "forward_batch", spy)
     return threads
 
 
@@ -248,11 +248,27 @@ class TestThePublicPathIsThePass:
                                    ds.unified_norm)
         assert calibrate_from_samples(d_l, msd, 1.0, ds.unified_norm) == calibrate(mapper, ds)
 
+    def test_each_screen_takes_the_chunks_row_norms(self, monkeypatch, shape_run):
+        """A screen's margin reads the ``_row_norms`` of the chunk's projections,
+        which also give its ``d_l``: smaller norms would narrow the margin below
+        what ``nearest``'s proof needs."""
+        ds, mapper = shape_run
+        norms, original = [], sdgzsl.gates._screen
+
+        def spy(proj, prepared, given):
+            norms.append((given.tobytes(), _row_norms(proj).tobytes()))
+            return original(proj, prepared, given)
+
+        monkeypatch.setattr(sdgzsl.gates, "_screen", spy)
+        _split_stats(mapper, ds.unified_norm, [ds.seen_test_x],
+                     *_tables(mapper, ds.seen_emb, ds.unseen_emb))
+        assert norms and all(given == want for given, want in norms)
+
     def test_chunks_of_at_least_eight_row_blocks(self, shape_run):
-        """1024 rows at width 32 (2**15 values), 256 at width 256 (the floor)."""
+        """2048 rows at width 32 (2**16 values), 256 at width 256 (the floor)."""
         _, mapper = shape_run
         width = max(mapper.layer_sizes())
-        assert _chunk_rows(mapper) == {32: 1024, 256: 8 * ROW_BLOCK}[width]
+        assert _chunk_rows(mapper) == {32: 2048, 256: 8 * ROW_BLOCK}[width]
 
 
 class TestFailuresOnTwoThreads:
@@ -374,7 +390,7 @@ def count_thread_starts(monkeypatch) -> list:
 
 # the pass's own callees, then the functions that the benchmark's tracer wraps
 # and that train or the pass reach: one wrapped keeps both jobs on one thread
-WRAPPABLE = [(sdgzsl.gates, "forward_batch"), (sdgzsl.gates, "length_gaps"),
+WRAPPABLE = [(sdgzsl.gates, "forward_batch"), (sdgzsl.gates, "_row_norms"),
              (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "check_finite"),
              (sdgzsl.mlp, "mse_loss"), (SplitMix64, "permutation")]
 
@@ -428,27 +444,28 @@ class TestWhenTwoThreadsRun:
         xs = ds.seen_test_x.copy()
         overflowing = np.s_[: 2 * ROW_BLOCK]
         xs[overflowing] *= 1e160  # chunks 0 and 1: finite projections whose squares overflow
-        raised, original = set(), sdgzsl.gates.length_gaps
+        raised, original = set(), sdgzsl.gates.forward_batch
         barrier, calls = threading.Barrier(2, timeout=MEET_S), itertools.count()
 
-        def spy(proj, l):
+        def spy(params, x):
             if next(calls) < 2:
                 barrier.wait()  # chunks 0 and 1, one on each thread
+            proj = original(params, x)
             try:
                 np.square(proj)  # overflows in chunks 0 and 1 unless the errstate ignores it
             except FloatingPointError:
                 raised.add(threading.current_thread().name)
                 raise
-            return original(proj, l)
+            return proj
 
-        monkeypatch.setattr(sdgzsl.gates, "length_gaps", spy)
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", spy)
         tables = _tables(mapper, ds.seen_emb)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             _split_stats(mapper, ds.unified_norm, [xs], *tables)
         assert raised == {CALLER, POOL}
         # the pass's own squares overflow to an infinite norm and distance, which
         # are the right values, whatever the caller's errstate
-        monkeypatch.setattr(sdgzsl.gates, "length_gaps", original)
+        monkeypatch.setattr(sdgzsl.gates, "forward_batch", original)
         with np.errstate(over="raise"):
             [(d_l, msd, _)] = _split_stats(mapper, ds.unified_norm, [xs], *tables)
         assert np.isinf(d_l[overflowing]).all() and np.isinf(msd[overflowing]).all()
@@ -491,7 +508,7 @@ class TestOnePoolPerEvaluation:
                                                     bench_mapper):
         mapper, _ = bench_mapper
         ds = bench_dataset
-        assert _chunk_rows(mapper) == 1024  # above every split's rows: 500, 200 and 60
+        assert _chunk_rows(mapper) == 2048  # above every split's rows: 500, 200 and 60
         pools = count_pools(monkeypatch)
         th = calibrate(mapper, ds)
         evaluate_sweep(mapper, th, ds)
