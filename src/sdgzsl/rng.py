@@ -24,6 +24,19 @@ sequence of ``next_u64``, which is all a port has to follow:
   2**-64 is irrelevant at these ranges and keeps the recipe one line).
 * ``split()`` seeds a child stream with one u64 from the parent.
 
+Blocks and threads.  The array draws take their u64s in blocks of
+``_BLOCK``.  The state after ``j`` steps is ``state + j * GOLDEN`` (Steele,
+Lea and Flood, OOPSLA 2014), so a block can be drawn from the entry state and its own offset without the
+blocks before it, and Box-Muller works on each pair alone.  The blocks of
+pairs of one ``gauss_array`` call form one queue in row order; the caller
+and, when ``_threads.second_thread`` grants one, the pool's one thread
+each take the next untaken block until none is left, as the statistics
+pass of ``gates`` takes its chunks.  Each block writes only its own slots,
+and the stream and the spare move once, after the last block, so no bit
+depends on which thread drew which block.  Each thread works in one set of
+``_GAUSS_ROWS`` rows that the caller allocates, reused for every block.
+The comment on ``_BLOCK`` gives the block sizes and thread counts measured.
+
 Box-Muller recipe v2.  ``log``, ``cos`` and ``sin`` do not come from the
 platform's libm, which need not be correctly rounded.  A pair is built
 only from binary64 ``+ - * /`` and ``sqrt`` (each correctly rounded,
@@ -63,15 +76,27 @@ contract.
 
 from __future__ import annotations
 
+import math
+import numbers
+import threading
+
 import numpy as np
 
+from ._threads import second_thread
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # values (uniform_array) or Box-Muller pairs (gauss_array) per uint64 block;
-# bounds the temporaries of an array draw whatever its size
-_BLOCK = 4096
+# bounds the temporaries of an array draw whatever its size.  On a 2-core box,
+# train_heavy's three large draws (806k values) took 26.1 ms with the earlier
+# 2**12-pair blocks and fresh temporaries; with reused work rows and 2**14,
+# 16.8 ms on one thread and 17.5 ms on two.  2**13 took 19.2 / 18.2 ms, 2**15
+# 16.3 / 17.7 and 2**16 20.9 / 22.6, whose work rows outgrow the 2 MB L2
+# cache.  Two threads gain nothing there: each numpy step of a few
+# microseconds hands the interpreter lock over, and wider steps are bound by
+# memory bandwidth
+_BLOCK = 2**14
 
 # Box-Muller v2 constants, named as in the module docstring
 _F = float.fromhex
@@ -97,41 +122,137 @@ _OCTANT = np.array([[1, 0, 0, -1, -1, 0, 0, 1],
                     [1, 0, 0, 1, -1, 0, 0, -1]], dtype=np.float64)
 
 
-def _horner(z, coefficients):
-    """``c[0] + z * (c[1] + z * (... + z * c[-1]))``."""
-    acc = coefficients[-1]
-    for c in coefficients[-2::-1]:
-        acc = c + z * acc
+def _dims(shape) -> tuple:
+    """``shape`` as a tuple of integers ``>= 0``: one integer, or a sequence
+    of them; ``DomainError`` otherwise."""
+    try:
+        dims = tuple(shape)
+    except TypeError:
+        dims = (shape,)
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 0
+               for d in dims):
+        raise DomainError(f"shape needs integers >= 0, got {shape!r}")
+    return tuple(map(int, dims))
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of each uint64 state in ``z``, in place;
+    ``scratch`` is a uint64 array of its shape that the steps write into."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
+
+
+def _horner(z, coefficients, out):
+    """``c[0] + z * (c[1] + z * (... + z * c[-1]))`` into ``out``, one product
+    and one sum per step in place: ``z * acc + c`` has the bits of ``c + z * acc``."""
+    acc = np.multiply(z, coefficients[-1], out=out)
+    acc += coefficients[-2]
+    for c in coefficients[-3::-1]:
+        acc *= z
+        acc += c
     return acc
 
 
-def _box_muller(ka, kb):
-    """The (cosine, sine) variates of ``u1 = ka * 2**-53`` and ``u2 = kb * 2**-53``.
+# (C_k, S_k) columns: one Horner pass gives cos x's polynomial in row 0, sin x's in row 1
+_COS_SIN = tuple(np.array([[c], [s]]) for c, s in zip(_COS, _SIN))
+# float64 rows of a block's length that ``_box_muller`` works in
+_BOX_MULLER_ROWS = 7
 
-    ``ka`` and ``kb`` are equal-length int64 arrays, a block of pairs; they
-    take the operations of recipe v2.
+
+def _box_muller(ka, kb, cos_out, sin_out, work=None) -> None:
+    """Write the (cosine, sine) variates of ``u1 = ka * 2**-53`` and
+    ``u2 = kb * 2**-53`` into ``cos_out`` and ``sin_out``.
+
+    ``ka`` and ``kb`` are equal-length int64 arrays, a block of pairs, and
+    are left as they are; the outputs are float64 arrays of their length,
+    strided views too.  Every step of recipe v2 takes the operands the module
+    docstring gives, in place in a row of ``work``, a C-contiguous float64
+    array of shape ``(_BOX_MULLER_ROWS, len(ka))``: a caller that draws block
+    after block allocates it once, since each fresh temporary costs a page
+    fault per 4 KiB.  Integer steps write into rows viewed as integers, and
+    the polynomials of cos x and sin x, their products by ``R`` and the octant
+    step each run once over two or four rows.
     """
-    m, e = np.frexp(ka * 2.0**-53)
-    low = m < _SQRT_HALF
-    m = m + m * low
-    e = e - low
-    f = m - 1.0
-    s = f / (2.0 + f)
-    z = s * s
-    hfsq = 0.5 * f * f
-    log_u1 = e * _LN2_HI - ((hfsq - (s * (hfsq + z * _horner(z, _LG)) + e * _LN2_LO)) - f)
-    radius = np.sqrt(-2.0 * log_u1)
+    n = ka.shape[0]
+    if work is None:
+        work = np.empty((_BOX_MULLER_ROWS, n))
+    f, z, s, log_u1, rc, rs, ints = work
+    pair = work[4:6]  # rc, then rs
 
-    q = kb >> 50
-    odd = q & 1
-    x = (((kb & _MASK50) ^ (_MASK50 * odd)) + odd) * _PIO4_2M50
-    z = x * x
-    hz = 0.5 * z
-    w = 1.0 - hz
-    rc = radius * (w + (((1.0 - w) - hz) + z * (z * _horner(z, _COS))))
-    rs = radius * (x + z * x * _horner(z, _SIN))
-    cc, cs, sc, ss = _OCTANT.take(q, axis=1)
-    return rc * cc + rs * cs, rc * sc + rs * ss
+    # the exponents and the m < SQRT_HALF mask share a row: n int32, then n bools
+    e = np.frexp(np.multiply(ka, 2.0**-53, out=f), out=(f, ints.view(np.int32)[:n]))[1]
+    low = np.less(f, _SQRT_HALF, out=ints.view(np.bool_)[4 * n : 5 * n])
+    f += np.multiply(f, low, out=s)  # m + m where m < SQRT_HALF, else m + 0
+    e -= low
+    f -= 1.0
+    np.divide(f, np.add(f, 2.0, out=s), out=s)
+    np.multiply(s, s, out=z)
+    hfsq = np.multiply(f, 0.5, out=rc)
+    hfsq *= f
+    _horner(z, _LG, out=log_u1)
+    log_u1 *= z
+    log_u1 += hfsq
+    log_u1 *= s
+    log_u1 += np.multiply(e, _LN2_LO, out=s)
+    np.subtract(hfsq, log_u1, out=log_u1)
+    log_u1 -= f
+    np.subtract(np.multiply(e, _LN2_HI, out=s), log_u1, out=log_u1)
+    log_u1 *= -2.0
+    radius = np.sqrt(log_u1, out=log_u1)
+
+    q = np.right_shift(kb, 50, out=ints.view(np.int64))
+    odd = np.bitwise_and(q, 1, out=f.view(np.int64))
+    j = np.bitwise_and(kb, _MASK50, out=s.view(np.int64))
+    j ^= np.multiply(odd, _MASK50, out=z.view(np.int64))
+    j += odd
+    x = np.multiply(j, _PIO4_2M50, out=f)
+    np.multiply(x, x, out=z)
+    _horner(z, _COS_SIN, out=pair)
+    rs *= np.multiply(z, x, out=s)
+    rs += x
+    rc *= z
+    rc *= z
+    hz = np.multiply(z, 0.5, out=s)
+    w = np.subtract(1.0, hz, out=z)
+    one_minus_w = np.subtract(1.0, w, out=f)
+    one_minus_w -= hz
+    rc += one_minus_w
+    rc += w
+    pair *= radius
+
+    signs = _OCTANT.take(q, axis=1, out=work[:4], mode="clip")  # rows cc, cs, sc, ss
+    products = signs.reshape(2, 2, n)
+    products *= pair
+    np.add(signs[0], signs[1], out=cos_out)
+    np.add(signs[2], signs[3], out=sin_out)
+
+
+# float64 rows of a block's length that ``_gauss_pairs`` works in: its u64
+# draws ``a`` and ``b``, then the rows of ``_box_muller``
+_GAUSS_ROWS = 2 + _BOX_MULLER_ROWS
+
+
+def _gauss_pairs(state: int, first: int, cos_out, sin_out, work) -> None:
+    """Box-Muller pairs ``first``, ``first + 1``, ... of a draw entered at
+    SplitMix64 state ``state``, one per slot of ``cos_out`` and ``sin_out``:
+    pair ``i`` takes the u64 draws ``2i + 1`` and ``2i + 2`` after ``state``,
+    so a block needs no draw of the blocks before it.  ``work`` is a
+    C-contiguous float64 array of shape ``(_GAUSS_ROWS, len(cos_out))``."""
+    n = cos_out.shape[0]
+    z = work[:2].view(np.uint64)  # the ``a`` draws, then the ``b`` draws
+    np.multiply(np.arange(first, first + n, dtype=np.uint64), np.uint64((2 * _GOLDEN) & _MASK64),
+                out=z[0])
+    z[0] += np.uint64((state + _GOLDEN) & _MASK64)
+    np.add(z[0], np.uint64(_GOLDEN), out=z[1])
+    _mix(z, work[2:4].view(np.uint64))
+    z >>= np.uint64(11)
+    k = z.view(np.int64)  # < 2**53
+    k[0] += 1
+    _box_muller(k[0], k[1], cos_out, sin_out, work[2:])
 
 
 class SplitMix64:
@@ -162,43 +283,80 @@ class SplitMix64:
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
         self._state = (self._state + _GOLDEN * k) & _MASK64
-        return z
+        return _mix(z, np.empty_like(z))
 
     def gauss_array(self, shape) -> np.ndarray:
         """Standard normal deviates over ``shape``, row-major: the cached spare
-        first, if any, then Box-Muller pairs, whose odd tail caches its sine variate."""
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        pos = 0
-        if out.size and self._spare_gauss is not None:
+        first, if any, then Box-Muller pairs, whose odd tail caches its sine
+        variate.  ``shape`` is an integer ``>= 0`` or a sequence of them, else
+        ``DomainError`` before any draw.
+
+        The pairs' blocks of ``_BLOCK`` form one queue in row order, each drawn
+        from its own offset of the entry state: the caller and, with a second
+        thread, the pool's one thread each take the next untaken block until
+        none is left.  The stream and the spare move only once every block is
+        drawn.
+        """
+        dims = _dims(shape)
+        out = np.empty(math.prod(dims))
+        head = int(out.size > 0 and self._spare_gauss is not None)
+        if head:
             out[0] = self._spare_gauss
+        pairs = (out.size - head + 1) // 2
+        cosines, sines = out[head::2], out[head + 1 :: 2]
+        blocks = [(first, cosines[first : first + _BLOCK], sines[first : first + _BLOCK])
+                  for first in range(0, pairs, _BLOCK)]
+        tail = None
+        if sines.size < pairs:  # odd: the last block draws one sine more than ``out`` holds
+            first, cos_out, _ = blocks[-1]
+            tail = np.empty(cos_out.size)
+            blocks[-1] = (first, cos_out, tail)
+        state, untaken, lock = self._state, iter(blocks), threading.Lock()
+
+        def take():
+            with lock:
+                return next(untaken, None)
+
+        def drain(space: np.ndarray) -> None:
+            try:
+                for first, cos_out, sin_out in iter(take, None):
+                    work = space[: _GAUSS_ROWS * cos_out.size].reshape(_GAUSS_ROWS, -1)
+                    _gauss_pairs(state, first, cos_out, sin_out, work)
+            except BaseException:  # an interrupt too: leave the other thread no block
+                with lock:
+                    for _ in untaken:
+                        pass
+                raise
+
+        with second_thread("sdgzsl-gauss", len(blocks) > 1) as submit:
+            # each thread's work rows, allocated here: rows that the pool's thread
+            # allocated itself stayed resident in its own malloc arena, 2.7 MB
+            # more after 20 train_heavy generations than with rows made here
+            width = _GAUSS_ROWS * min(pairs, _BLOCK)
+            spaces = [np.empty(width) for _ in range(1 if submit is None else 2)]
+            pending = None if submit is None else submit(drain, spaces[1])
+            drain(spaces[0])
+            if pending is not None:
+                pending.result()
+        self._state = (state + 2 * pairs * _GOLDEN) & _MASK64
+        if head:
             self._spare_gauss = None
-            pos = 1
-        while pos < out.size:
-            pairs = min(_BLOCK, (out.size - pos + 1) // 2)
-            k = (self._u64_block(2 * pairs) >> np.uint64(11)).view(np.int64)  # < 2**53
-            pair_values = np.empty(2 * pairs)
-            pair_values[0::2], pair_values[1::2] = _box_muller(k[0::2] + 1, k[1::2])
-            take = min(2 * pairs, out.size - pos)
-            out[pos : pos + take] = pair_values[:take]
-            if take < 2 * pairs:  # odd tail: cache the sine variate
-                self._spare_gauss = float(pair_values[-1])
-            pos += take
-        return out.reshape(shape)
+        if tail is not None:
+            sines[blocks[-1][0] :] = tail[:-1]
+            self._spare_gauss = float(tail[-1])
+        return out.reshape(dims)
 
     def uniform_array(self, low: float, high: float, shape) -> np.ndarray:
-        """``low + (high - low) * u`` for successive uniform ``u``, over ``shape``, row-major."""
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
+        """``low + (high - low) * u`` for successive uniform ``u``, over ``shape``,
+        row-major; ``shape`` as for ``gauss_array``."""
+        dims = _dims(shape)
+        out = np.empty(math.prod(dims))
         span = high - low
         for start in range(0, out.size, _BLOCK):
             k = min(_BLOCK, out.size - start)
             out[start : start + k] = low + span * ((self._u64_block(k) >> np.uint64(11)) * 2.0**-53)
-        return out.reshape(shape)
+        return out.reshape(dims)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), as int64, for ``n >= 0``;

@@ -1,13 +1,17 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_two_threads
 
 import sdgzsl
 from sdgzsl import DomainError, SplitMix64, SyntheticSpec, TrainConfig, generate_synthetic, train
@@ -113,7 +117,8 @@ def oracle_gauss(rng, n):
     pairs = (n - len(out) + 1) // 2
     if pairs:
         k = np.array([rng.next_u64() >> 11 for _ in range(2 * pairs)], dtype=np.int64)
-        cos_variates, sin_variates = rng_module._box_muller(k[0::2] + 1, k[1::2])
+        cos_variates, sin_variates = np.empty(pairs), np.empty(pairs)
+        rng_module._box_muller(k[0::2] + 1, k[1::2], cos_variates, sin_variates)
         out += np.stack([cos_variates, sin_variates], axis=1).ravel().tolist()
     if len(out) > n:
         rng._spare_gauss = out.pop()
@@ -185,6 +190,106 @@ def test_gauss_array_keeps_shape_and_row_major_order():
     assert got.shape == (3, 5, 7)
     assert got.ravel().tobytes() == oracle_gauss(ref, 105).tobytes()
     assert_same_state(fast, ref)
+
+
+BAD_SHAPES = {
+    "gauss, a float entry": lambda r: r.gauss_array((2.5,)),
+    "gauss, a negative entry": lambda r: r.gauss_array((3, -1)),
+    "gauss, a negative length": lambda r: r.gauss_array(-2),
+    "gauss, a bool entry": lambda r: r.gauss_array((2, True)),
+    "uniform, a float entry": lambda r: r.uniform_array(0.0, 1.0, (3, 1.5)),
+    "uniform, a string entry": lambda r: r.uniform_array(0.0, 1.0, ("4",)),
+}
+
+
+@pytest.mark.parametrize("draw", BAD_SHAPES.values(), ids=BAD_SHAPES)
+def test_a_bad_shape_raises_before_any_draw(draw):
+    fast, ref = SplitMix64(3), SplitMix64(3)
+    fast.gauss_array(1)  # a spare cached at entry
+    oracle_gauss(ref, 1)
+    with pytest.raises(DomainError, match=r"^shape needs integers >= 0, got "):
+        draw(fast)
+    assert_same_state(fast, ref)
+
+
+def test_a_shape_may_hold_numpy_integers_and_zeros():
+    fast, ref = SplitMix64(6), SplitMix64(6)
+    assert fast.gauss_array((np.int64(2), np.uint8(3))).tobytes() == oracle_gauss(ref, 6).tobytes()
+    assert fast.gauss_array((4, 0)).shape == (4, 0)
+    assert fast.uniform_array(0.0, 1.0, np.int32(0)).shape == (0,)
+    assert fast.gauss_array(()).tobytes() == oracle_gauss(ref, 1).tobytes()
+    assert_same_state(fast, ref)
+
+
+def test_uniform_array_equals_the_oracle_across_its_blocks():
+    fast, ref = SplitMix64(12), SplitMix64(12)
+    block = rng_module._BLOCK
+    for n in (block - 1, block, block + 1, 2 * block + 1):
+        got = fast.uniform_array(-1.0, 1.0, (n,))
+        assert got.tobytes() == oracle_uniform(ref, -1.0, 1.0, n).tobytes(), n
+    assert_same_state(fast, ref)
+
+
+# --- the Gaussian draw on two threads: the blocks of one call form one queue ---
+
+MAIN = threading.current_thread().name
+GAUSS_POOL = "sdgzsl-gauss_0"
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["no spare", "a spare"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_two_threads_draw_the_bits_of_one(monkeypatch, k, spare):
+    force_two_threads(monkeypatch, True)
+    for n in (k * BLOCK_VALUES + d for d in (-2, -1, 1, 2)):
+        fast, ref = SplitMix64(WRAP_SEED), SplitMix64(WRAP_SEED)
+        if spare:
+            fast.gauss_array(1)
+            oracle_gauss(ref, 1)
+        assert fast.gauss_array((n,)).tobytes() == oracle_gauss(ref, n).tobytes(), n
+        assert_same_state(fast, ref)
+
+
+def record_drawing_threads(monkeypatch) -> set:
+    """The names of the threads that run a block's ``_box_muller``, through a
+    plain (unwrapped) stand-in that leaves two threads allowed; the first two
+    blocks wait for each other, so that a draw of two blocks or more runs one
+    on each thread."""
+    threads, original = set(), rng_module._box_muller
+    barrier, calls = threading.Barrier(2, timeout=10.0), itertools.count()
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        if next(calls) < 2:
+            barrier.wait()
+        return original(*args)
+
+    monkeypatch.setattr(rng_module, "_box_muller", spy)
+    return threads
+
+
+def test_each_thread_draws_blocks_of_the_queue(monkeypatch):
+    force_two_threads(monkeypatch, True)
+    threads = record_drawing_threads(monkeypatch)
+    n = 3 * BLOCK_VALUES + 1
+    got = SplitMix64(9).gauss_array((n,))
+    assert threads == {MAIN, GAUSS_POOL}
+    assert got.tobytes() == oracle_gauss(SplitMix64(9), n).tobytes()
+
+
+def test_a_draw_of_one_block_or_a_wrapped_box_muller_keeps_one_thread(monkeypatch):
+    force_two_threads(monkeypatch, True)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t.name), start(t)))
+    SplitMix64(2).gauss_array(BLOCK_VALUES)
+    original = rng_module._box_muller
+
+    @functools.wraps(original)
+    def traced(*args):
+        return original(*args)
+
+    monkeypatch.setattr(rng_module, "_box_muller", traced)
+    SplitMix64(2).gauss_array(3 * BLOCK_VALUES)
+    assert started == []
 
 
 @pytest.mark.parametrize("seed", [1, WRAP_SEED])
