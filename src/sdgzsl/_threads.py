@@ -1,17 +1,14 @@
 """When the library runs work on a second thread, and the one pool that does it.
 
-Three functions hand part of their work to a pool of one thread: ``mlp.train``
-runs epoch e+1's SGD steps there beside epoch e's full-set loss; the
+Two functions hand part of their work to a pool of one thread: ``mlp.train``
+runs epoch e+1's SGD steps there beside epoch e's full-set loss, and the
 statistics pass of ``gates`` submits once per call, so that the pool's
 thread and the caller each take the next untaken chunk of the call's one
-queue; and generation's ``SplitMix64.gauss_array`` does the same with its
-blocks of Box-Muller pairs.  All three ask ``second_thread``, which gives
-them the thread only when
+queue.  Both ask ``second_thread``, which gives them the thread only when
 
 * the caller wants it: ``train`` when its loss forward has at least
   ``mlp._OVERLAP_MACS`` multiply-adds, the pass when some split has more
-  than one chunk, ``gauss_array`` when it draws more than one block; below
-  that the hand-offs cost more than they hide;
+  than one chunk; below that the hand-offs cost more than they hide;
 * BLAS runs each product on one thread: the first of
   ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
   that holds a positive integer is 1, as the benchmark sets it.  With BLAS
@@ -20,7 +17,7 @@ them the thread only when
 * no function the threads call has been replaced by a wrapper
   (``functools.wraps`` leaves ``__wrapped__``), such as a tracer's, whose
   state need not be safe on two threads.  One list, ``_wrapped``, names
-  those functions for all three callers.
+  those functions for both callers.
 
 Otherwise the same loop runs on the calling thread.  Every product is the
 same call on the same operands either way, so no result changes by a bit.
@@ -52,15 +49,13 @@ def _blas_on_one_thread() -> bool:
 
 
 def _wrapped() -> bool:
-    """Whether a function that ``train``'s steps and loss, the statistics pass
-    or the Gaussian draw call has been wrapped, each read from its module at
-    call time."""
-    from . import gates, mlp, rng  # all loaded by the time a caller asks
+    """Whether a function that ``train``'s steps and loss or the statistics pass
+    call has been wrapped, each read from its module at call time."""
+    from . import gates, mlp  # both loaded by the time a caller asks
 
     return any(hasattr(fn, "__wrapped__") for fn in (
         mlp.mse_loss, mlp._layers, mlp._gradient, mlp.check_finite,
-        mlp.SplitMix64.permutation, gates.forward_batch, gates._row_norms, gates._screen,
-        rng._box_muller))
+        mlp.SplitMix64.permutation, gates.forward_batch, gates._row_norms, gates._screen))
 
 
 @contextlib.contextmanager

@@ -24,19 +24,6 @@ sequence of ``next_u64``, which is all a port has to follow:
   2**-64 is irrelevant at these ranges and keeps the recipe one line).
 * ``split()`` seeds a child stream with one u64 from the parent.
 
-Blocks and threads.  The array draws take their u64s in blocks of
-``_BLOCK``.  The state after ``j`` steps is ``state + j * GOLDEN`` (Steele,
-Lea and Flood, OOPSLA 2014), so a block can be drawn from the entry state and its own offset without the
-blocks before it, and Box-Muller works on each pair alone.  The blocks of
-pairs of one ``gauss_array`` call form one queue in row order; the caller
-and, when ``_threads.second_thread`` grants one, the pool's one thread
-each take the next untaken block until none is left, as the statistics
-pass of ``gates`` takes its chunks.  Each block writes only its own slots,
-and the stream and the spare move once, after the last block, so no bit
-depends on which thread drew which block.  Each thread works in one set of
-``_GAUSS_ROWS`` rows that the caller allocates, reused for every block.
-The comment on ``_BLOCK`` gives the block sizes and thread counts measured.
-
 Box-Muller recipe v2.  ``log``, ``cos`` and ``sin`` do not come from the
 platform's libm, which need not be correctly rounded.  A pair is built
 only from binary64 ``+ - * /`` and ``sqrt`` (each correctly rounded,
@@ -78,24 +65,16 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 
 import numpy as np
 
-from ._threads import second_thread
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # values (uniform_array) or Box-Muller pairs (gauss_array) per uint64 block;
-# bounds the temporaries of an array draw whatever its size.  On a 2-core box,
-# train_heavy's three large draws (806k values) took 26.1 ms with the earlier
-# 2**12-pair blocks and fresh temporaries; with reused work rows and 2**14,
-# 16.8 ms on one thread and 17.5 ms on two.  2**13 took 19.2 / 18.2 ms, 2**15
-# 16.3 / 17.7 and 2**16 20.9 / 22.6, whose work rows outgrow the 2 MB L2
-# cache.  Two threads gain nothing there: each numpy step of a few
-# microseconds hands the interpreter lock over, and wider steps are bound by
-# memory bandwidth
+# bounds the temporaries of an array draw whatever its size.  The work rows of
+# 2**14 pairs stay inside a 2 MB L2 cache, where those of 2**16 do not
 _BLOCK = 2**14
 
 # Box-Muller v2 constants, named as in the module docstring
@@ -133,17 +112,6 @@ def _dims(shape) -> tuple:
                for d in dims):
         raise DomainError(f"shape needs integers >= 0, got {shape!r}")
     return tuple(map(int, dims))
-
-
-def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """SplitMix64's output mix of each uint64 state in ``z``, in place;
-    ``scratch`` is a uint64 array of its shape that the steps write into."""
-    z ^= np.right_shift(z, np.uint64(30), out=scratch)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=scratch)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
-    return z
 
 
 def _horner(z, coefficients, out):
@@ -231,30 +199,6 @@ def _box_muller(ka, kb, cos_out, sin_out, work=None) -> None:
     np.add(signs[2], signs[3], out=sin_out)
 
 
-# float64 rows of a block's length that ``_gauss_pairs`` works in: its u64
-# draws ``a`` and ``b``, then the rows of ``_box_muller``
-_GAUSS_ROWS = 2 + _BOX_MULLER_ROWS
-
-
-def _gauss_pairs(state: int, first: int, cos_out, sin_out, work) -> None:
-    """Box-Muller pairs ``first``, ``first + 1``, ... of a draw entered at
-    SplitMix64 state ``state``, one per slot of ``cos_out`` and ``sin_out``:
-    pair ``i`` takes the u64 draws ``2i + 1`` and ``2i + 2`` after ``state``,
-    so a block needs no draw of the blocks before it.  ``work`` is a
-    C-contiguous float64 array of shape ``(_GAUSS_ROWS, len(cos_out))``."""
-    n = cos_out.shape[0]
-    z = work[:2].view(np.uint64)  # the ``a`` draws, then the ``b`` draws
-    np.multiply(np.arange(first, first + n, dtype=np.uint64), np.uint64((2 * _GOLDEN) & _MASK64),
-                out=z[0])
-    z[0] += np.uint64((state + _GOLDEN) & _MASK64)
-    np.add(z[0], np.uint64(_GOLDEN), out=z[1])
-    _mix(z, work[2:4].view(np.uint64))
-    z >>= np.uint64(11)
-    k = z.view(np.int64)  # < 2**53
-    k[0] += 1
-    _box_muller(k[0], k[1], cos_out, sin_out, work[2:])
-
-
 class SplitMix64:
     """Splittable 64-bit generator; one instance per independent stream."""
 
@@ -283,68 +227,42 @@ class SplitMix64:
         z = np.arange(1, k + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
         self._state = (self._state + _GOLDEN * k) & _MASK64
-        return _mix(z, np.empty_like(z))
+        return z
 
     def gauss_array(self, shape) -> np.ndarray:
         """Standard normal deviates over ``shape``, row-major: the cached spare
         first, if any, then Box-Muller pairs, whose odd tail caches its sine
         variate.  ``shape`` is an integer ``>= 0`` or a sequence of them, else
-        ``DomainError`` before any draw.
-
-        The pairs' blocks of ``_BLOCK`` form one queue in row order, each drawn
-        from its own offset of the entry state: the caller and, with a second
-        thread, the pool's one thread each take the next untaken block until
-        none is left.  The stream and the spare move only once every block is
-        drawn.
-        """
+        ``DomainError`` before any draw."""
         dims = _dims(shape)
         out = np.empty(math.prod(dims))
-        head = int(out.size > 0 and self._spare_gauss is not None)
-        if head:
+        pos = 0
+        if out.size and self._spare_gauss is not None:
             out[0] = self._spare_gauss
-        pairs = (out.size - head + 1) // 2
-        cosines, sines = out[head::2], out[head + 1 :: 2]
-        blocks = [(first, cosines[first : first + _BLOCK], sines[first : first + _BLOCK])
-                  for first in range(0, pairs, _BLOCK)]
-        tail = None
-        if sines.size < pairs:  # odd: the last block draws one sine more than ``out`` holds
-            first, cos_out, _ = blocks[-1]
-            tail = np.empty(cos_out.size)
-            blocks[-1] = (first, cos_out, tail)
-        state, untaken, lock = self._state, iter(blocks), threading.Lock()
-
-        def take():
-            with lock:
-                return next(untaken, None)
-
-        def drain(space: np.ndarray) -> None:
-            try:
-                for first, cos_out, sin_out in iter(take, None):
-                    work = space[: _GAUSS_ROWS * cos_out.size].reshape(_GAUSS_ROWS, -1)
-                    _gauss_pairs(state, first, cos_out, sin_out, work)
-            except BaseException:  # an interrupt too: leave the other thread no block
-                with lock:
-                    for _ in untaken:
-                        pass
-                raise
-
-        with second_thread("sdgzsl-gauss", len(blocks) > 1) as submit:
-            # each thread's work rows, allocated here: rows that the pool's thread
-            # allocated itself stayed resident in its own malloc arena, 2.7 MB
-            # more after 20 train_heavy generations than with rows made here
-            width = _GAUSS_ROWS * min(pairs, _BLOCK)
-            spaces = [np.empty(width) for _ in range(1 if submit is None else 2)]
-            pending = None if submit is None else submit(drain, spaces[1])
-            drain(spaces[0])
-            if pending is not None:
-                pending.result()
-        self._state = (state + 2 * pairs * _GOLDEN) & _MASK64
-        if head:
             self._spare_gauss = None
-        if tail is not None:
-            sines[blocks[-1][0] :] = tail[:-1]
-            self._spare_gauss = float(tail[-1])
+            pos = 1
+        pairs = (out.size - pos + 1) // 2
+        cosines, sines = out[pos::2], out[pos + 1 :: 2]
+        space = np.empty(_BOX_MULLER_ROWS * min(pairs, _BLOCK))
+        for first in range(0, pairs, _BLOCK):
+            n = min(_BLOCK, pairs - first)
+            k = (self._u64_block(2 * n) >> np.uint64(11)).view(np.int64)  # < 2**53
+            ka = k[0::2]
+            ka += 1
+            sin_out = sines[first : first + n]
+            if sin_out.size < n:  # odd tail: its last sine variate becomes the spare
+                sin_out = np.empty(n)
+            work = space[: _BOX_MULLER_ROWS * n].reshape(_BOX_MULLER_ROWS, n)
+            _box_muller(ka, k[1::2], cosines[first : first + n], sin_out, work)
+        if sines.size < pairs:
+            sines[first:] = sin_out[:-1]
+            self._spare_gauss = float(sin_out[-1])
         return out.reshape(dims)
 
     def uniform_array(self, low: float, high: float, shape) -> np.ndarray:

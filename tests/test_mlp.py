@@ -816,9 +816,8 @@ class TestNonFiniteProducts:
 
 def test_a_train_below_the_threshold_leaves_the_pool_unimported():
     """Neither ``import sdgzsl`` nor a ``train`` that does not overlap, nor a
-    statistics pass of one chunk per split, nor generating the README's
-    default dataset, whose every Gaussian draw fits in one block, imports
-    ``concurrent.futures``, which CLI start-up skips."""
+    statistics pass of one chunk per split, imports ``concurrent.futures``,
+    which CLI start-up skips."""
     src = str(Path(sdgzsl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -827,7 +826,6 @@ def test_a_train_below_the_threshold_leaves_the_pool_unimported():
             "ds = sdgzsl.generate_synthetic(sdgzsl.SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3))\n"
             "mapper, _ = sdgzsl.train(ds, sdgzsl.TrainConfig(epochs=2))\n"
             "sdgzsl.evaluate_sweep(mapper, sdgzsl.calibrate(mapper, ds), ds)\n"
-            "sdgzsl.generate_synthetic(sdgzsl.SyntheticSpec(10, 3, 32, 16, 50, 20, 0.05, seed=7))\n"
             "print('concurrent.futures' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)

@@ -1,17 +1,13 @@
 import dataclasses
-import functools
 import hashlib
-import itertools
 import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import force_two_threads
 
 import sdgzsl
 from sdgzsl import DomainError, SplitMix64, SyntheticSpec, TrainConfig, generate_synthetic, train
@@ -230,16 +226,9 @@ def test_uniform_array_equals_the_oracle_across_its_blocks():
     assert_same_state(fast, ref)
 
 
-# --- the Gaussian draw on two threads: the blocks of one call form one queue ---
-
-MAIN = threading.current_thread().name
-GAUSS_POOL = "sdgzsl-gauss_0"
-
-
 @pytest.mark.parametrize("spare", [False, True], ids=["no spare", "a spare"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_two_threads_draw_the_bits_of_one(monkeypatch, k, spare):
-    force_two_threads(monkeypatch, True)
+def test_gauss_array_equals_the_oracle_at_block_edges(k, spare):
     for n in (k * BLOCK_VALUES + d for d in (-2, -1, 1, 2)):
         fast, ref = SplitMix64(WRAP_SEED), SplitMix64(WRAP_SEED)
         if spare:
@@ -247,49 +236,6 @@ def test_two_threads_draw_the_bits_of_one(monkeypatch, k, spare):
             oracle_gauss(ref, 1)
         assert fast.gauss_array((n,)).tobytes() == oracle_gauss(ref, n).tobytes(), n
         assert_same_state(fast, ref)
-
-
-def record_drawing_threads(monkeypatch) -> set:
-    """The names of the threads that run a block's ``_box_muller``, through a
-    plain (unwrapped) stand-in that leaves two threads allowed; the first two
-    blocks wait for each other, so that a draw of two blocks or more runs one
-    on each thread."""
-    threads, original = set(), rng_module._box_muller
-    barrier, calls = threading.Barrier(2, timeout=10.0), itertools.count()
-
-    def spy(*args):
-        threads.add(threading.current_thread().name)
-        if next(calls) < 2:
-            barrier.wait()
-        return original(*args)
-
-    monkeypatch.setattr(rng_module, "_box_muller", spy)
-    return threads
-
-
-def test_each_thread_draws_blocks_of_the_queue(monkeypatch):
-    force_two_threads(monkeypatch, True)
-    threads = record_drawing_threads(monkeypatch)
-    n = 3 * BLOCK_VALUES + 1
-    got = SplitMix64(9).gauss_array((n,))
-    assert threads == {MAIN, GAUSS_POOL}
-    assert got.tobytes() == oracle_gauss(SplitMix64(9), n).tobytes()
-
-
-def test_a_draw_of_one_block_or_a_wrapped_box_muller_keeps_one_thread(monkeypatch):
-    force_two_threads(monkeypatch, True)
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t.name), start(t)))
-    SplitMix64(2).gauss_array(BLOCK_VALUES)
-    original = rng_module._box_muller
-
-    @functools.wraps(original)
-    def traced(*args):
-        return original(*args)
-
-    monkeypatch.setattr(rng_module, "_box_muller", traced)
-    SplitMix64(2).gauss_array(3 * BLOCK_VALUES)
-    assert started == []
 
 
 @pytest.mark.parametrize("seed", [1, WRAP_SEED])

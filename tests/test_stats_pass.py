@@ -25,7 +25,6 @@ from conftest import force_two_threads
 
 import sdgzsl.gates
 import sdgzsl.mlp
-import sdgzsl.rng
 from sdgzsl import (DomainError, STRATEGIES, SplitMix64, SyntheticSpec, TrainConfig, calibrate,
                     calibrate_from_samples, evaluate, evaluate_baseline, evaluate_sweep,
                     forward_batch, gate_statistics, generate_synthetic, predict, train)
@@ -390,11 +389,10 @@ def count_thread_starts(monkeypatch) -> list:
 
 
 # the pass's own callees, then the functions that the benchmark's tracer wraps
-# and that train or the pass reach, then the Gaussian draw's callee that the
-# pool's thread runs: one wrapped keeps every job on one thread
+# and that train or the pass reach: one wrapped keeps both jobs on one thread
 WRAPPABLE = [(sdgzsl.gates, "forward_batch"), (sdgzsl.gates, "_row_norms"),
              (sdgzsl.gates, "_screen"), (sdgzsl.mlp, "check_finite"),
-             (sdgzsl.mlp, "mse_loss"), (SplitMix64, "permutation"), (sdgzsl.rng, "_box_muller")]
+             (sdgzsl.mlp, "mse_loss"), (SplitMix64, "permutation")]
 
 
 class TestWhenTwoThreadsRun:
