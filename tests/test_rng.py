@@ -217,32 +217,13 @@ def test_a_shape_may_hold_numpy_integers_and_zeros():
     assert_same_state(fast, ref)
 
 
-def test_uniform_array_equals_the_oracle_across_its_blocks():
-    fast, ref = SplitMix64(12), SplitMix64(12)
-    block = rng_module._BLOCK
-    for n in (block - 1, block, block + 1, 2 * block + 1):
-        got = fast.uniform_array(-1.0, 1.0, (n,))
-        assert got.tobytes() == oracle_uniform(ref, -1.0, 1.0, n).tobytes(), n
-    assert_same_state(fast, ref)
-
-
-@pytest.mark.parametrize("spare", [False, True], ids=["no spare", "a spare"])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_gauss_array_equals_the_oracle_at_block_edges(k, spare):
-    for n in (k * BLOCK_VALUES + d for d in (-2, -1, 1, 2)):
-        fast, ref = SplitMix64(WRAP_SEED), SplitMix64(WRAP_SEED)
-        if spare:
-            fast.gauss_array(1)
-            oracle_gauss(ref, 1)
-        assert fast.gauss_array((n,)).tobytes() == oracle_gauss(ref, n).tobytes(), n
-        assert_same_state(fast, ref)
-
-
 @pytest.mark.parametrize("seed", [1, WRAP_SEED])
 def test_uniform_array_equals_low_plus_span_times_uniform(seed):
     fast, ref = SplitMix64(seed), SplitMix64(seed)
     for low, high, n in ((-2.0, 3.0, 0), (-2.0, 3.0, 1), (0.0, 1.0, 4095), (-0.25, 0.5, 4096),
-                         (np.float64(-0.3), np.float64(0.3), 4097), (5.0, 5.5, 10_000)):
+                         (np.float64(-0.3), np.float64(0.3), 4097), (5.0, 5.5, 10_000),
+                         (-1.0, 1.0, rng_module._BLOCK - 1), (-1.0, 1.0, rng_module._BLOCK + 1),
+                         (-1.0, 1.0, 2 * rng_module._BLOCK + 1)):
         got = fast.uniform_array(low, high, (n,))
         assert got.tobytes() == oracle_uniform(ref, low, high, n).tobytes(), (low, high, n)
     assert_same_state(fast, ref)
