@@ -277,8 +277,10 @@ def generate_synthetic(spec: SyntheticSpec) -> GzslDataset:
         with np.errstate(over="ignore"):  # an overflow is refused as a non-finite feature
             x *= spec.cluster_spread
             x += centers[:, None, :]
-            # features live on the f32 grid so disk round-trips are exact
-            x = x.reshape(-1, spec.feature_dim).astype(np.float32).astype(np.float64)
+            # features live on the f32 grid so disk round-trips are exact; rounded
+            # in place, with one float32 copy of the split
+            x = x.reshape(-1, spec.feature_dim)
+            x[...] = x.astype(np.float32)
         return x, np.repeat(np.arange(n_classes), per_class)
 
     seen_train_x, seen_train_y = draw_split(seen_centers, spec.per_class_train)

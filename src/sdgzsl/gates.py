@@ -9,8 +9,8 @@ Two statistics of each projected row drive every rule:
 
 One statistics pass, ``_split_stats``, computes both for calibration,
 evaluation and ``predict``.  It projects a split in chunks sized by
-``_CHUNK_VALUES`` over the network's widest layer, never under
-``_CHUNK_MIN_BLOCKS`` row blocks, each through ``mlp.forward_batch``, the
+``mlp._chunk_rows`` (``_CHUNK_VALUES`` over the network's widest layer, never
+under ``_CHUNK_MIN_BLOCKS`` row blocks), each through ``mlp.forward_batch``, the
 one projection, and screens each embedding table it is given once per
 chunk: the seen table for ``calibrate``, both tables for evaluation.  One
 pass takes every split of a call, so ``_evaluate`` makes one pass over both
@@ -45,26 +45,9 @@ import numpy as np
 from ._threads import second_thread
 from .data import GzslDataset, _is_finite
 from .errors import CalibrationError, ConfigError, DatasetLoadError, DomainError
-from .linalg import (ROW_BLOCK, _prepare, _row_norms, _screen, as_matrix, as_table,
-                     as_vector, mean_and_popstd, nearest)
-from .mlp import MlpParams, forward_batch
-
-# Values per chunk of a statistics pass, over the network's widest layer: a
-# chunk is the largest ``ROW_BLOCK`` multiple of rows whose widest activation
-# holds at most this many, but at least ``_CHUNK_MIN_BLOCKS`` blocks: 2048
-# rows at width 32, 256 at width 256.  A chunk holds only its own
-# projections: projecting each whole split at once raised eval_heavy's peak
-# RSS by about 3 MB, and 2**16 values per chunk hold it about 1.2 MB (2.6%)
-# above 2**15.  Each chunk costs about 50 numpy calls whatever its rows, and
-# on two threads those contend for the interpreter lock.  While each chunk
-# summed its row norms once more per table and gathered rows by fancy
-# indexing, which runs slower on two threads than on one, 2**16 gained
-# eval_heavy's ``eval_rows_per_s`` only 4.6% and 2**15 was kept.  With one
-# norm per chunk and ``take`` gathers a chunk holds the lock less, and 2**16
-# gains it about 9%.  The floor keeps the calls a small share of a wide
-# network's chunk.
-_CHUNK_VALUES = 2**16
-_CHUNK_MIN_BLOCKS = 8
+from .linalg import (_prepare, _row_norms, _screen, as_matrix, as_table, as_vector,
+                     mean_and_popstd, nearest)
+from .mlp import MlpParams, _chunk_rows, forward_batch
 
 
 class Domain(Enum):
@@ -150,12 +133,6 @@ def _tables(mapper: MlpParams, *embs) -> tuple:
     """Seen, then (if given) unseen embedding table, checked and prepared for ``_screen``."""
     return tuple(_prepare(as_table(emb, mapper.out_dim, f"{side} embeddings"))
                  for emb, side in zip(embs, ("seen", "unseen")))
-
-
-def _chunk_rows(mapper: MlpParams) -> int:
-    """Rows per chunk of a statistics pass through ``mapper``."""
-    width = max(mapper.layer_sizes())
-    return max(_CHUNK_MIN_BLOCKS, _CHUNK_VALUES // (width * ROW_BLOCK)) * ROW_BLOCK
 
 
 def _split_stats(mapper: MlpParams, l: float, splits, *tables) -> list[tuple[np.ndarray, ...]]:

@@ -37,8 +37,20 @@ and a divergence names the same epoch.
 ``forward_batch`` is the one projection outside training: it multiplies
 ``linalg.ROW_BLOCK`` rows at a time, as the statistics pass of ``gates`` and
 the default classifier call it, so the same matrix gives the same bits on
-every path.  Training's own products (``_gradient`` and ``mse_loss``) take
-each batch as one product through ``_layers``.
+every path.  ``_gradient`` takes each batch as one product through
+``_layers``.  ``mse_loss`` takes its rows in chunks of ``_chunk_rows``, the
+statistics pass's rule, with the ragged remainder folded into the last
+chunk, so no product has fewer rows than one chunk and a split shorter than
+two chunks stays one product.  BLAS rounds a few rows through other code
+than a full tile of them (numpy hands one row to a matrix-vector routine),
+so a short chunk would move the last bits of its rows: a 1-row tail did on
+the AVX-512, AVX2 and AVX kernels, an 8-row tail on AVX-512.  Chunks of at
+least ``_chunk_rows`` rows give each row the bits of one product over every
+row, and the loss writes their per-row sums into one vector and reduces it
+once, so the loss keeps one product's bits.  That holds with BLAS on one
+thread under each of those kernels; on more threads the AVX2 kernel splits a
+product's rows among them, and there one product's bits, as a chunk's,
+follow the thread count.
 """
 
 from __future__ import annotations
@@ -58,6 +70,21 @@ from .linalg import ROW_BLOCK, check_finite, matmul
 from .rng import SplitMix64
 
 _ACTIVATIONS = ("relu", "linear")
+
+# Values per chunk of a statistics pass (``gates``) or an epoch loss
+# (``mse_loss``), over the network's widest layer: a chunk is the largest
+# ``ROW_BLOCK`` multiple of rows whose widest activation holds at most this
+# many, but at least ``_CHUNK_MIN_BLOCKS`` blocks: 2048 rows at width 32, 256
+# at width 256.  A chunk holds only its own activations: projecting each whole
+# split at once raised eval_heavy's peak RSS by about 3 MB, and one loss
+# product over train_heavy's 2000 training rows held 2000 x 256 of them: its
+# chunks took train_heavy's median peak RSS from 63.3 to 53.3 MB.  Each
+# chunk costs about 50 numpy calls whatever its rows, and on two threads those
+# contend for the interpreter lock: 2**16 values gain eval_heavy's
+# ``eval_rows_per_s`` about 9% over 2**15 and cost about 1.2 MB of RSS.  The
+# floor keeps the calls a small share of a wide network's chunk.
+_CHUNK_VALUES = 2**16
+_CHUNK_MIN_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -152,6 +179,12 @@ def _views(shapes, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]
     return weights, biases
 
 
+def _chunk_rows(mapper: MlpParams) -> int:
+    """Rows per chunk of a statistics pass or an epoch loss through ``mapper``."""
+    width = max(mapper.layer_sizes())
+    return max(_CHUNK_MIN_BLOCKS, _CHUNK_VALUES // (width * ROW_BLOCK)) * ROW_BLOCK
+
+
 def _layers(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Input and every layer's activation, ``[x, h1, ..., out]``, of a 2-D batch or a
     ``(blocks, ROW_BLOCK, d)`` stack; each ``h`` is fresh.  Only ReLU layers'
@@ -222,12 +255,19 @@ def mse_loss(params: MlpParams, xs: np.ndarray, zs: np.ndarray) -> float:
     """Mean over instances of the squared projection error.  An empty batch or a
     non-finite projection raises ``DomainError``."""
     xs, zs = _batch_pair("mse_loss", params, xs, zs)
-    # one product over all rows, not forward_batch's blocks
-    diff = check_finite(_layers(params, xs)[-1], "matmul result plus bias")
-    diff -= zs
-    diff *= diff
+    n, step = xs.shape[0], _chunk_rows(params)
+    # chunks of at least ``step`` rows, not forward_batch's blocks: the ragged tail
+    # is folded into the last chunk, since a tail of a few rows, or one, rounds
+    # through other BLAS code and would move bits (see the module docstring)
+    edges = [0, *range(step, n - step + 1, step), n]
+    sums = np.empty(n)
+    for start, stop in zip(edges, edges[1:]):
+        diff = check_finite(_layers(params, xs[start:stop])[-1], "matmul result plus bias")
+        diff -= zs[start:stop]
+        diff *= diff
+        np.add.reduce(diff, axis=1, out=sums[start:stop])
     # numpy's ``_mean`` is this sum over the count: the same bits without the wrappers
-    return float(np.add.reduce(np.add.reduce(diff, axis=1)) / xs.shape[0])
+    return float(np.add.reduce(sums) / n)
 
 
 def _gradient(params: MlpParams, xs: np.ndarray, zs: np.ndarray,

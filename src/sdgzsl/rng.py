@@ -101,6 +101,11 @@ _OCTANT = np.array([[1, 0, 0, -1, -1, 0, 0, 1],
                     [1, 0, 0, 1, -1, 0, 0, -1]], dtype=np.float64)
 
 
+def _is_count(v) -> bool:
+    """An integer ``>= 0``, numpy's included; a bool is none."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
 def _dims(shape) -> tuple:
     """``shape`` as a tuple of integers ``>= 0``: one integer, or a sequence
     of them; ``DomainError`` otherwise."""
@@ -108,8 +113,7 @@ def _dims(shape) -> tuple:
         dims = tuple(shape)
     except TypeError:
         dims = (shape,)
-    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 0
-               for d in dims):
+    if not all(map(_is_count, dims)):
         raise DomainError(f"shape needs integers >= 0, got {shape!r}")
     return tuple(map(int, dims))
 
@@ -277,14 +281,16 @@ class SplitMix64:
         return out.reshape(dims)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), as int64, for ``n >= 0``;
-        ``DomainError`` before any draw otherwise.
+        """Fisher-Yates permutation of range(n), as int64, for an integer
+        ``n >= 0`` (numpy's too, but no bool); ``DomainError`` before any draw
+        otherwise.
 
         The ``next_u64() % (i + 1)`` draws for ``i = n-1 .. 1`` do not depend on
         the swaps, so they come from one block; the swaps stay sequential.
         """
-        if n < 0:
-            raise DomainError(f"permutation(n) needs n >= 0, got {n!r}")
+        if not _is_count(n):
+            raise DomainError(f"permutation(n) needs an integer n >= 0, got {n!r}")
+        n = int(n)
         idx = list(range(n))
         if n > 1:
             js = self._u64_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)

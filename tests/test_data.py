@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from sdgzsl import (
     train,
 )
 from sdgzsl.data import _MAX_UNSEEN_COS
+from sdgzsl.rng import _BLOCK, _BOX_MULLER_ROWS
 
 SMALL_SPEC = SyntheticSpec(
     n_seen_classes=10, n_unseen_classes=3, feature_dim=32, semantic_dim=16,
@@ -84,6 +86,23 @@ class TestGenerateSynthetic:
         save_dataset(b, tmp_path / "b")
         for f in sorted(p.name for p in (tmp_path / "a").iterdir()):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+    def test_features_are_rounded_to_float32_in_place(self):
+        spec = SyntheticSpec(20, 5, 256, 64, 100, 20, 0.05, seed=1)  # the train_heavy shape
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        splits = (ds.seen_train_x, ds.seen_test_x, ds.unseen_test_x)
+        kept = sum(x.nbytes for x in splits)  # 4.9 MiB
+        rounding = max(x.size for x in splits) * 4  # one float32 copy of a split
+        work = _BOX_MULLER_ROWS * _BLOCK * 8  # gauss_array's work rows
+        # a float64 copy of each split on top of its float32 one peaked at 10.0 MiB
+        assert peak < kept + rounding + work
+        for x in splits:
+            assert np.array_equal(x, x.astype(np.float32))
 
     def test_embedding_norms_unified(self):
         ds = generate_synthetic(SMALL_SPEC)

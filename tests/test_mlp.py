@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -39,7 +40,7 @@ import sdgzsl._threads
 import sdgzsl.linalg
 import sdgzsl.mlp
 from sdgzsl.linalg import ROW_BLOCK
-from sdgzsl.mlp import init_params
+from sdgzsl.mlp import _chunk_rows, init_params
 
 SMALL_SPEC = SyntheticSpec(4, 2, 6, 5, 10, 2, 0.1, seed=3)  # 40 training rows
 
@@ -287,6 +288,93 @@ class TestMseLoss:
         diff = plain_forward(params, xs) - zs
         want = float(np.mean(np.sum(diff * diff, axis=1)))
         assert mse_loss(params, xs, zs).hex() == want.hex()
+
+    # (d, s, n): 256-row chunks at width 256, 2048-row chunks at width 32; n
+    # one short of two chunks (one product), two chunks, two and one or eight
+    # folded rows, and train_heavy's training rows
+    CHUNKED = [(256, 64, 511), (256, 64, 512), (256, 64, 513), (256, 64, 520), (256, 64, 2000),
+               (32, 8, 4097)]
+
+    @staticmethod
+    def chunked_case(d, s, n):
+        params = init_params(d, [d], s, SplitMix64(n + d))
+        assert _chunk_rows(params) == {256: 256, 32: 2048}[d]
+        rng = np.random.default_rng(n * 1000 + d)
+        return params, rng.normal(size=(n, d)), rng.normal(size=(n, s))
+
+    @pytest.mark.parametrize("d, s, n", CHUNKED)
+    def test_chunks_keep_the_bits_of_one_product(self, d, s, n):
+        params, xs, zs = self.chunked_case(d, s, n)
+        diff = plain_forward(params, xs) - zs
+        want = float(np.mean(np.sum(diff * diff, axis=1)))
+        assert mse_loss(params, xs, zs).hex() == want.hex()
+
+    @classmethod
+    def residuals(cls) -> list[float]:
+        """The loss of each ``CHUNKED`` case against one product's projections."""
+        losses = []
+        for d, s, n in cls.CHUNKED:
+            params, xs, _ = cls.chunked_case(d, s, n)
+            losses.append(mse_loss(params, xs, plain_forward(params, xs)))
+        return losses
+
+    def test_every_row_keeps_the_bits_of_one_product(self):
+        """Targets equal to one product's projections leave no residual unless some
+        chunk's rows round otherwise, as an unfolded tail of 1 or 8 rows does.
+
+        Run with BLAS on one thread: OpenBLAS's AVX2 kernel on more threads splits
+        a product's rows among them and rounds each part's short tail otherwise,
+        so there a product's bits follow the thread count, one product's as a
+        chunk's."""
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(sdgzsl.mlp.__file__).resolve().parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = (f"import sys; sys.path.insert(0, {tests!r})\n"
+                "from test_mlp import TestMseLoss\n"
+                "print(TestMseLoss.residuals())\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{[0.0] * len(self.CHUNKED)}\n"
+
+    @pytest.mark.parametrize("d, s, n, rows", [
+        (256, 64, 511, [511]), (256, 64, 512, [256, 256]), (256, 64, 513, [256, 257]),
+        (256, 64, 520, [256, 264]),
+        (256, 64, 2000, [256] * 6 + [464]), (32, 8, 4097, [2048, 2049])])
+    def test_the_ragged_tail_is_folded_into_the_last_chunk(self, monkeypatch, d, s, n, rows):
+        params, xs, zs = self.chunked_case(d, s, n)
+        seen, layers = [], sdgzsl.mlp._layers
+        monkeypatch.setattr(sdgzsl.mlp, "_layers", lambda p, x: seen.append(len(x)) or layers(p, x))
+        mse_loss(params, xs, zs)
+        assert seen == rows
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_train_keeps_the_reference_bits_at_a_chunked_shape(self, monkeypatch, overlap):
+        force_two_threads(monkeypatch, overlap)
+        ds = generate_synthetic(SyntheticSpec(20, 5, 256, 64, 100, 2, 0.05, seed=4))  # 2000 rows
+        cfg = TrainConfig(epochs=2, seed=9)
+        ws, bs, ref_history, diverged = reference_train(ds, cfg)
+        assert diverged is None
+        params, history = train(ds, cfg)
+        assert _chunk_rows(params) * 2 <= ds.seen_train_x.shape[0]
+        assert bits(params.weights) == bits(ws)
+        assert bits(params.biases) == bits(bs)
+        assert bits(history) == bits(ref_history)
+
+    def test_the_loss_holds_one_chunk_of_activations(self, np_rng):
+        # one product over the 20000 rows held every activation: 48.9 MiB traced
+        params = init_params(256, [256], 64, SplitMix64(5))
+        xs, zs = np_rng.normal(size=(20000, 256)), np_rng.normal(size=(20000, 64))
+        tracemalloc.start()
+        try:
+            mse_loss(params, xs, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-row sums (0.15 MiB) and the folded last chunk's 288 x (256 + 64)
+        # activations (0.70 MiB) fit, one product's 20000 rows do not
+        assert peak < 2 * 2**20
 
 
 class TestBackward:

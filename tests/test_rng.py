@@ -61,10 +61,21 @@ def test_permutation_is_permutation():
         assert sorted(perm) == list(range(37))
 
 
-def test_permutation_below_its_domain_raises_before_any_draw():
+@pytest.mark.parametrize("n", [-1, np.int64(-1), True, np.True_, 5.0, np.float64(5.0), "4", None],
+                         ids=repr)
+def test_permutation_outside_its_domain_raises_before_any_draw(n):
     rng, ref = SplitMix64(3), SplitMix64(3)
-    with pytest.raises(DomainError, match=r"permutation\(n\) needs n >= 0, got -1"):
-        rng.permutation(-1)
+    with pytest.raises(DomainError, match=r"^permutation\(n\) needs an integer n >= 0, got "):
+        rng.permutation(n)
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n", [np.int64(4), np.uint8(4), np.int32(0), np.int16(1)], ids=repr)
+def test_permutation_takes_numpy_integers(n):
+    rng, ref = SplitMix64(3), SplitMix64(3)
+    perm = rng.permutation(n)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == ref.permutation(int(n)).tolist()
     assert rng.next_u64() == ref.next_u64()
 
 

@@ -36,8 +36,8 @@ from sdgzsl.pipeline import render_report_kv
 def chunk_rows(monkeypatch, mapper, rows: int) -> None:
     """Make the pass take ``rows`` rows per chunk through ``mapper``, below the
     floor of ``_CHUNK_MIN_BLOCKS`` blocks too."""
-    monkeypatch.setattr(sdgzsl.gates, "_CHUNK_MIN_BLOCKS", 1)
-    monkeypatch.setattr(sdgzsl.gates, "_CHUNK_VALUES", rows * max(mapper.layer_sizes()))
+    monkeypatch.setattr(sdgzsl.mlp, "_CHUNK_MIN_BLOCKS", 1)
+    monkeypatch.setattr(sdgzsl.mlp, "_CHUNK_VALUES", rows * max(mapper.layer_sizes()))
     assert _chunk_rows(mapper) == rows
 
 
